@@ -39,10 +39,11 @@ ClusterConfig::validate() const
         fatal("ClusterConfig: need at least one machine (got %d)",
               machines);
     machine.validate();
-    if (rackBudgetFraction <= 0.0 || rackBudgetFraction > 1.0)
+    // Written so NaN fails too: every comparison with NaN is false.
+    if (!(rackBudgetFraction > 0.0 && rackBudgetFraction <= 1.0))
         fatal("ClusterConfig: rack budget fraction %g not in (0, 1]",
               rackBudgetFraction);
-    if (floorFraction < 0.0 || floorFraction >= 1.0)
+    if (!(floorFraction >= 0.0 && floorFraction < 1.0))
         fatal("ClusterConfig: floor fraction %g not in [0, 1)",
               floorFraction);
     if (maxEpochs < 1)

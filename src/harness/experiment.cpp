@@ -108,7 +108,8 @@ ExperimentRunner::ExperimentRunner(SimConfig sim_cfg,
               _cfg.linearPowerModel ? 1.0 : 0.3,
               _cfg.linearPowerModel ? 1.0 : 4.0)
 {
-    if (_cfg.budgetFraction <= 0.0 || _cfg.budgetFraction > 1.0)
+    // Written so NaN fails too: every comparison with NaN is false.
+    if (!(_cfg.budgetFraction > 0.0 && _cfg.budgetFraction <= 1.0))
         fatal("ExperimentRunner: budget fraction must be in (0, 1]");
     if (_cfg.targetInstructions <= 0.0)
         fatal("ExperimentRunner: target instructions must be positive");
@@ -166,7 +167,7 @@ ExperimentRunner::ExperimentRunner(SimConfig sim_cfg,
 void
 ExperimentRunner::budgetFraction(double fraction)
 {
-    if (fraction <= 0.0 || fraction > 1.0)
+    if (!(fraction > 0.0 && fraction <= 1.0))
         fatal("budgetFraction must be in (0, 1]");
     _cfg.budgetFraction = fraction;
 }

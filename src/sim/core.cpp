@@ -34,7 +34,7 @@ Core::start()
 {
     if (!_app)
         fatal("Core %d: no application bound", _id);
-    if (!_submit)
+    if (!_sink)
         fatal("Core %d: no request sink installed", _id);
     if (_started)
         panic("Core %d: started twice", _id);
@@ -62,26 +62,44 @@ Core::maxOutstanding(const Phase &phase) const
 }
 
 void
-Core::scheduleThink()
+Core::onEvent(std::uint32_t tag, double arg)
 {
-    const Phase &phase = _app->phaseAt(_instrRetired);
-    const double instr = phase.instructionsPerMiss();
-    // Think time: instructions * CPI_exec cycles at the current
-    // frequency, jittered to avoid lockstep artefacts.
-    const Seconds z = instr * phase.cpiExec / _freq *
-        _rng.jitter(_cfg.thinkJitterSigma);
-    _queue.scheduleAfter(z, [this, z, instr] {
-        onThinkDone(z, instr);
-    });
+    if (tag == kThinkDone) {
+        onThinkDone();
+        return;
+    }
+    // L2 hop done: the demand read reaches the memory subsystem.
+    Request req;
+    req.type = RequestType::Read;
+    req.coreId = _id;
+    req.issueTime = arg;
+    _sink->submit(req);
 }
 
 void
-Core::onThinkDone(Seconds think_time, double instr)
+Core::scheduleThink()
 {
+    if (_thinkPending)
+        panic("Core %d: second think scheduled while one is pending",
+              _id);
+    const Phase &phase = _app->phaseAt(_instrRetired);
+    _thinkInstr = phase.instructionsPerMiss();
+    // Think time: instructions * CPI_exec cycles at the current
+    // frequency, jittered to avoid lockstep artefacts.
+    _thinkTime = _thinkInstr * phase.cpiExec / _freq *
+        _rng.jitter(_cfg.thinkJitterSigma);
+    _thinkPending = true;
+    _queue.scheduleAfter(_thinkTime, *this, kThinkDone);
+}
+
+void
+Core::onThinkDone()
+{
+    _thinkPending = false;
     const Seconds now = _queue.now();
-    _instrRetired += instr;
-    _counters.instructions += static_cast<std::uint64_t>(instr);
-    _counters.busyTime += think_time;
+    _instrRetired += _thinkInstr;
+    _counters.instructions += static_cast<std::uint64_t>(_thinkInstr);
+    _counters.busyTime += _thinkTime;
     ++_counters.misses;
 
     const Phase &phase = _app->phaseAt(_instrRetired);
@@ -89,12 +107,8 @@ Core::onThinkDone(Seconds think_time, double instr)
 
     // Demand read: traverses the shared L2 (constant-latency separate
     // voltage domain), then the memory subsystem.
-    Request req;
-    req.type = RequestType::Read;
-    req.coreId = _id;
-    req.issueTime = now;
     ++_outstanding;
-    _queue.scheduleAfter(_cfg.l2Time, [this, req] { _submit(req); });
+    _queue.scheduleAfter(_cfg.l2Time, *this, kL2Hop, now);
 
     if (_outstanding >= maxOutstanding(phase)) {
         // In-order cores always block here; OoO cores block only when
@@ -121,7 +135,7 @@ Core::maybeIssueWriteback(const Phase &phase)
             wb.coreId = _id;
             wb.issueTime = _queue.now();
             ++_counters.writebacks;
-            _submit(wb);
+            _sink->submit(wb);
         }
         expected -= 1.0;
     }

@@ -10,7 +10,6 @@
 #define FASTCAP_SIM_CORE_HPP
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/app_profile.hpp"
 #include "sim/config.hpp"
@@ -44,13 +43,15 @@ struct CoreCounters
  * waits for the line (in-order) or continues until its window fills
  * (OoO), and emits writebacks as background traffic off the critical
  * path.
+ *
+ * The core is the target of its own two event kinds: think-done and
+ * the L2 hop that submits a demand read. A core has at most one think
+ * pending, so that think's (duration, instructions) lives here rather
+ * than in the event.
  */
-class Core
+class Core final : public EventHandler, public DeliverySink
 {
   public:
-    /** Sink for generated requests (routed to a controller). */
-    using SubmitFn = std::function<void(Request)>;
-
     Core(int id, const SimConfig &cfg, EventQueue &queue, Rng rng);
 
     int id() const { return _id; }
@@ -59,8 +60,8 @@ class Core
     void runApp(const AppProfile *app);
     const AppProfile *app() const { return _app; }
 
-    /** Install the request sink. Must precede start(). */
-    void submitCallback(SubmitFn fn) { _submit = std::move(fn); }
+    /** Install the request sink (not owned). Must precede start(). */
+    void requestSink(RequestSink *sink) { _sink = sink; }
 
     /** Begin execution at the current simulated time. */
     void start();
@@ -74,7 +75,7 @@ class Core
     std::size_t freqIndex() const { return _freqIndex; }
 
     /** Completed line delivered to this core. */
-    void onDataReturn(const Request &req, Seconds now);
+    void onDataReturn(const Request &req, Seconds now) override;
 
     /** Cumulative instructions executed (including credited). */
     double instructionsRetired() const { return _instrRetired; }
@@ -105,8 +106,15 @@ class Core
     void flushStall(Seconds now);
 
   private:
+    /** Event tags (EventHandler). */
+    enum : std::uint32_t {
+        kThinkDone, //!< arg unused; the pending think is in _think*
+        kL2Hop,     //!< arg = the demand read's issue time
+    };
+
+    void onEvent(std::uint32_t tag, double arg) override;
     void scheduleThink();
-    void onThinkDone(Seconds think_time, double instr);
+    void onThinkDone();
     void maybeIssueWriteback(const Phase &phase);
     int maxOutstanding(const Phase &phase) const;
 
@@ -115,7 +123,7 @@ class Core
     EventQueue &_queue;
     Rng _rng;
     const AppProfile *_app = nullptr;
-    SubmitFn _submit;
+    RequestSink *_sink = nullptr;
 
     Hertz _freq = 0.0;
     std::size_t _freqIndex = 0;
@@ -127,6 +135,11 @@ class Core
     bool _stalled = false;
     Seconds _stallStart = 0.0;
     int _outstanding = 0;
+
+    /** The pending think event's payload. */
+    bool _thinkPending = false;
+    Seconds _thinkTime = 0.0;
+    double _thinkInstr = 0.0;
 };
 
 } // namespace fastcap

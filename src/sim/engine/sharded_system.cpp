@@ -106,15 +106,10 @@ ShardedSystem::ShardedSystem(SimConfig cfg,
                 core_id, lane_cfg, shard.queue,
                 laneRng(_cfg.seed, core_id, 0));
             ln.core->runApp(&ln.app);
-            MemoryController *ctrl = ln.controller.get();
-            ln.core->submitCallback([ctrl](Request req) {
-                ctrl->submit(std::move(req));
-            });
-            Core *core = ln.core.get();
-            ln.controller->deliveryCallback(
-                [core](const Request &req, Seconds at) {
-                    core->onDataReturn(req, at);
-                });
+            // Lanes share nothing, so a lane's core and controller
+            // are each other's sinks directly.
+            ln.core->requestSink(ln.controller.get());
+            ln.controller->deliverySink(ln.core.get());
             ln.core->start();
         }
         first += count;

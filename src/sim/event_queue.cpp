@@ -1,29 +1,33 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "util/logging.hpp"
 
 namespace fastcap {
 
 void
-EventQueue::schedule(Seconds when, Callback cb)
+EventQueue::schedule(Seconds when, EventHandler &target,
+                     std::uint32_t tag, double arg)
 {
     if (when < _now)
         panic("EventQueue::schedule: event in the past (%g < %g)",
               when, _now);
-    _heap.push_back(Entry{when, _seq++, std::move(cb)});
+    _heap.push_back(Entry{when, _seq++, &target, arg, tag});
     std::push_heap(_heap.begin(), _heap.end(), Later{});
 }
 
-EventQueue::Entry
-EventQueue::popEntry()
+void
+EventQueue::dispatchNext()
 {
+    // Copy the entry out before dispatching so the handler may
+    // schedule (and grow the heap) freely.
     std::pop_heap(_heap.begin(), _heap.end(), Later{});
-    Entry e = std::move(_heap.back());
+    const Entry e = _heap.back();
     _heap.pop_back();
-    return e;
+    _now = e.when;
+    e.target->onEvent(e.tag, e.arg);
+    ++_processed;
 }
 
 std::uint64_t
@@ -31,12 +35,8 @@ EventQueue::runUntil(Seconds t_end)
 {
     std::uint64_t ran = 0;
     while (!_heap.empty() && _heap.front().when <= t_end) {
-        // Extract before running so the callback may schedule freely.
-        Entry e = popEntry();
-        _now = e.when;
-        e.cb();
+        dispatchNext();
         ++ran;
-        ++_processed;
     }
     if (t_end > _now)
         _now = t_end;
@@ -48,10 +48,7 @@ EventQueue::step()
 {
     if (_heap.empty())
         return false;
-    Entry e = popEntry();
-    _now = e.when;
-    e.cb();
-    ++_processed;
+    dispatchNext();
     return true;
 }
 

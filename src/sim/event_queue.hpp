@@ -2,7 +2,7 @@
  * @file
  * Discrete-event simulation core.
  *
- * A single time-ordered queue of callbacks with deterministic FIFO
+ * A single time-ordered queue of typed events with deterministic FIFO
  * tie-breaking for equal timestamps. The whole simulator is
  * single-threaded; determinism (same seed, same event order, same
  * results) is a hard requirement for reproducing EXPERIMENTS.md.
@@ -12,7 +12,6 @@
 #define FASTCAP_SIM_EVENT_QUEUE_HPP
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "util/units.hpp"
@@ -20,16 +19,30 @@
 namespace fastcap {
 
 /**
+ * Receiver of typed events. An event is plain data — a target, a
+ * `tag` the target interprets (which of its event kinds fired) and
+ * one `arg` payload — so scheduling never allocates and dispatch is
+ * a single virtual call.
+ */
+class EventHandler
+{
+  public:
+    virtual void onEvent(std::uint32_t tag, double arg) = 0;
+
+  protected:
+    ~EventHandler() = default;
+};
+
+/**
  * Time-ordered event queue.
  *
- * Events are closures scheduled at absolute simulated times. Events
- * scheduled for the same instant fire in scheduling order.
+ * Events are (target, tag, arg) records scheduled at absolute
+ * simulated times. Events scheduled for the same instant fire in
+ * scheduling order.
  */
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
-
     /** Current simulated time in seconds. */
     Seconds now() const { return _now; }
 
@@ -41,17 +54,21 @@ class EventQueue
     bool empty() const { return _heap.empty(); }
 
     /**
-     * Schedule `cb` at absolute time `when`.
+     * Schedule `target.onEvent(tag, arg)` at absolute time `when`.
+     * The target must outlive the event.
      *
      * Scheduling in the past is a library bug and panics; scheduling
      * exactly at now() is allowed and fires on the next run step.
      */
-    void schedule(Seconds when, Callback cb);
+    void schedule(Seconds when, EventHandler &target,
+                  std::uint32_t tag = 0, double arg = 0.0);
 
-    /** Schedule `cb` at now() + delay. */
-    void scheduleAfter(Seconds delay, Callback cb)
+    /** Schedule at now() + delay. */
+    void
+    scheduleAfter(Seconds delay, EventHandler &target,
+                  std::uint32_t tag = 0, double arg = 0.0)
     {
-        schedule(_now + delay, std::move(cb));
+        schedule(_now + delay, target, tag, arg);
     }
 
     /**
@@ -77,7 +94,9 @@ class EventQueue
     {
         Seconds when = 0.0;
         std::uint64_t seq = 0;
-        Callback cb;
+        EventHandler *target = nullptr;
+        double arg = 0.0;
+        std::uint32_t tag = 0;
     };
 
     struct Later
@@ -91,16 +110,13 @@ class EventQueue
         }
     };
 
-    /** Move the earliest entry out of the heap. */
-    Entry popEntry();
+    /** Pop the earliest entry, advance now() to it and dispatch it. */
+    void dispatchNext();
 
     /**
      * Binary min-heap over (when, seq), managed with std::push_heap /
-     * std::pop_heap rather than std::priority_queue: priority_queue
-     * only exposes a const top(), which forces a const_cast to move
-     * the callback out. pop_heap hands us the extracted entry as the
-     * mutable back element, so extraction needs no casts and the
-     * callback is moved, never copied.
+     * std::pop_heap. The key is a strict total order, so the pop
+     * order is independent of the heap layout.
      */
     std::vector<Entry> _heap;
     Seconds _now = 0.0;

@@ -11,9 +11,6 @@
 #ifndef FASTCAP_SIM_MEMORY_BANK_HPP
 #define FASTCAP_SIM_MEMORY_BANK_HPP
 
-#include <deque>
-#include <optional>
-
 #include "sim/request.hpp"
 #include "util/units.hpp"
 
@@ -22,6 +19,8 @@ namespace fastcap {
 /**
  * A single memory bank. Owned and driven by MemoryController; the
  * bank itself only tracks queue/service/blocking state and busy time.
+ * The request in service stays at the head of the queue until
+ * finishService() hands it to the bus.
  */
 class MemoryBank
 {
@@ -36,9 +35,9 @@ class MemoryBank
      *         request — the paper's Q sample at arrival.
      */
     std::size_t
-    enqueue(Request req)
+    enqueue(const Request &req)
     {
-        _queue.push_back(std::move(req));
+        _queue.push(req);
         return depth();
     }
 
@@ -46,22 +45,19 @@ class MemoryBank
     bool
     canStart() const
     {
-        return !_serving.has_value() && !_blocked && !_queue.empty();
+        return !_serving && !_blocked && !_queue.empty();
     }
 
     /**
-     * Pop the head request and mark it in service.
+     * Mark the head request in service.
      * Caller schedules the completion event.
      */
-    Request
+    void
     startService(Seconds now)
     {
-        Request req = std::move(_queue.front());
-        _queue.pop_front();
-        req.serveTime = now;
+        _queue.front().serveTime = now;
         _serviceStart = now;
-        _serving = req;
-        return req;
+        _serving = true;
     }
 
     /**
@@ -71,8 +67,8 @@ class MemoryBank
     Request
     finishService(Seconds now)
     {
-        Request req = std::move(*_serving);
-        _serving.reset();
+        Request req = _queue.pop();
+        _serving = false;
         _blocked = true;
         _busyTime += now - _serviceStart;
         req.readyTime = now;
@@ -82,17 +78,10 @@ class MemoryBank
     /** The bank's outstanding transfer completed; it may serve again. */
     void unblock() { _blocked = false; }
 
-    bool serving() const { return _serving.has_value(); }
     bool blocked() const { return _blocked; }
 
     /** Waiting requests plus any in-service request. */
-    std::size_t
-    depth() const
-    {
-        return _queue.size() + (_serving.has_value() ? 1u : 0u);
-    }
-
-    std::size_t queued() const { return _queue.size(); }
+    std::size_t depth() const { return _queue.size(); }
 
     /** Cumulative time spent actively serving requests. */
     Seconds busyTime() const { return _busyTime; }
@@ -102,8 +91,8 @@ class MemoryBank
 
   private:
     int _id = 0;
-    std::deque<Request> _queue;
-    std::optional<Request> _serving;
+    RequestFifo _queue; //!< in-service head (if serving) + waiting
+    bool _serving = false;
     bool _blocked = false;
     Seconds _serviceStart = 0.0;
     Seconds _busyTime = 0.0;

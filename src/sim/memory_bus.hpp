@@ -9,16 +9,14 @@
 #ifndef FASTCAP_SIM_MEMORY_BUS_HPP
 #define FASTCAP_SIM_MEMORY_BUS_HPP
 
-#include <deque>
-#include <optional>
-
 #include "sim/request.hpp"
 #include "util/units.hpp"
 
 namespace fastcap {
 
 /**
- * FCFS shared bus. Owned and driven by MemoryController.
+ * FCFS shared bus. Owned and driven by MemoryController. The request
+ * in transfer stays at the head of the queue until finishTransfer().
  */
 class MemoryBus
 {
@@ -29,35 +27,36 @@ class MemoryBus
      *         request itself — the paper's U sample.
      */
     std::size_t
-    enqueue(Request req)
+    enqueue(const Request &req)
     {
-        _queue.push_back(std::move(req));
-        return _queue.size();
+        _queue.push(req);
+        return queued();
     }
 
-    bool idle() const { return !_transferring.has_value(); }
+    bool idle() const { return !_transferring; }
     bool canStart() const { return idle() && !_queue.empty(); }
-    std::size_t queued() const { return _queue.size(); }
+    /** Requests waiting for the bus (the one in transfer excluded). */
+    std::size_t
+    queued() const
+    {
+        return _queue.size() - (_transferring ? 1u : 0u);
+    }
 
     /** Begin the next transfer; caller schedules its completion. */
-    Request
+    void
     startTransfer(Seconds now)
     {
-        Request req = std::move(_queue.front());
-        _queue.pop_front();
         _transferStart = now;
-        _transferring = req;
-        return req;
+        _transferring = true;
     }
 
     /** Complete the in-flight transfer and return the request. */
     Request
     finishTransfer(Seconds now)
     {
-        Request req = std::move(*_transferring);
-        _transferring.reset();
+        _transferring = false;
         _busyTime += now - _transferStart;
-        return req;
+        return _queue.pop();
     }
 
     /** Cumulative time the bus spent transferring. */
@@ -65,8 +64,8 @@ class MemoryBus
     void resetBusyTime() { _busyTime = 0.0; }
 
   private:
-    std::deque<Request> _queue;
-    std::optional<Request> _transferring;
+    RequestFifo _queue; //!< in-transfer head (if any) + waiting
+    bool _transferring = false;
     Seconds _transferStart = 0.0;
     Seconds _busyTime = 0.0;
 };

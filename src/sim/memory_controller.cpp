@@ -1,7 +1,5 @@
 #include "sim/memory_controller.hpp"
 
-#include <utility>
-
 #include "util/logging.hpp"
 
 namespace fastcap {
@@ -42,6 +40,15 @@ MemoryController::drawServiceTime()
 }
 
 void
+MemoryController::onEvent(std::uint32_t tag, double)
+{
+    if (tag == kTransferDone)
+        onTransferDone();
+    else
+        onBankServiceDone(static_cast<int>(tag));
+}
+
+void
 MemoryController::submit(Request req)
 {
     req.controllerId = _id;
@@ -57,7 +64,7 @@ MemoryController::submit(Request req)
         ++_counters.writebacks;
 
     MemoryBank &bank = _banks[static_cast<std::size_t>(bank_id)];
-    const std::size_t depth = bank.enqueue(std::move(req));
+    const std::size_t depth = bank.enqueue(req);
 
     // Q: bank queue length sampled at arrival, including the new
     // request (Section III-A of the paper).
@@ -79,19 +86,17 @@ MemoryController::tryStartBank(int bank_id)
     _counters.serviceSum += svc;
     ++_counters.serviceCount;
 
-    _queue.scheduleAfter(svc, [this, bank_id] {
-        onBankServiceDone(bank_id);
-    });
+    _queue.scheduleAfter(svc, *this,
+                         static_cast<std::uint32_t>(bank_id));
 }
 
 void
 MemoryController::onBankServiceDone(int bank_id)
 {
     MemoryBank &bank = _banks[static_cast<std::size_t>(bank_id)];
-    Request req = bank.finishService(_queue.now());
-
     // U: requests waiting for the bus, including the departing one.
-    const std::size_t waiting = _bus.enqueue(std::move(req));
+    const std::size_t waiting =
+        _bus.enqueue(bank.finishService(_queue.now()));
     _counters.uSum += static_cast<double>(waiting);
     ++_counters.uSamples;
 
@@ -104,14 +109,14 @@ MemoryController::tryStartBus()
     if (!_bus.canStart())
         return;
     _bus.startTransfer(_queue.now());
-    _queue.scheduleAfter(transferTime(), [this] { onTransferDone(); });
+    _queue.scheduleAfter(transferTime(), *this, kTransferDone);
 }
 
 void
 MemoryController::onTransferDone()
 {
     const Seconds now = _queue.now();
-    Request req = _bus.finishTransfer(now);
+    const Request req = _bus.finishTransfer(now);
 
     // Transfer blocking released: the source bank may serve again.
     MemoryBank &bank = _banks[static_cast<std::size_t>(req.bankId)];
@@ -123,7 +128,7 @@ MemoryController::onTransferDone()
         _counters.responseSum += now - req.arriveTime;
         ++_counters.responseCount;
         if (_deliver)
-            _deliver(req, now);
+            _deliver->onDataReturn(req, now);
     }
 
     tryStartBus();

@@ -9,7 +9,6 @@
 #define FASTCAP_SIM_MEMORY_CONTROLLER_HPP
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -77,22 +76,21 @@ struct ControllerCounters
 
 /**
  * One memory controller with `banksPerController` banks and one
- * shared data bus exhibiting transfer blocking.
+ * shared data bus exhibiting transfer blocking. It is the target of
+ * its own bank-done (tag = bank id) and transfer-done events.
  */
-class MemoryController
+class MemoryController final : public EventHandler, public RequestSink
 {
   public:
-    /** Callback type for completed demand reads (delivered lines). */
-    using DeliveryFn = std::function<void(const Request &, Seconds)>;
-
     MemoryController(int id, const SimConfig &cfg, EventQueue &queue,
                      Rng rng);
 
     int id() const { return _id; }
     int numBanks() const { return static_cast<int>(_banks.size()); }
 
-    /** Install the read-completion callback (routes to cores). */
-    void deliveryCallback(DeliveryFn fn) { _deliver = std::move(fn); }
+    /** Install the read-completion sink (not owned; routes to
+     *  cores). Without one, completed reads are dropped. */
+    void deliverySink(DeliverySink *sink) { _deliver = sink; }
 
     /** Set the bus frequency (memory DVFS); takes effect for new
      *  transfers. */
@@ -123,7 +121,7 @@ class MemoryController
      * Accept a request from a core. The bank is chosen by uniform
      * address interleaving across this controller's banks.
      */
-    void submit(Request req);
+    void submit(Request req) override;
 
     /** Counters accumulated since the last resetCounters(). */
     const ControllerCounters &counters() const { return _counters; }
@@ -143,6 +141,11 @@ class MemoryController
     std::uint64_t inFlight() const { return _inFlight; }
 
   private:
+    /** Event tag of transfer-done; bank-done events carry the bank
+     *  id. */
+    static constexpr std::uint32_t kTransferDone = 0xffffffffu;
+
+    void onEvent(std::uint32_t tag, double arg) override;
     void tryStartBank(int bank_id);
     void onBankServiceDone(int bank_id);
     void tryStartBus();
@@ -157,7 +160,7 @@ class MemoryController
     double _busBurstCycles = 0.0;
     std::vector<MemoryBank> _banks;
     MemoryBus _bus;
-    DeliveryFn _deliver;
+    DeliverySink *_deliver = nullptr;
     ControllerCounters _counters;
     std::uint64_t _inFlight = 0;
 };

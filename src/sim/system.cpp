@@ -47,11 +47,7 @@ ManyCoreSystem::ManyCoreSystem(SimConfig cfg, std::vector<AppProfile> apps)
                                _cfg.memLadder.max());
         _controllers.push_back(std::make_unique<MemoryController>(
             k, _cfg, _queue, _rng.split(1000 + k)));
-        _controllers.back()->deliveryCallback(
-            [this](const Request &req, Seconds now) {
-                _cores.at(static_cast<std::size_t>(req.coreId))
-                    ->onDataReturn(req, now);
-            });
+        _controllers.back()->deliverySink(this);
     }
 
     buildAccessMatrix();
@@ -61,7 +57,7 @@ ManyCoreSystem::ManyCoreSystem(SimConfig cfg, std::vector<AppProfile> apps)
             i, _cfg, _queue, _rng.split(static_cast<std::uint64_t>(i))));
         Core &core = *_cores.back();
         core.runApp(&_apps[static_cast<std::size_t>(i)]);
-        core.submitCallback([this](Request req) { route(req); });
+        core.requestSink(this);
         core.start();
     }
 }
@@ -108,7 +104,13 @@ ManyCoreSystem::accessProbabilities(int core) const
 }
 
 void
-ManyCoreSystem::route(Request req)
+ManyCoreSystem::onDataReturn(const Request &req, Seconds now)
+{
+    _cores.at(static_cast<std::size_t>(req.coreId))->onDataReturn(req, now);
+}
+
+void
+ManyCoreSystem::submit(Request req)
 {
     const auto &probs = _accessProbs[static_cast<std::size_t>(req.coreId)];
     double u = _rng.uniform();
@@ -120,7 +122,7 @@ ManyCoreSystem::route(Request req)
         }
         u -= probs[k];
     }
-    _controllers[pick]->submit(std::move(req));
+    _controllers[pick]->submit(req);
 }
 
 void

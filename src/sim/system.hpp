@@ -76,9 +76,12 @@ struct WindowStats
 };
 
 /**
- * The simulated many-core server.
+ * The simulated many-core server. It is the request and delivery
+ * sink of all its cores and controllers: it routes each request to a
+ * controller by the core's access probabilities, and each completed
+ * read back to its core.
  */
-class ManyCoreSystem
+class ManyCoreSystem final : private RequestSink, private DeliverySink
 {
   public:
     /**
@@ -150,7 +153,10 @@ class ManyCoreSystem
     std::uint64_t eventsProcessed() const { return _queue.processed(); }
 
   private:
-    void route(Request req);
+    /** Route a core's request to a controller. */
+    void submit(Request req) override;
+    /** Hand a completed read back to its core. */
+    void onDataReturn(const Request &req, Seconds now) override;
     void buildAccessMatrix();
 
     SimConfig _cfg;

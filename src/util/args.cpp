@@ -2,12 +2,22 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "util/logging.hpp"
 #include "util/strings.hpp"
 
 namespace fastcap {
+
+int
+narrowToInt(long value, const char *what)
+{
+    if (value < std::numeric_limits<int>::min() ||
+        value > std::numeric_limits<int>::max())
+        fatal("%s value %ld does not fit in an int", what, value);
+    return static_cast<int>(value);
+}
 
 ArgParser::ArgParser(std::string program, std::string description)
     : _program(std::move(program)), _description(std::move(description))
@@ -178,6 +188,12 @@ ArgParser::getInt(const std::string &name) const
 {
     return std::strtol(find(name, Kind::Int).value.c_str(), nullptr,
                        10);
+}
+
+int
+ArgParser::getIntNarrowed(const std::string &name) const
+{
+    return narrowToInt(getInt(name), ("--" + name).c_str());
 }
 
 bool

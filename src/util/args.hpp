@@ -15,6 +15,13 @@
 namespace fastcap {
 
 /**
+ * `value` narrowed to int. fatal() naming `what` when it does not
+ * fit, so an out-of-range count such as 4294967300 cannot silently
+ * wrap to 4.
+ */
+int narrowToInt(long value, const char *what);
+
+/**
  * Declarative flag set.
  *
  * Usage:
@@ -50,6 +57,8 @@ class ArgParser
     const std::string &getString(const std::string &name) const;
     double getDouble(const std::string &name) const;
     long getInt(const std::string &name) const;
+    /** getInt() through narrowToInt(): fatal() unless it fits. */
+    int getIntNarrowed(const std::string &name) const;
     bool getFlag(const std::string &name) const;
 
     /** True if the user supplied the option explicitly. */

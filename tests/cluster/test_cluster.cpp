@@ -12,6 +12,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -242,6 +243,20 @@ TEST(Cluster, ValidatesConfiguration)
     cfg = smallRack();
     cfg.policy = "NotAPolicy";
     EXPECT_THROW(cfg.validate(), FatalError);
+}
+
+TEST(Cluster, RejectsNanFractions)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    ClusterConfig cfg = smallRack();
+    cfg.rackBudgetFraction = nan;
+    EXPECT_THROW(cfg.validate(), FatalError);
+    cfg = smallRack();
+    cfg.floorFraction = nan;
+    EXPECT_THROW(cfg.validate(), FatalError);
+    cfg = smallRack();
+    cfg.floorFraction = 0.0; // the closed end stays valid
+    EXPECT_NO_THROW(cfg.validate());
 }
 
 } // namespace

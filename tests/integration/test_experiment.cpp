@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/fastcap_policy.hpp"
 #include "harness/experiment.hpp"
 #include "harness/peak_power.hpp"
@@ -191,6 +193,29 @@ TEST(Experiment, InvalidConfigsAreFatal)
     EXPECT_THROW(ExperimentRunner(scfg, workloads::mix("ILP1", 4),
                                   policy, bad),
                  FatalError);
+}
+
+TEST(Experiment, NonFiniteBudgetsAreFatal)
+{
+    // NaN compares false with everything, so a range check written
+    // as `x <= 0 || x > 1` would let it through.
+    SimConfig scfg = SimConfig::defaultConfig(4);
+    auto policy = FastCapPolicy();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double b : {nan, inf, -inf}) {
+        ExperimentConfig bad = quickConfig();
+        bad.budgetFraction = b;
+        EXPECT_THROW(ExperimentRunner(scfg, workloads::mix("ILP1", 4),
+                                      policy, bad),
+                     FatalError)
+            << b;
+    }
+    ExperimentRunner runner(scfg, workloads::mix("ILP1", 4), policy,
+                            quickConfig());
+    for (double b : {nan, inf, 0.0})
+        EXPECT_THROW(runner.budgetFraction(b), FatalError) << b;
+    runner.budgetFraction(1.0);
 }
 
 TEST(Experiment, MaxEpochsBoundsRun)

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <memory>
 #include <vector>
 
 #include "sim/app_profile.hpp"
@@ -30,34 +33,53 @@ steadyApp(double mpki, double cpi = 1.0, double wpki = 0.0)
     return AppProfile("steady", p);
 }
 
-struct Fixture
+/**
+ * One core wired to a test-side memory: the fixture is the core's
+ * request sink and, once autoRespond() is called, answers every read
+ * a fixed latency later through its own events.
+ */
+struct Fixture : RequestSink, EventHandler
 {
     explicit Fixture(double mpki, double cpi = 1.0, double wpki = 0.0,
                      ExecMode mode = ExecMode::InOrder)
-        : cfg(SimConfig::defaultConfig(16)),
-          app(steadyApp(mpki, cpi, wpki))
+        : Fixture(steadyApp(mpki, cpi, wpki), mode)
+    {
+    }
+
+    Fixture(AppProfile profile, ExecMode mode)
+        : cfg(SimConfig::defaultConfig(16)), app(std::move(profile))
     {
         cfg.execMode = mode;
         cfg.thinkJitterSigma = 0.0; // deterministic think times
         core = std::make_unique<Core>(0, cfg, queue, Rng(7));
         core->runApp(&app);
-        core->submitCallback([this](Request r) {
-            submitted.push_back(r);
-        });
+        core->requestSink(this);
     }
 
     /** Immediately satisfy every read after `latency`. */
+    void autoRespond(Seconds latency) { respondAfter = latency; }
+
     void
-    autoRespond(Seconds latency)
+    submit(Request r) override
     {
-        core->submitCallback([this, latency](Request r) {
-            submitted.push_back(r);
-            if (r.type == RequestType::Read) {
-                queue.scheduleAfter(latency, [this, r] {
-                    core->onDataReturn(r, queue.now());
-                });
-            }
-        });
+        submitted.push_back(r);
+        if (r.type != RequestType::Read)
+            return;
+        ++reads;
+        maxOutstanding = std::max(maxOutstanding, core->outstanding());
+        if (respondAfter >= 0.0) {
+            // A fixed latency keeps responses in submission order.
+            responding.push_back(r);
+            queue.scheduleAfter(respondAfter, *this);
+        }
+    }
+
+    void
+    onEvent(std::uint32_t, double) override
+    {
+        const Request r = responding.front();
+        responding.pop_front();
+        core->onDataReturn(r, queue.now());
     }
 
     SimConfig cfg;
@@ -65,6 +87,10 @@ struct Fixture
     EventQueue queue;
     std::unique_ptr<Core> core;
     std::vector<Request> submitted;
+    std::uint64_t reads = 0;
+    int maxOutstanding = 0;
+    Seconds respondAfter = -1.0; //!< < 0: never respond
+    std::deque<Request> responding;
 };
 
 TEST(Core, RequiresAppAndSinkBeforeStart)
@@ -188,17 +214,11 @@ TEST(Core, OutOfOrderRespectsWindowBound)
 {
     // MPKI 100 -> 10 instr/miss -> window-derived MLP = min(12.8, 8).
     Fixture f(100.0, 1.0, 0.0, ExecMode::OutOfOrder);
-    int max_outstanding = 0;
-    f.core->submitCallback([&](Request r) {
-        if (r.type == RequestType::Read)
-            max_outstanding =
-                std::max(max_outstanding, f.core->outstanding());
-        // Never respond: outstanding only grows until the bound.
-    });
+    // Never respond: outstanding only grows until the bound.
     f.core->start();
     f.queue.runUntil(100e-6);
-    EXPECT_LE(max_outstanding, f.cfg.oooMaxOutstanding);
-    EXPECT_GE(max_outstanding, 2);
+    EXPECT_LE(f.maxOutstanding, f.cfg.oooMaxOutstanding);
+    EXPECT_GE(f.maxOutstanding, 2);
     EXPECT_TRUE(f.core->stalled());
 }
 
@@ -252,31 +272,17 @@ TEST(Core, PhaseChangeAltersMissRate)
     b.mpki = 50.0;
     phases.push_back(a);
     phases.push_back(b);
-    AppProfile app("phasey", phases);
-
-    SimConfig cfg = SimConfig::defaultConfig(16);
-    cfg.thinkJitterSigma = 0.0;
-    EventQueue q;
-    Core core(0, cfg, q, Rng(3));
-    core.runApp(&app);
-    std::uint64_t reads = 0;
-    core.submitCallback([&](Request r) {
-        if (r.type == RequestType::Read) {
-            ++reads;
-            q.scheduleAfter(1e-9, [&core, r, &q] {
-                core.onDataReturn(r, q.now());
-            });
-        }
-    });
-    core.start();
+    Fixture f(AppProfile("phasey", phases), ExecMode::InOrder);
+    f.autoRespond(1e-9);
+    f.core->start();
 
     // Run until well into phase b and compare instantaneous rates.
-    q.runUntil(30e-6); // ~phase a territory (50k instr ~ 12.5us+stall)
-    const std::uint64_t reads_a = reads;
-    const double instr_a = core.instructionsRetired();
-    q.runUntil(60e-6);
-    const std::uint64_t reads_b = reads - reads_a;
-    const double instr_b = core.instructionsRetired() - instr_a;
+    f.queue.runUntil(30e-6); // ~phase a territory (50k instr ~ 12.5us+stall)
+    const std::uint64_t reads_a = f.reads;
+    const double instr_a = f.core->instructionsRetired();
+    f.queue.runUntil(60e-6);
+    const std::uint64_t reads_b = f.reads - reads_a;
+    const double instr_b = f.core->instructionsRetired() - instr_a;
     ASSERT_GT(instr_b, 0.0);
     const double mpki_a = 1000.0 * static_cast<double>(reads_a) /
         instr_a;

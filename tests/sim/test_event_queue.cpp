@@ -1,44 +1,93 @@
 /**
  * @file
  * Tests for the discrete-event engine: ordering, tie-breaking, time
- * advancement and error handling.
+ * advancement, error handling, and a seeded property test of the
+ * (when, seq) pop order against a reference sort.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "sim/event_queue.hpp"
 #include "util/logging.hpp"
+#include "util/rng.hpp"
 
 namespace fastcap {
 namespace {
 
+/** Records the tag of every event it receives, in arrival order. */
+struct Recorder : EventHandler
+{
+    void onEvent(std::uint32_t tag, double) override
+    {
+        tags.push_back(static_cast<int>(tag));
+    }
+
+    std::vector<int> tags;
+};
+
+/** Counts events, ignoring their payload. */
+struct Counter : EventHandler
+{
+    void onEvent(std::uint32_t, double) override { ++fired; }
+
+    int fired = 0;
+};
+
+/**
+ * Re-schedules itself `gap` after every event until `limit` events
+ * have fired (limit < 0: forever).
+ */
+struct Chain : EventHandler
+{
+    Chain(EventQueue &q, Seconds gap, int limit)
+        : queue(q), gap(gap), limit(limit)
+    {
+    }
+
+    void
+    onEvent(std::uint32_t, double) override
+    {
+        ++count;
+        if (limit < 0 || count < limit)
+            queue.scheduleAfter(gap, *this);
+    }
+
+    EventQueue &queue;
+    Seconds gap;
+    int limit;
+    int count = 0;
+};
+
 TEST(EventQueue, ExecutesInTimeOrder)
 {
     EventQueue q;
-    std::vector<int> order;
-    q.schedule(3e-9, [&] { order.push_back(3); });
-    q.schedule(1e-9, [&] { order.push_back(1); });
-    q.schedule(2e-9, [&] { order.push_back(2); });
+    Recorder r;
+    q.schedule(3e-9, r, 3);
+    q.schedule(1e-9, r, 1);
+    q.schedule(2e-9, r, 2);
     q.runUntil(1e-6);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(r.tags, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueue, FifoTieBreakAtEqualTimes)
 {
     EventQueue q;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        q.schedule(1e-9, [&order, i] { order.push_back(i); });
+    Recorder r;
+    for (std::uint32_t i = 0; i < 5; ++i)
+        q.schedule(1e-9, r, i);
     q.runUntil(1e-6);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(r.tags, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(EventQueue, RunUntilAdvancesToBoundary)
 {
     EventQueue q;
-    q.schedule(5e-9, [] {});
+    Counter c;
+    q.schedule(5e-9, c);
     q.runUntil(100e-9);
     EXPECT_DOUBLE_EQ(q.now(), 100e-9);
 }
@@ -46,28 +95,26 @@ TEST(EventQueue, RunUntilAdvancesToBoundary)
 TEST(EventQueue, EventsBeyondBoundaryStayPending)
 {
     EventQueue q;
-    int fired = 0;
-    q.schedule(50e-9, [&] { ++fired; });
-    q.schedule(150e-9, [&] { ++fired; });
+    Counter c;
+    q.schedule(50e-9, c);
+    q.schedule(150e-9, c);
     q.runUntil(100e-9);
-    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(c.fired, 1);
     EXPECT_EQ(q.pending(), 1u);
     q.runUntil(200e-9);
-    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(c.fired, 2);
     EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, CallbacksCanScheduleMoreEvents)
 {
+    // Re-entrant scheduling: a handler schedules into the queue that
+    // is dispatching it.
     EventQueue q;
-    int chain = 0;
-    std::function<void()> step = [&] {
-        if (++chain < 10)
-            q.scheduleAfter(1e-9, step);
-    };
-    q.schedule(0.0, step);
+    Chain chain(q, 1e-9, 10);
+    q.schedule(0.0, chain);
     q.runUntil(1e-6);
-    EXPECT_EQ(chain, 10);
+    EXPECT_EQ(chain.count, 10);
     EXPECT_EQ(q.processed(), 10u);
 }
 
@@ -76,45 +123,42 @@ TEST(EventQueue, SelfSchedulingRespectsBoundary)
     // An event chain must not run past the runUntil() horizon: the
     // window sampling of the epoch loop depends on this.
     EventQueue q;
-    int count = 0;
-    std::function<void()> step = [&] {
-        ++count;
-        q.scheduleAfter(10e-9, step);
-    };
-    q.schedule(0.0, step);
+    Chain chain(q, 10e-9, -1);
+    q.schedule(0.0, chain);
     q.runUntil(95e-9);
-    EXPECT_EQ(count, 10); // t = 0, 10, ..., 90
+    EXPECT_EQ(chain.count, 10); // t = 0, 10, ..., 90
     EXPECT_DOUBLE_EQ(q.now(), 95e-9);
 }
 
 TEST(EventQueue, SchedulingInPastPanics)
 {
     EventQueue q;
-    q.schedule(10e-9, [] {});
+    Counter c;
+    q.schedule(10e-9, c);
     q.runUntil(20e-9);
-    EXPECT_THROW(q.schedule(5e-9, [] {}), PanicError);
+    EXPECT_THROW(q.schedule(5e-9, c), PanicError);
 }
 
 TEST(EventQueue, ScheduleAtNowIsAllowed)
 {
     EventQueue q;
     q.runUntil(10e-9);
-    int fired = 0;
-    q.schedule(10e-9, [&] { ++fired; });
+    Counter c;
+    q.schedule(10e-9, c);
     q.runUntil(10e-9);
-    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(c.fired, 1);
 }
 
 TEST(EventQueue, StepRunsSingleEvent)
 {
     EventQueue q;
-    int fired = 0;
-    q.schedule(1e-9, [&] { ++fired; });
-    q.schedule(2e-9, [&] { ++fired; });
+    Counter c;
+    q.schedule(1e-9, c);
+    q.schedule(2e-9, c);
     EXPECT_TRUE(q.step());
-    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(c.fired, 1);
     EXPECT_TRUE(q.step());
-    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(c.fired, 2);
     EXPECT_FALSE(q.step());
 }
 
@@ -124,22 +168,23 @@ TEST(EventQueue, FifoTieBreakSurvivesHeapChurn)
     // same-timestamp events even after the heap has been grown,
     // drained and re-grown (entries sifted through many positions).
     EventQueue q;
-    std::vector<int> order;
+    Counter filler;
+    Recorder r;
 
     // Churn phase: a spread of timestamps, partially drained.
     for (int i = 0; i < 32; ++i)
-        q.schedule((32 - i) * 1e-9, [] {});
+        q.schedule((32 - i) * 1e-9, filler);
     q.runUntil(16e-9);
 
     // Interleave equal-time events with earlier and later ones.
-    for (int i = 0; i < 8; ++i) {
-        q.schedule(100e-9, [&order, i] { order.push_back(i); });
-        q.schedule(90e-9 + i * 1e-9, [] {});
-        q.schedule(110e-9, [&order, i] { order.push_back(100 + i); });
+    for (std::uint32_t i = 0; i < 8; ++i) {
+        q.schedule(100e-9, r, i);
+        q.schedule(90e-9 + i * 1e-9, filler);
+        q.schedule(110e-9, r, 100 + i);
     }
     q.runUntil(1e-6);
 
-    EXPECT_EQ(order,
+    EXPECT_EQ(r.tags,
               (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 100, 101,
                                 102, 103, 104, 105, 106, 107}));
     EXPECT_TRUE(q.empty());
@@ -147,46 +192,131 @@ TEST(EventQueue, FifoTieBreakSurvivesHeapChurn)
 
 TEST(EventQueue, CallbackStateSurvivesExtraction)
 {
-    // The extraction pattern must move the callback out of the heap
-    // before popping: a callback that schedules into the same queue
-    // while the heap reallocates must still run with its captures
-    // intact.
+    // A handler that schedules enough events to reallocate the heap
+    // while it is being dispatched must still see its own event's
+    // tag and arg, and every event it scheduled must carry its own.
+    struct Fanout : EventHandler
+    {
+        explicit Fanout(EventQueue &q) : queue(q) {}
+
+        void
+        onEvent(std::uint32_t tag, double arg) override
+        {
+            seen.push_back({tag, arg});
+            if (tag == 0)
+                for (std::uint32_t i = 1; i <= 16; ++i)
+                    queue.scheduleAfter(i * 1e-9, *this, i, 0.5 * i);
+        }
+
+        EventQueue &queue;
+        std::vector<std::pair<std::uint32_t, double>> seen;
+    };
+
     EventQueue q;
-    std::vector<int> seen;
-    auto big = std::vector<int>(64, 7); // force non-trivial capture
-    q.schedule(1e-9, [&q, &seen, big] {
-        seen.push_back(big[0]);
-        for (int i = 0; i < 16; ++i)
-            q.scheduleAfter((i + 1) * 1e-9, [&seen, i] {
-                seen.push_back(i);
-            });
-    });
+    Fanout f(q);
+    q.schedule(1e-9, f, 0, 7.0);
     q.runUntil(1e-6);
-    ASSERT_EQ(seen.size(), 17u);
-    EXPECT_EQ(seen[0], 7);
-    for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(seen[static_cast<std::size_t>(i) + 1], i);
+    ASSERT_EQ(f.seen.size(), 17u);
+    EXPECT_EQ(f.seen[0].first, 0u);
+    EXPECT_EQ(f.seen[0].second, 7.0);
+    for (std::uint32_t i = 1; i <= 16; ++i) {
+        EXPECT_EQ(f.seen[i].first, i);
+        EXPECT_EQ(f.seen[i].second, 0.5 * i);
+    }
 }
 
 TEST(EventQueue, ClearDropsPending)
 {
     EventQueue q;
-    int fired = 0;
-    q.schedule(1e-9, [&] { ++fired; });
+    Counter c;
+    q.schedule(1e-9, c);
     q.clear();
     q.runUntil(1e-6);
-    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(c.fired, 0);
     EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, ProcessedCountsAcrossRuns)
 {
     EventQueue q;
+    Counter c;
     for (int i = 0; i < 7; ++i)
-        q.schedule(i * 1e-9, [] {});
+        q.schedule(i * 1e-9, c);
     q.runUntil(3e-9);
     q.runUntil(10e-9);
     EXPECT_EQ(q.processed(), 7u);
+}
+
+/**
+ * Property-test driver: every scheduled event gets an id (its index
+ * in `scheduled`, which is also its tag), and handlers randomly
+ * schedule more events, at coarse timestamps so ties are common.
+ */
+struct RandomScheduler : EventHandler
+{
+    RandomScheduler(EventQueue &q, std::uint64_t seed)
+        : queue(q), rng(seed)
+    {
+    }
+
+    /** A timestamp at or after `from`, on a coarse 1 ns grid. */
+    Seconds
+    drawTime(Seconds from)
+    {
+        const double steps = static_cast<double>(rng.below(6));
+        return from + steps * 1e-9;
+    }
+
+    void
+    add(Seconds when)
+    {
+        const auto id = static_cast<std::uint32_t>(scheduled.size());
+        scheduled.push_back(when);
+        queue.schedule(when, *this, id, when);
+    }
+
+    void
+    onEvent(std::uint32_t tag, double arg) override
+    {
+        EXPECT_EQ(arg, scheduled[tag]);
+        EXPECT_EQ(queue.now(), scheduled[tag]);
+        popped.push_back(tag);
+        // 0-3 children: the schedule grows until the cap stops it.
+        const std::uint64_t children = rng.below(4);
+        for (std::uint64_t i = 0; i < children; ++i)
+            if (scheduled.size() < 4000)
+                add(drawTime(queue.now()));
+    }
+
+    EventQueue &queue;
+    Rng rng;
+    std::vector<Seconds> scheduled; //!< when, by id (= seq order)
+    std::vector<std::uint32_t> popped;
+};
+
+TEST(EventQueue, PopOrderMatchesStableSortOfSchedules)
+{
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        EventQueue q;
+        RandomScheduler s(q, seed);
+        for (int i = 0; i < 64; ++i)
+            s.add(s.drawTime(0.0));
+        // Several horizons, so some events wait across runUntil calls.
+        for (Seconds t = 2e-9; !q.empty(); t += 7e-9)
+            q.runUntil(t);
+
+        // Schedule order is seq order, so a stable sort by `when`
+        // is the (when, seq) order every correct queue must produce.
+        std::vector<std::uint32_t> expect(s.scheduled.size());
+        for (std::uint32_t i = 0; i < expect.size(); ++i)
+            expect[i] = i;
+        std::stable_sort(expect.begin(), expect.end(),
+                         [&](std::uint32_t a, std::uint32_t b) {
+                             return s.scheduled[a] < s.scheduled[b];
+                         });
+        ASSERT_GT(s.scheduled.size(), 200u) << "seed " << seed;
+        EXPECT_EQ(s.popped, expect) << "seed " << seed;
+    }
 }
 
 } // namespace

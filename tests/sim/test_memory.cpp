@@ -28,6 +28,28 @@ makeRead(int core)
     return r;
 }
 
+TEST(RequestFifo, GrowsAcrossWrapInFifoOrder)
+{
+    // Wrap the head around the initial ring, then grow while wrapped:
+    // order must survive both.
+    RequestFifo fifo;
+    int next_in = 0;
+    int next_out = 0;
+    for (int round = 0; round < 3; ++round) {
+        for (int i = 0; i < 6; ++i)
+            fifo.push(makeRead(next_in++));
+        for (int i = 0; i < 5; ++i)
+            EXPECT_EQ(fifo.pop().coreId, next_out++);
+    }
+    for (int i = 0; i < 40; ++i)
+        fifo.push(makeRead(next_in++));
+    EXPECT_EQ(fifo.size(), static_cast<std::size_t>(next_in - next_out));
+    EXPECT_EQ(fifo.front().coreId, next_out);
+    while (!fifo.empty())
+        EXPECT_EQ(fifo.pop().coreId, next_out++);
+    EXPECT_EQ(next_out, next_in);
+}
+
 TEST(MemoryBank, EnqueueReportsDepthIncludingService)
 {
     MemoryBank bank(0);
@@ -84,17 +106,24 @@ TEST(MemoryBus, FcfsOrderAndUSample)
     EXPECT_EQ(bus.enqueue(makeRead(1)), 2u);
 
     ASSERT_TRUE(bus.canStart());
-    Request first = bus.startTransfer(0.0);
-    EXPECT_EQ(first.coreId, 0);
+    bus.startTransfer(0.0);
     EXPECT_FALSE(bus.canStart()) << "single transfer at a time";
-    bus.finishTransfer(5e-9);
-    Request second = bus.startTransfer(5e-9);
-    EXPECT_EQ(second.coreId, 1);
-    bus.finishTransfer(10e-9);
+    EXPECT_EQ(bus.queued(), 1u) << "the transfer is not waiting";
+    EXPECT_EQ(bus.finishTransfer(5e-9).coreId, 0);
+    bus.startTransfer(5e-9);
+    EXPECT_EQ(bus.finishTransfer(10e-9).coreId, 1);
     EXPECT_NEAR(bus.busyTime(), 10e-9, 1e-15);
 }
 
-class ControllerTest : public ::testing::Test
+/** Counts delivered reads. */
+struct CountingSink : DeliverySink
+{
+    void onDataReturn(const Request &, Seconds) override { ++done; }
+
+    std::size_t done = 0;
+};
+
+class ControllerTest : public ::testing::Test, public DeliverySink
 {
   protected:
     ControllerTest()
@@ -103,10 +132,13 @@ class ControllerTest : public ::testing::Test
         cfg.banksPerController = 4;
         ctrl = std::make_unique<MemoryController>(0, cfg, queue,
                                                   Rng(42));
-        ctrl->deliveryCallback(
-            [this](const Request &req, Seconds now) {
-                delivered.push_back({req.coreId, now});
-            });
+        ctrl->deliverySink(this);
+    }
+
+    void
+    onDataReturn(const Request &req, Seconds now) override
+    {
+        delivered.push_back({req.coreId, now});
     }
 
     SimConfig cfg;
@@ -200,25 +232,23 @@ TEST_F(ControllerTest, LowerFrequencyReducesThroughputUnderSaturation)
     narrow.busBurstCycles = 6.0;
     EventQueue q2;
     MemoryController bus_bound(1, narrow, q2, Rng(7));
-    std::size_t done = 0;
-    bus_bound.deliveryCallback(
-        [&done](const Request &, Seconds) { ++done; });
+    CountingSink fast_sink;
+    bus_bound.deliverySink(&fast_sink);
 
     for (int i = 0; i < 2000; ++i)
         bus_bound.submit(makeRead(0));
     q2.runUntil(q2.now() + 20e-6);
-    const std::size_t fast_done = done;
+    const std::size_t fast_done = fast_sink.done;
 
     EventQueue q3;
     MemoryController slow_ctl(2, narrow, q3, Rng(7));
-    done = 0;
-    slow_ctl.deliveryCallback(
-        [&done](const Request &, Seconds) { ++done; });
+    CountingSink slow_sink;
+    slow_ctl.deliverySink(&slow_sink);
     slow_ctl.busFrequency(narrow.memLadder.min());
     for (int i = 0; i < 2000; ++i)
         slow_ctl.submit(makeRead(0));
     q3.runUntil(q3.now() + 20e-6);
-    const std::size_t slow_done = done;
+    const std::size_t slow_done = slow_sink.done;
 
     EXPECT_LT(slow_done, fast_done);
     EXPECT_GT(slow_done, 0u);

@@ -19,16 +19,18 @@
 namespace fastcap {
 namespace {
 
-/** Open-loop driver: Poisson-ish arrivals at a fixed rate. */
-struct OpenLoop
+/**
+ * Open-loop driver: Poisson-ish arrivals at a fixed rate. Each
+ * arrival is an event carrying its issue time; the driver is also
+ * the controller's delivery sink.
+ */
+struct OpenLoop : EventHandler, DeliverySink
 {
     OpenLoop(double rate, SimConfig config, std::uint64_t seed = 9)
         : cfg(std::move(config)), ctrl(0, cfg, queue, Rng(seed)),
           rng(seed ^ 0xabcdef), arrivalGap(1.0 / rate)
     {
-        ctrl.deliveryCallback([this](const Request &req, Seconds now) {
-            responses.push_back(now - req.issueTime);
-        });
+        ctrl.deliverySink(this);
     }
 
     void
@@ -38,16 +40,27 @@ struct OpenLoop
         Seconds t = queue.now();
         while (t < t_end) {
             t += rng.exponential(arrivalGap);
-            const Seconds when = t;
-            queue.schedule(when, [this, core_id, when] {
-                Request r;
-                r.type = RequestType::Read;
-                r.coreId = core_id;
-                r.issueTime = when;
-                ctrl.submit(std::move(r));
-            });
+            queue.schedule(t, *this, static_cast<std::uint32_t>(core_id),
+                           t);
         }
         queue.runUntil(t_end);
+    }
+
+    /** Arrival: tag = issuing core, arg = issue time. */
+    void
+    onEvent(std::uint32_t tag, double arg) override
+    {
+        Request r;
+        r.type = RequestType::Read;
+        r.coreId = static_cast<int>(tag);
+        r.issueTime = arg;
+        ctrl.submit(r);
+    }
+
+    void
+    onDataReturn(const Request &req, Seconds now) override
+    {
+        responses.push_back(now - req.issueTime);
     }
 
     double

@@ -1,0 +1,95 @@
+/**
+ * @file
+ * The DES hot path allocates nothing per event: once a warm-up window
+ * has grown the event heap and the bank/bus rings to their working
+ * size, a window allocates the same number of times whatever its
+ * length. Both engines are checked.
+ *
+ * This suite replaces the global operator new to count allocations,
+ * so it must stay a gtest binary of its own.
+ */
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "sim/config.hpp"
+#include "sim/engine/sharded_system.hpp"
+#include "sim/system.hpp"
+#include "workload/spec_table.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t size)
+{
+    return ::operator new(size);
+}
+
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+
+namespace fastcap {
+namespace {
+
+/** Allocations made by one runWindow(duration) call. */
+template <class System>
+std::uint64_t
+allocationsOfWindow(System &sys, Seconds duration)
+{
+    const std::uint64_t before = g_allocations.load();
+    const WindowStats stats = sys.runWindow(duration);
+    const std::uint64_t after = g_allocations.load();
+    EXPECT_GT(stats.cores.front().counters.misses, 0u);
+    return after - before;
+}
+
+template <class System>
+void
+expectLengthIndependentAllocations(System &sys)
+{
+    // Warm-up, longer than either measured window: the event heap and
+    // the bank/bus rings grow to their working size here.
+    sys.runWindow(4e-3);
+    const std::uint64_t short_window = allocationsOfWindow(sys, 0.4e-3);
+    const std::uint64_t long_window = allocationsOfWindow(sys, 2e-3);
+    EXPECT_EQ(short_window, long_window)
+        << "a longer window must not allocate more: something "
+           "allocates per event";
+    EXPECT_GT(sys.eventsProcessed(), 20000u);
+}
+
+TEST(SteadyStateAllocation, ShardedWindowAllocatesIndependentOfLength)
+{
+    ShardedSystem sys(SimConfig::defaultConfig(64),
+                      workloads::mix("MIX1", 64), 4, 1);
+    expectLengthIndependentAllocations(sys);
+}
+
+TEST(SteadyStateAllocation, MonolithicWindowAllocatesIndependentOfLength)
+{
+    ManyCoreSystem sys(SimConfig::defaultConfig(64),
+                       workloads::mix("MIX1", 64));
+    expectLengthIndependentAllocations(sys);
+}
+
+} // namespace
+} // namespace fastcap

@@ -136,5 +136,25 @@ TEST(Args, DuplicateDeclarationPanics)
     EXPECT_THROW(args.addDouble("n", 2.0, "y"), PanicError);
 }
 
+TEST(Args, NarrowingRejectsValuesOutsideInt)
+{
+    EXPECT_EQ(narrowToInt(-7, "x"), -7);
+    EXPECT_EQ(narrowToInt(2147483647L, "x"), 2147483647);
+    EXPECT_THROW(narrowToInt(2147483648L, "x"), FatalError);
+    EXPECT_THROW(narrowToInt(-2147483649L, "x"), FatalError);
+
+    // 4294967300 = 2^32 + 4 would wrap to 4 through a plain cast.
+    ArgParser args = makeParser();
+    const char *argv[] = {"prog", "--cores", "4294967300"};
+    ASSERT_TRUE(args.parse(3, argv));
+    EXPECT_EQ(args.getInt("cores"), 4294967300L);
+    EXPECT_THROW(args.getIntNarrowed("cores"), FatalError);
+
+    ArgParser ok = makeParser();
+    const char *argv_ok[] = {"prog", "--cores", "64"};
+    ASSERT_TRUE(ok.parse(3, argv_ok));
+    EXPECT_EQ(ok.getIntNarrowed("cores"), 64);
+}
+
 } // namespace
 } // namespace fastcap

@@ -24,6 +24,9 @@ Compares a fresh Google-Benchmark JSON dump (``bench_overhead`` or
    gated with the same loose absolute bound, so the 1024-core tier's
    simulation throughput is tracked release over release.
 
+A baseline recorded with ``--benchmark_repetitions`` is read through
+its median aggregates, so one noisy repetition cannot set the bar.
+
 Usage:
     check_overhead.py CURRENT.json BASELINE.json [--regression 2.0]
                       [--absolute-slack 10.0]
@@ -36,32 +39,40 @@ import json
 import sys
 
 
-def load_times(path):
-    """Map benchmark name -> real_time in ns from a gbench JSON."""
+def load_runs(path):
+    """Map benchmark name -> its gbench entry.
+
+    A repeated run (``--benchmark_repetitions``) is represented by its
+    median aggregate; a single run by its one iteration entry.
+    """
     with open(path) as f:
         data = json.load(f)
-    unit_ns = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
-    times = {}
+    runs, medians = {}, {}
     for bench in data.get("benchmarks", []):
-        if bench.get("run_type", "iteration") != "iteration":
-            continue
-        times[bench["name"]] = (
-            bench["real_time"] * unit_ns[bench.get("time_unit", "ns")]
-        )
-    return times
+        if bench.get("run_type", "iteration") == "iteration":
+            runs[bench["name"]] = bench
+        elif bench.get("aggregate_name") == "median":
+            medians[bench["run_name"]] = bench
+    runs.update(medians)
+    return runs
+
+
+def load_times(path):
+    """Map benchmark name -> real_time in ns."""
+    unit_ns = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+    return {
+        name: bench["real_time"] * unit_ns[bench.get("time_unit", "ns")]
+        for name, bench in load_runs(path).items()
+    }
 
 
 def load_throughputs(path):
     """Map benchmark name -> items_per_second, where reported."""
-    with open(path) as f:
-        data = json.load(f)
     out = {}
-    for bench in data.get("benchmarks", []):
-        if bench.get("run_type", "iteration") != "iteration":
-            continue
+    for name, bench in load_runs(path).items():
         ips = bench.get("items_per_second")
         if ips is not None and ips > 0:
-            out[bench["name"]] = ips
+            out[name] = ips
     return out
 
 

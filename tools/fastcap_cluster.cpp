@@ -137,9 +137,8 @@ main(int argc, char **argv)
         telemetry::Tracer tracer;
 
         ClusterConfig cfg;
-        cfg.machines = static_cast<int>(args.getInt("machines"));
-        cfg.machine = SimConfig::defaultConfig(
-            static_cast<int>(args.getInt("cores")));
+        cfg.machines = args.getIntNarrowed("machines");
+        cfg.machine = SimConfig::defaultConfig(args.getIntNarrowed("cores"));
         cfg.workload = args.getString("workload");
         cfg.policy = args.getString("policy");
         cfg.rackBudgetFraction = args.getDouble("budget");
@@ -147,12 +146,10 @@ main(int argc, char **argv)
             cfg.rackSchedule =
                 BudgetSchedule::parse(args.getString("rack-schedule"));
         cfg.trace = args.getString("trace");
-        cfg.maxEpochs = static_cast<int>(args.getInt("max-epochs"));
-        cfg.machineThreads =
-            static_cast<int>(args.getInt("machine-threads"));
-        cfg.shards = static_cast<int>(args.getInt("shards"));
-        cfg.shardThreads =
-            static_cast<int>(args.getInt("shard-threads"));
+        cfg.maxEpochs = args.getIntNarrowed("max-epochs");
+        cfg.machineThreads = args.getIntNarrowed("machine-threads");
+        cfg.shards = args.getIntNarrowed("shards");
+        cfg.shardThreads = args.getIntNarrowed("shard-threads");
         cfg.floorFraction = args.getDouble("floor");
         cfg.failures = parseFailures(args.getString("fail"));
         if (args.getInt("seed") != 0)

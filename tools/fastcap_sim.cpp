@@ -95,10 +95,10 @@ main(int argc, char **argv)
         telemetry::Tracer tracer;
 
         SimConfig scfg = SimConfig::defaultConfig(
-            static_cast<int>(args.getInt("cores")));
+            args.getIntNarrowed("cores"));
         scfg.epochLength = args.getDouble("epoch-ms") * 1e-3;
         if (args.getInt("controllers") > 1) {
-            const int k = static_cast<int>(args.getInt("controllers"));
+            const int k = args.getIntNarrowed("controllers");
             scfg.numControllers = k;
             scfg.banksPerController =
                 std::max(1, scfg.banksPerController / k);
@@ -117,10 +117,9 @@ main(int argc, char **argv)
         ExperimentConfig ecfg;
         ecfg.budgetFraction = args.getDouble("budget");
         ecfg.targetInstructions = args.getDouble("instructions");
-        ecfg.maxEpochs = static_cast<int>(args.getInt("max-epochs"));
-        ecfg.shards = static_cast<int>(args.getInt("shards"));
-        ecfg.shardThreads =
-            static_cast<int>(args.getInt("shard-threads"));
+        ecfg.maxEpochs = args.getIntNarrowed("max-epochs");
+        ecfg.shards = args.getIntNarrowed("shards");
+        ecfg.shardThreads = args.getIntNarrowed("shard-threads");
         if (!args.getString("scenario").empty())
             ecfg.scenario =
                 Scenario::parse(args.getString("scenario"));

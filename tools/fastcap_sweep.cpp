@@ -95,7 +95,7 @@ splitInts(const std::string &csv, const char *what)
         if (end == s.c_str() || *end != '\0')
             fatal("bad %s value '%s' (expected an integer)", what,
                   s.c_str());
-        out.push_back(static_cast<int>(v));
+        out.push_back(narrowToInt(v, what));
     }
     return out;
 }
@@ -340,8 +340,7 @@ main(int argc, char **argv)
         else if (!scenario_inline.empty())
             grid.scenarios = {Scenario::parse(scenario_inline)};
 
-        SweepRunner runner(grid,
-                           static_cast<int>(args.getInt("threads")));
+        SweepRunner runner(grid, args.getIntNarrowed("threads"));
         const SweepResult result = runner.run();
 
         logkv(LogLevel::Inform, "sweep", "done",

@@ -36,7 +36,7 @@ specFromFlags(const ArgParser &args)
     g.horizon = args.getDouble("horizon");
     g.rate = args.getDouble("rate");
     g.meanDuration = args.getDouble("mean-duration");
-    g.maxCores = static_cast<int>(args.getInt("max-cores"));
+    g.maxCores = args.getIntNarrowed("max-cores");
     g.seed = static_cast<std::uint64_t>(args.getInt("seed"));
     g.maxEvents = static_cast<std::size_t>(args.getInt("events"));
     g.burstFactor = args.getDouble("burst-factor");
