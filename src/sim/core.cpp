@@ -24,8 +24,8 @@ Core::runApp(const AppProfile *app)
 void
 Core::frequency(Hertz f)
 {
-    if (f <= 0.0)
-        panic("Core %d: non-positive frequency", _id);
+    if (!(f > 0.0))
+        panic("Core %d: non-positive or NaN frequency", _id);
     _freq = f;
 }
 

@@ -10,9 +10,10 @@
  *     global event queue, shared memory controllers, full cross-core
  *     queueing contention. The faithful substrate for the paper-scale
  *     configurations (<= 64 cores).
- *   - the *sharded* engine (ShardedSystem): cores partitioned into K
- *     shards that advance independent event queues between window
- *     boundaries, built for routine 256/1024-core capping runs. See
+ *   - the *sharded* engine (ShardedSystem): every core is a private
+ *     lane with its own event queue, advanced independently between
+ *     window boundaries; K shards only split the lanes across worker
+ *     threads. Built for routine 256/1024-core capping runs. See
  *     sharded_system.hpp for its modeling contract.
  *
  * The harness composes either engine into epochs; which one runs is

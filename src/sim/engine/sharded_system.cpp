@@ -79,41 +79,12 @@ ShardedSystem::ShardedSystem(SimConfig cfg,
                                      (c < n % k_ctrl ? 1 : 0)));
     }
 
-    const int k = std::clamp(shards, 1, n);
-    _shards.resize(static_cast<std::size_t>(k));
-    _shardOf.resize(static_cast<std::size_t>(n));
-
-    const int base = n / k;
-    const int rem = n % k;
-    int first = 0;
-    for (int s = 0; s < k; ++s) {
-        Shard &shard = _shards[static_cast<std::size_t>(s)];
-        const int count = base + (s < rem ? 1 : 0);
-        shard.firstCore = first;
-        shard.lanes.resize(static_cast<std::size_t>(count));
-        for (int j = 0; j < count; ++j) {
-            const int core_id = first + j;
-            _shardOf[static_cast<std::size_t>(core_id)] =
-                static_cast<std::uint32_t>(s);
-            Lane &ln = shard.lanes[static_cast<std::size_t>(j)];
-            const SimConfig &lane_cfg =
-                _laneCfgs[static_cast<std::size_t>(core_id % k_ctrl)];
-            ln.app = std::move(apps[static_cast<std::size_t>(core_id)]);
-            ln.controller = std::make_unique<MemoryController>(
-                core_id, lane_cfg, shard.queue,
-                laneRng(_cfg.seed, core_id, 1));
-            ln.core = std::make_unique<Core>(
-                core_id, lane_cfg, shard.queue,
-                laneRng(_cfg.seed, core_id, 0));
-            ln.core->runApp(&ln.app);
-            // Lanes share nothing, so a lane's core and controller
-            // are each other's sinks directly.
-            ln.core->requestSink(ln.controller.get());
-            ln.controller->deliverySink(ln.core.get());
-            ln.core->start();
-        }
-        first += count;
-    }
+    _numShards = std::clamp(shards, 1, n);
+    _lanes = std::vector<std::optional<Lane>>(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i)
+        _lanes[static_cast<std::size_t>(i)].emplace(
+            i, _laneCfgs[static_cast<std::size_t>(i % k_ctrl)], _cfg.seed,
+            std::move(apps[static_cast<std::size_t>(i)]));
 
     // Logical-controller power models and access rows, mirroring the
     // monolithic system's per-controller share split.
@@ -121,11 +92,11 @@ ShardedSystem::ShardedSystem(SimConfig cfg,
     for (int c = 0; c < k_ctrl; ++c)
         _memPower.emplace_back(_cfg.memPower, share, _cfg.mcVoltage,
                                _cfg.memLadder.max());
-    _accessProbs.resize(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-        std::vector<double> row(static_cast<std::size_t>(k_ctrl), 0.0);
-        row[static_cast<std::size_t>(i % k_ctrl)] = 1.0;
-        _accessProbs[static_cast<std::size_t>(i)] = std::move(row);
+    _accessRows.resize(static_cast<std::size_t>(k_ctrl));
+    for (int c = 0; c < k_ctrl; ++c) {
+        std::vector<double> &row = _accessRows[static_cast<std::size_t>(c)];
+        row.assign(static_cast<std::size_t>(k_ctrl), 0.0);
+        row[static_cast<std::size_t>(c)] = 1.0;
     }
 
     if (shardWorkers() > 1)
@@ -134,6 +105,20 @@ ShardedSystem::ShardedSystem(SimConfig cfg,
 }
 
 ShardedSystem::~ShardedSystem() = default;
+
+ShardedSystem::Lane::Lane(int core_id, const SimConfig &lane_cfg,
+                          std::uint64_t seed, AppProfile profile)
+    : app(std::move(profile)),
+      controller(core_id, lane_cfg, queue, laneRng(seed, core_id, 1)),
+      core(core_id, lane_cfg, queue, laneRng(seed, core_id, 0))
+{
+    core.runApp(&app);
+    // Lanes share nothing, so a lane's core and controller are each
+    // other's sinks directly.
+    core.requestSink(&controller);
+    controller.deliverySink(&core);
+    core.start();
+}
 
 int
 ShardedSystem::shardWorkers() const
@@ -147,25 +132,23 @@ ShardedSystem::shardWorkers() const
 std::pair<int, int>
 ShardedSystem::shardRange(int s) const
 {
-    const Shard &shard = _shards.at(static_cast<std::size_t>(s));
-    return {shard.firstCore, static_cast<int>(shard.lanes.size())};
+    if (s < 0 || s >= _numShards)
+        panic("shardRange: shard %d out of range", s);
+    const int base = _cfg.numCores / _numShards;
+    const int rem = _cfg.numCores % _numShards;
+    return {s * base + std::min(s, rem), base + (s < rem ? 1 : 0)};
 }
 
 ShardedSystem::Lane &
 ShardedSystem::lane(int core)
 {
-    Shard &shard = _shards[_shardOf.at(static_cast<std::size_t>(core))];
-    return shard.lanes[static_cast<std::size_t>(core -
-                                                shard.firstCore)];
+    return *_lanes.at(static_cast<std::size_t>(core));
 }
 
 const ShardedSystem::Lane &
 ShardedSystem::lane(int core) const
 {
-    const Shard &shard =
-        _shards[_shardOf.at(static_cast<std::size_t>(core))];
-    return shard.lanes[static_cast<std::size_t>(core -
-                                                shard.firstCore)];
+    return *_lanes.at(static_cast<std::size_t>(core));
 }
 
 const AppProfile &
@@ -190,7 +173,7 @@ ShardedSystem::coreFreqIndex(int core, std::size_t idx)
 {
     if (idx >= _cfg.coreLadder.size())
         panic("coreFreqIndex: index %zu out of range", idx);
-    Core &c = *lane(core).core;
+    Core &c = lane(core).core;
     c.frequency(_cfg.coreLadder.at(idx));
     c.freqIndex(idx);
 }
@@ -198,7 +181,7 @@ ShardedSystem::coreFreqIndex(int core, std::size_t idx)
 std::size_t
 ShardedSystem::coreFreqIndex(int core) const
 {
-    return lane(core).core->freqIndex();
+    return lane(core).core.freqIndex();
 }
 
 void
@@ -208,9 +191,8 @@ ShardedSystem::memFreqIndex(std::size_t idx)
         panic("memFreqIndex: index %zu out of range", idx);
     _memFreqIndex = idx;
     const Hertz f = _cfg.memLadder.at(idx);
-    for (Shard &shard : _shards)
-        for (Lane &ln : shard.lanes)
-            ln.controller->busFrequency(f);
+    for (std::optional<Lane> &ln : _lanes)
+        ln->controller.busFrequency(f);
 }
 
 Hertz
@@ -228,18 +210,18 @@ ShardedSystem::maxFrequencies()
 }
 
 void
-ShardedSystem::runShardWindow(Shard &shard, Seconds t_end)
+ShardedSystem::runShardWindow(int s, Seconds t_end)
 {
-    for (Lane &ln : shard.lanes) {
-        ln.core->resetCounters();
-        ln.controller->resetCounters();
-    }
-    shard.queue.runUntil(t_end);
-    for (Lane &ln : shard.lanes) {
-        ln.core->flushStall(t_end);
+    const auto [first, count] = shardRange(s);
+    for (int i = first; i < first + count; ++i) {
+        Lane &ln = *_lanes[static_cast<std::size_t>(i)];
+        ln.core.resetCounters();
+        ln.controller.resetCounters();
+        ln.queue.runUntil(t_end);
+        ln.core.flushStall(t_end);
         // Fold bank/bus busy time into the counters while still
         // inside the shard job; the merge below only reads.
-        ln.controller->finalizeWindow();
+        ln.controller.finalizeWindow();
     }
 }
 
@@ -252,17 +234,15 @@ ShardedSystem::runWindow(Seconds duration)
     const Seconds t_end = _now + duration;
 
     // Fan the shards out; pool.wait() is the window barrier. Shard
-    // jobs touch only their own shard's state, so any interleaving
-    // yields the same per-lane counters.
+    // jobs touch only their own lanes, so any interleaving yields the
+    // same per-lane counters.
     if (_pool) {
-        for (Shard &shard : _shards) {
-            Shard *sp = &shard;
-            _pool->submit([sp, t_end] { runShardWindow(*sp, t_end); });
-        }
+        for (int s = 0; s < _numShards; ++s)
+            _pool->submit([this, s, t_end] { runShardWindow(s, t_end); });
         _pool->wait();
     } else {
-        for (Shard &shard : _shards)
-            runShardWindow(shard, t_end);
+        for (int s = 0; s < _numShards; ++s)
+            runShardWindow(s, t_end);
     }
     _now = t_end;
 
@@ -279,10 +259,10 @@ ShardedSystem::runWindow(Seconds duration)
     for (int i = 0; i < n; ++i) {
         const Lane &ln = lane(i);
         CoreWindowStats cs;
-        cs.counters = ln.core->counters();
-        cs.frequency = ln.core->frequency();
-        cs.freqIndex = ln.core->freqIndex();
-        cs.activity = ln.core->currentActivity();
+        cs.counters = ln.core.counters();
+        cs.frequency = ln.core.frequency();
+        cs.freqIndex = ln.core.freqIndex();
+        cs.activity = ln.core.currentActivity();
         const Joules e = _corePower.windowEnergy(
             cs.frequency, cs.activity, cs.counters.busyTime,
             cs.counters.stallTime, duration);
@@ -299,7 +279,7 @@ ShardedSystem::runWindow(Seconds duration)
         ControllerCounters agg;
         for (int i = c; i < n; i += k_ctrl) {
             const ControllerCounters &lc =
-                lane(i).controller->counters();
+                lane(i).controller.counters();
             agg.reads += lc.reads;
             agg.writebacks += lc.writebacks;
             agg.qSum += lc.qSum;
@@ -340,16 +320,20 @@ ShardedSystem::runWindow(Seconds duration)
     stats.totalEnergy = energy;
 
     // Observe-only: window count plus per-shard cumulative event
-    // counts, published on the merge thread after the barrier so
-    // each gauge has one writer per window.
+    // counts (summed over the shard's lanes), published on the merge
+    // thread after the barrier so each gauge has one writer per
+    // window.
     if (telemetry::enabled()) {
         telemetry::Registry &reg = telemetry::Registry::global();
         reg.counter("/engine/windows").add();
-        for (std::size_t s = 0; s < _shards.size(); ++s) {
+        for (int s = 0; s < _numShards; ++s) {
+            const auto [first, count] = shardRange(s);
+            std::uint64_t events = 0;
+            for (int i = first; i < first + count; ++i)
+                events += lane(i).queue.processed();
             reg.gauge("/engine/shard/" + std::to_string(s) +
                       "/events")
-                .set(static_cast<double>(
-                    _shards[s].queue.processed()));
+                .set(static_cast<double>(events));
         }
     }
 
@@ -376,7 +360,7 @@ ShardedSystem::redivideBandwidth()
         double total = 0.0;
         for (int i = c; i < n; i += k_ctrl) {
             const ControllerCounters &lc =
-                lane(i).controller->counters();
+                lane(i).controller.counters();
             const double d =
                 static_cast<double>(lc.reads + lc.writebacks);
             demand.push_back(d);
@@ -403,7 +387,7 @@ ShardedSystem::redivideBandwidth()
         }
         for (std::size_t j = 0; j < cores.size(); ++j) {
             const double share = w[j] / wsum;
-            lane(cores[j]).controller->busBurstCycles(
+            lane(cores[j]).controller.busBurstCycles(
                 _cfg.busBurstCycles / share);
             _laneScale[static_cast<std::size_t>(cores[j])] =
                 1.0 / share;
@@ -414,13 +398,13 @@ ShardedSystem::redivideBandwidth()
 double
 ShardedSystem::instructionsRetired(int core) const
 {
-    return lane(core).core->instructionsRetired();
+    return lane(core).core.instructionsRetired();
 }
 
 void
 ShardedSystem::creditInstructions(int core, double instr)
 {
-    lane(core).core->creditInstructions(instr);
+    lane(core).core.creditInstructions(instr);
 }
 
 Watts
@@ -441,16 +425,18 @@ ShardedSystem::nameplatePeakPower() const
 const std::vector<double> &
 ShardedSystem::accessProbabilities(int core) const
 {
-    return _accessProbs.at(static_cast<std::size_t>(core));
+    if (core < 0 || core >= _cfg.numCores)
+        panic("accessProbabilities: core %d out of range", core);
+    return _accessRows[static_cast<std::size_t>(core %
+                                                _cfg.numControllers)];
 }
 
 std::uint64_t
 ShardedSystem::memoryInFlight() const
 {
     std::uint64_t in_flight = 0;
-    for (const Shard &shard : _shards)
-        for (const Lane &ln : shard.lanes)
-            in_flight += ln.controller->inFlight();
+    for (const std::optional<Lane> &ln : _lanes)
+        in_flight += ln->controller.inFlight();
     return in_flight;
 }
 
@@ -458,8 +444,8 @@ std::uint64_t
 ShardedSystem::eventsProcessed() const
 {
     std::uint64_t processed = 0;
-    for (const Shard &shard : _shards)
-        processed += shard.queue.processed();
+    for (const std::optional<Lane> &ln : _lanes)
+        processed += ln->queue.processed();
     return processed;
 }
 

@@ -4,13 +4,15 @@
  *
  * The monolithic ManyCoreSystem advances every core through one
  * serial event queue, which caps experiment grids at ~64 cores. This
- * engine partitions the cores into K contiguous shards, each with its
- * own EventQueue, and advances the shards independently between
- * window boundaries; windows are the natural barriers because cores
- * only interact through the per-epoch policy decision the harness
- * applies between windows.
+ * engine gives every core a private *lane* — the core, its memory
+ * controller slice, its application slot and its own EventQueue — and
+ * advances each lane alone to the window end; windows are the natural
+ * barriers because cores only interact through the per-epoch policy
+ * decision the harness applies between windows. A *shard* is only a
+ * contiguous range of lanes that one thread-pool job advances, one
+ * lane after another; it owns no simulation state.
  *
- * Modeling contract (the approximation that buys shard independence;
+ * Modeling contract (the approximation that buys lane independence;
  * docs/ARCHITECTURE.md "Simulation engine"):
  *
  *   - Each core owns a private *memory lane*: a MemoryController
@@ -18,15 +20,15 @@
  *     time scaled so the merged occupancy never exceeds the window)
  *     and at least one bank. Cross-core memory contention is
  *     represented by that bandwidth share instead of simulated
- *     queueing, so lanes — and therefore shards — share no mutable
- *     state. The first window uses the fair 1/laneCount share; every
- *     window barrier then re-divides each logical bus across its
- *     lanes in proportion to the lanes' measured demand (reads +
- *     writebacks) of the window just merged, floored at a tenth of
- *     the fair share, so skewed workloads stop over-throttling hot
- *     lanes. Weights are computed from merged per-lane counters on
- *     the calling thread and always sum to 1 per controller —
- *     determinism and the occupancy bound both survive re-division.
+ *     queueing, so lanes share no mutable state. The first window
+ *     uses the fair 1/laneCount share; every window barrier then
+ *     re-divides each logical bus across its lanes in proportion to
+ *     the lanes' measured demand (reads + writebacks) of the window
+ *     just merged, floored at a tenth of the fair share, so skewed
+ *     workloads stop over-throttling hot lanes. Weights are computed
+ *     from merged per-lane counters on the calling thread and always
+ *     sum to 1 per controller — determinism and the occupancy bound
+ *     both survive re-division.
  *   - Core i maps to *logical* controller (i mod numControllers).
  *     Window stats aggregate the lanes of a logical controller (in
  *     ascending core order) back into numControllers
@@ -35,14 +37,15 @@
  *     Skewed interleaving is not representable here (the engine warns
  *     and models the modulo mapping).
  *   - All randomness is per-lane, derived from (seed, core index)
- *     only. Event interleaving inside a shard never touches
- *     cross-lane state.
+ *     only, and every event is scheduled on and dispatched by its own
+ *     lane's queue, so a lane's event order depends on nothing outside
+ *     the lane.
  *
  * Determinism contract (enforced by tests/engine/): CSV/JSON output
  * of any experiment on this engine is byte-identical for every shard
- * count and every thread count. Shards are merged in fixed shard
- * order and per-core stats accumulate in original core-index order;
- * the thread pool only runs shard jobs, never the merge.
+ * count and every thread count. Per-core stats are merged in
+ * original core-index order on the calling thread; the thread pool
+ * only runs shard jobs, never the merge.
  */
 
 #ifndef FASTCAP_SIM_ENGINE_SHARDED_SYSTEM_HPP
@@ -50,8 +53,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "sim/core.hpp"
 #include "sim/engine/backend.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/memory_controller.hpp"
@@ -59,8 +64,6 @@
 #include "util/thread_pool.hpp"
 
 namespace fastcap {
-
-class Core;
 
 /**
  * The sharded many-core engine. See the file comment for the
@@ -110,7 +113,7 @@ class ShardedSystem : public SimBackend
     std::uint64_t eventsProcessed() const override;
 
     // --- engine introspection (tests, benches) ----------------------
-    int numShards() const { return static_cast<int>(_shards.size()); }
+    int numShards() const { return _numShards; }
     /** Effective worker count shard jobs fan out over. */
     int shardWorkers() const;
     /** Core range [first, first + count) of shard s. */
@@ -118,30 +121,29 @@ class ShardedSystem : public SimBackend
 
   private:
     /**
-     * One core's private slice of the machine: the core, its memory
-     * lane, and the application slot the core's pointer refers to.
-     * Lane addresses are stable (the vectors never resize after
-     * construction).
+     * One core's private slice of the machine: its event queue, the
+     * application slot the core's pointer refers to, its memory lane
+     * and the core. The parts point at each other, so a lane is built
+     * in place and never copied or moved.
      */
     struct Lane
     {
-        std::unique_ptr<Core> core;
-        std::unique_ptr<MemoryController> controller;
-        AppProfile app;
-    };
+        Lane(int core_id, const SimConfig &lane_cfg, std::uint64_t seed,
+             AppProfile profile);
+        Lane(const Lane &) = delete;
+        Lane &operator=(const Lane &) = delete;
 
-    /** A contiguous block of lanes advancing one event queue. */
-    struct Shard
-    {
-        int firstCore = 0;
         EventQueue queue;
-        std::vector<Lane> lanes;
+        AppProfile app;
+        MemoryController controller;
+        Core core;
     };
 
     Lane &lane(int core);
     const Lane &lane(int core) const;
-    /** Advance one shard to t_end and finalize its window counters. */
-    static void runShardWindow(Shard &shard, Seconds t_end);
+    /** Advance shard s's lanes, one by one, to t_end and finalize
+     *  their window counters. */
+    void runShardWindow(int s, Seconds t_end);
     /**
      * Re-divide every logical bus across its lanes from the demand
      * (reads + writebacks) the merged window measured. Runs on the
@@ -172,12 +174,18 @@ class ShardedSystem : public SimBackend
      */
     std::vector<double> _laneScale;
 
-    std::vector<Shard> _shards;
-    /** Core index -> owning shard, for O(1) lane lookup. */
-    std::vector<std::uint32_t> _shardOf;
+    /**
+     * The lanes, indexed by core id, in one flat array. The optional
+     * only defers each lane's in-place construction; every slot holds
+     * a lane after the constructor. Never resized.
+     */
+    std::vector<std::optional<Lane>> _lanes;
+    int _numShards = 1;
     CorePowerModel _corePower;
     std::vector<MemoryPowerModel> _memPower; //!< per logical controller
-    std::vector<std::vector<double>> _accessProbs; //!< one-hot rows
+    /** One-hot access row of each logical controller; core i reads
+     *  row i % numControllers. */
+    std::vector<std::vector<double>> _accessRows;
     std::size_t _memFreqIndex = 0;
     Seconds _now = 0.0;
     int _threads = 1;

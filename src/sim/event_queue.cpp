@@ -10,8 +10,10 @@ void
 EventQueue::schedule(Seconds when, EventHandler &target,
                      std::uint32_t tag, double arg)
 {
-    if (when < _now)
-        panic("EventQueue::schedule: event in the past (%g < %g)",
+    // Negated so a NaN time, which would break the heap order, panics.
+    if (!(when >= _now))
+        panic("EventQueue::schedule: event time %g is NaN or in the "
+              "past (now %g)",
               when, _now);
     _heap.push_back(Entry{when, _seq++, &target, arg, tag});
     std::push_heap(_heap.begin(), _heap.end(), Later{});

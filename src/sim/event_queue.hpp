@@ -2,10 +2,13 @@
  * @file
  * Discrete-event simulation core.
  *
- * A single time-ordered queue of typed events with deterministic FIFO
- * tie-breaking for equal timestamps. The whole simulator is
- * single-threaded; determinism (same seed, same event order, same
- * results) is a hard requirement for reproducing EXPERIMENTS.md.
+ * A time-ordered queue of typed events with deterministic FIFO
+ * tie-breaking for equal timestamps. A queue is single-threaded: the
+ * monolithic ManyCoreSystem runs every core through one queue, and
+ * the sharded engine gives each core's lane a queue of its own
+ * (sim/engine/sharded_system.hpp), so only whole lanes run in
+ * parallel. Determinism (same seed, same event order, same results)
+ * is a hard requirement for reproducing EXPERIMENTS.md.
  */
 
 #ifndef FASTCAP_SIM_EVENT_QUEUE_HPP
@@ -57,8 +60,9 @@ class EventQueue
      * Schedule `target.onEvent(tag, arg)` at absolute time `when`.
      * The target must outlive the event.
      *
-     * Scheduling in the past is a library bug and panics; scheduling
-     * exactly at now() is allowed and fires on the next run step.
+     * Scheduling in the past or at a NaN time is a library bug and
+     * panics; scheduling exactly at now() is allowed and fires on the
+     * next run step.
      */
     void schedule(Seconds when, EventHandler &target,
                   std::uint32_t tag = 0, double arg = 0.0);

@@ -17,16 +17,17 @@ MemoryController::MemoryController(int id, const SimConfig &cfg,
 void
 MemoryController::busFrequency(Hertz f)
 {
-    if (f <= 0.0)
-        panic("MemoryController: non-positive bus frequency");
+    if (!(f > 0.0))
+        panic("MemoryController: non-positive or NaN bus frequency");
     _busFreq = f;
 }
 
 void
 MemoryController::busBurstCycles(double cycles)
 {
-    if (cycles <= 0.0)
-        panic("MemoryController: non-positive bus burst cycles");
+    if (!(cycles > 0.0))
+        panic("MemoryController: non-positive or NaN bus burst "
+              "cycles");
     _busBurstCycles = cycles;
 }
 

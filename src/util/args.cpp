@@ -196,6 +196,15 @@ ArgParser::getIntNarrowed(const std::string &name) const
     return narrowToInt(getInt(name), ("--" + name).c_str());
 }
 
+std::uint64_t
+ArgParser::getUnsigned(const std::string &name) const
+{
+    const long value = getInt(name);
+    if (value < 0)
+        fatal("--%s must not be negative (got %ld)", name.c_str(), value);
+    return static_cast<std::uint64_t>(value);
+}
+
 bool
 ArgParser::getFlag(const std::string &name) const
 {

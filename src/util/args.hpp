@@ -8,6 +8,7 @@
 #ifndef FASTCAP_UTIL_ARGS_HPP
 #define FASTCAP_UTIL_ARGS_HPP
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -59,6 +60,11 @@ class ArgParser
     long getInt(const std::string &name) const;
     /** getInt() through narrowToInt(): fatal() unless it fits. */
     int getIntNarrowed(const std::string &name) const;
+    /**
+     * getInt() for a count or seed: fatal() naming the flag on a
+     * negative value, which a plain cast would wrap to a huge one.
+     */
+    std::uint64_t getUnsigned(const std::string &name) const;
     bool getFlag(const std::string &name) const;
 
     /** True if the user supplied the option explicitly. */

@@ -17,6 +17,7 @@
 #include "sim/engine/backend.hpp"
 #include "sim/engine/sharded_system.hpp"
 #include "sim/system.hpp"
+#include "telemetry/registry.hpp"
 #include "util/logging.hpp"
 #include "workload/spec_table.hpp"
 
@@ -145,9 +146,10 @@ TEST(ShardedSystem, NameplatePeakMatchesMonolithicEngine)
 }
 
 /**
- * The determinism contract at the window level: every counter and
- * every power double is bit-identical across shard counts and thread
- * counts, through several windows with DVFS changes in between.
+ * The determinism contract at the window level: every counter, every
+ * power double and the event count are bit-identical across shard
+ * counts (down to one lane per shard) and thread counts, through
+ * several windows with DVFS changes in between.
  */
 TEST(ShardedSystem, WindowStatsBitIdenticalAcrossShardsAndThreads)
 {
@@ -166,7 +168,7 @@ TEST(ShardedSystem, WindowStatsBitIdenticalAcrossShardsAndThreads)
                     i, static_cast<std::size_t>((i + w) % 10));
             sys.memFreqIndex(static_cast<std::size_t>(9 - 2 * (w % 4)));
         }
-        log += std::to_string(sys.eventsProcessed() > 0);
+        log += std::to_string(sys.eventsProcessed());
         for (int i = 0; i < 32; ++i)
             enginetest::appendBits(log, sys.instructionsRetired(i));
         return log;
@@ -179,6 +181,35 @@ TEST(ShardedSystem, WindowStatsBitIdenticalAcrossShardsAndThreads)
         EXPECT_EQ(reference, run(shards, threads))
             << "shards=" << shards << " threads=" << threads;
     }
+}
+
+/**
+ * A shard's event gauge is the sum over its lanes' own queues, so the
+ * gauges must add up to eventsProcessed() for every grouping of the
+ * lanes, down to one lane per shard.
+ */
+TEST(ShardedSystem, ShardEventGaugesSumToEventsProcessed)
+{
+    const SimConfig cfg = config(32);
+    telemetry::Registry &reg = telemetry::Registry::global();
+    telemetry::setEnabled(true);
+    for (int shards : {1, 4, 32}) {
+        reg.resetAll();
+        ShardedSystem sys(cfg, workloads::mix("MIX2", 32), shards, 1);
+        sys.maxFrequencies();
+        for (int w = 0; w < 3; ++w)
+            sys.runWindow(cfg.profileWindow);
+        double gauge_sum = 0.0;
+        for (int s = 0; s < sys.numShards(); ++s)
+            gauge_sum += reg.gauge("/engine/shard/" + std::to_string(s) +
+                                   "/events")
+                             .value();
+        EXPECT_GT(sys.eventsProcessed(), 0u);
+        EXPECT_EQ(gauge_sum, static_cast<double>(sys.eventsProcessed()))
+            << "shards=" << shards;
+    }
+    telemetry::setEnabled(false);
+    reg.resetAll();
 }
 
 TEST(ShardedSystem, SwapAppRebindsAcrossShardBoundaries)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -228,6 +229,16 @@ TEST(Core, CreditAdvancesPhasePosition)
     f.core->creditInstructions(5e6);
     EXPECT_DOUBLE_EQ(f.core->instructionsRetired(), 5e6);
     EXPECT_THROW(f.core->creditInstructions(-1.0), PanicError);
+}
+
+TEST(Core, NonPositiveOrNanFrequencyPanics)
+{
+    Fixture f(10.0);
+    const Hertz before = f.core->frequency();
+    EXPECT_THROW(f.core->frequency(0.0), PanicError);
+    EXPECT_THROW(f.core->frequency(-1e9), PanicError);
+    EXPECT_THROW(f.core->frequency(std::nan("")), PanicError);
+    EXPECT_EQ(f.core->frequency(), before);
 }
 
 TEST(Core, FlushStallAccountsOpenStall)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -137,6 +138,15 @@ TEST(EventQueue, SchedulingInPastPanics)
     q.schedule(10e-9, c);
     q.runUntil(20e-9);
     EXPECT_THROW(q.schedule(5e-9, c), PanicError);
+}
+
+TEST(EventQueue, SchedulingAtNanPanics)
+{
+    EventQueue q;
+    Counter c;
+    EXPECT_THROW(q.schedule(std::nan(""), c), PanicError);
+    EXPECT_THROW(q.scheduleAfter(std::nan(""), c), PanicError);
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, ScheduleAtNowIsAllowed)

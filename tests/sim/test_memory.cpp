@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -14,6 +15,7 @@
 #include "sim/memory_bank.hpp"
 #include "sim/memory_bus.hpp"
 #include "sim/memory_controller.hpp"
+#include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace fastcap {
@@ -221,6 +223,16 @@ TEST_F(ControllerTest, TransferTimeScalesWithFrequency)
     const Seconds slow = ctrl->transferTime();
     EXPECT_NEAR(slow / fast, cfg.memLadder.max() / cfg.memLadder.min(),
                 1e-9);
+}
+
+TEST_F(ControllerTest, NonPositiveOrNanBusSettingsPanic)
+{
+    const Seconds before = ctrl->transferTime();
+    for (double bad : {0.0, -1.0, std::nan("")}) {
+        EXPECT_THROW(ctrl->busFrequency(bad), PanicError) << bad;
+        EXPECT_THROW(ctrl->busBurstCycles(bad), PanicError) << bad;
+    }
+    EXPECT_EQ(ctrl->transferTime(), before);
 }
 
 TEST_F(ControllerTest, LowerFrequencyReducesThroughputUnderSaturation)

@@ -79,9 +79,13 @@ expectLengthIndependentAllocations(System &sys)
 
 TEST(SteadyStateAllocation, ShardedWindowAllocatesIndependentOfLength)
 {
-    ShardedSystem sys(SimConfig::defaultConfig(64),
-                      workloads::mix("MIX1", 64), 4, 1);
-    expectLengthIndependentAllocations(sys);
+    // Four shards of 16 lanes, then one lane per shard: every lane's
+    // own event heap must reach its working size in the warm-up.
+    for (int shards : {4, 64}) {
+        ShardedSystem sys(SimConfig::defaultConfig(64),
+                          workloads::mix("MIX1", 64), shards, 1);
+        expectLengthIndependentAllocations(sys);
+    }
 }
 
 TEST(SteadyStateAllocation, MonolithicWindowAllocatesIndependentOfLength)

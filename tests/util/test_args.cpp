@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/args.hpp"
 #include "util/logging.hpp"
 
@@ -154,6 +156,29 @@ TEST(Args, NarrowingRejectsValuesOutsideInt)
     const char *argv_ok[] = {"prog", "--cores", "64"};
     ASSERT_TRUE(ok.parse(3, argv_ok));
     EXPECT_EQ(ok.getIntNarrowed("cores"), 64);
+}
+
+TEST(Args, UnsignedRejectsNegativeValues)
+{
+    ArgParser args = makeParser();
+    const char *argv[] = {"prog", "--cores", "-1"};
+    ASSERT_TRUE(args.parse(3, argv));
+    EXPECT_EQ(args.getInt("cores"), -1);
+    // -1 would wrap to 18446744073709551615 through a plain cast.
+    try {
+        args.getUnsigned("cores");
+        ADD_FAILURE() << "negative value accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("--cores"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    ArgParser ok = makeParser();
+    const char *argv_zero[] = {"prog", "--cores", "0"};
+    ASSERT_TRUE(ok.parse(3, argv_zero));
+    EXPECT_EQ(ok.getUnsigned("cores"), 0u);
+    EXPECT_EQ(makeParser().getUnsigned("cores"), 16u); // the default
 }
 
 } // namespace

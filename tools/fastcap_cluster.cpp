@@ -152,9 +152,8 @@ main(int argc, char **argv)
         cfg.shardThreads = args.getIntNarrowed("shard-threads");
         cfg.floorFraction = args.getDouble("floor");
         cfg.failures = parseFailures(args.getString("fail"));
-        if (args.getInt("seed") != 0)
-            cfg.seed =
-                static_cast<std::uint64_t>(args.getInt("seed"));
+        if (args.getUnsigned("seed") != 0)
+            cfg.seed = args.getUnsigned("seed");
         if (!trace_out.empty())
             cfg.tracer = &tracer;
 

@@ -110,8 +110,8 @@ main(int argc, char **argv)
         }
         if (args.getFlag("ooo"))
             scfg.execMode = ExecMode::OutOfOrder;
-        if (args.getInt("seed") != 0)
-            scfg.seed = static_cast<std::uint64_t>(args.getInt("seed"));
+        if (args.getUnsigned("seed") != 0)
+            scfg.seed = args.getUnsigned("seed");
         scfg.validate();
 
         ExperimentConfig ecfg;

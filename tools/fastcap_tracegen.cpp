@@ -37,8 +37,8 @@ specFromFlags(const ArgParser &args)
     g.rate = args.getDouble("rate");
     g.meanDuration = args.getDouble("mean-duration");
     g.maxCores = args.getIntNarrowed("max-cores");
-    g.seed = static_cast<std::uint64_t>(args.getInt("seed"));
-    g.maxEvents = static_cast<std::size_t>(args.getInt("events"));
+    g.seed = args.getUnsigned("seed");
+    g.maxEvents = static_cast<std::size_t>(args.getUnsigned("events"));
     g.burstFactor = args.getDouble("burst-factor");
     g.meanBurst = args.getDouble("mean-burst");
     g.meanQuiet = args.getDouble("mean-quiet");
