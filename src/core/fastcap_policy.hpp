@@ -21,10 +21,8 @@ namespace fastcap {
  * Epoch-to-epoch the governor warm-starts the solver from its
  * previous decision: the memory-level search probes last epoch's
  * level and its neighbours first (result-identical to a cold solve —
- * see WarmStart), and, when SolverOptions::warmStartShrinkBracket is
- * set and the budget is unchanged, the D bisection brackets around
- * last epoch's D. reset() drops the hint, so back-to-back
- * experiments stay independent.
+ * see WarmStart). reset() drops the hint, so back-to-back experiments
+ * stay independent.
  */
 class FastCapPolicy : public CappingPolicy
 {

@@ -357,38 +357,9 @@ FastCapSolver::classSolveAtMemRatio(double x_b)
         return classPowerAtD(d, mem_term) - _in.budget;
     };
 
-    // Warm-start bracket shrink (opt-in): with an unchanged budget
-    // the previous epoch's D is close to this one's, so a band around
-    // it usually brackets the root at a fraction of the iterations.
-    // The band changes the midpoint lattice, so the root can differ
-    // from a cold solve in its last ulps (still within dTolerance).
-    RootResult root;
-    bool solved = false;
-    int band_evals = 0;
-    if (_opts.warmStartShrinkBracket && _dHint > 0.0) {
-        const double band_lo = std::max(d_lo, _dHint * 0.5);
-        const double band_hi = std::min(d_hi, _dHint * 2.0);
-        if (band_lo < band_hi) {
-            const double f_blo = residual(band_lo);
-            const double f_bhi = residual(band_hi);
-            band_evals = 2;
-            if (f_blo < 0.0 && f_bhi > 0.0) {
-                root = bisectWithEndpoints(
-                    residual, band_lo, f_blo, band_hi, f_bhi,
-                    d_hi * _opts.dTolerance, _in.budget * 1e-9, 200);
-                root.iterations += band_evals;
-                solved = true;
-            }
-        }
-    }
-    if (!solved) {
-        root = solveMonotone(residual, d_lo, d_hi,
-                             d_hi * _opts.dTolerance,
-                             _in.budget * 1e-9, 200);
-        // A shrink band that failed to bracket still spent its two
-        // probes; every evaluation is accounted for.
-        root.iterations += band_evals;
-    }
+    const RootResult root = solveMonotone(
+        residual, d_lo, d_hi, d_hi * _opts.dTolerance,
+        _in.budget * 1e-9, 200);
 
     InnerSolution sol;
     sol.d = root.x;
@@ -506,12 +477,7 @@ FastCapSolver::solve()
     std::vector<bool> have(m, false);
     const auto eval = [&](std::size_t idx) -> const InnerSolution & {
         if (!have[idx]) {
-            if (_opts.warmStartShrinkBracket &&
-                _opts.warmStart.valid && _opts.warmStart.sameBudget &&
-                idx == _opts.warmStart.memIndex)
-                _dHint = _opts.warmStart.d;
             memo[idx] = solveAtMemIndex(idx);
-            _dHint = 0.0;
             have[idx] = true;
         }
         return memo[idx];

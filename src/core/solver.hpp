@@ -117,19 +117,11 @@ struct SocketBudget
  * the same level as the cold search while skipping most level probes.
  * This fast path is result-identical by construction (the inner solve
  * at a level does not depend on the search trajectory).
- *
- * `d` and `sameBudget` additionally enable the bisection bracket
- * shrink when SolverOptions::warmStartShrinkBracket is set — see that
- * flag for the bit-stability trade-off.
  */
 struct WarmStart
 {
     bool valid = false;
     std::size_t memIndex = 0;
-    /** D the hinted solve achieved at that level. */
-    double d = 0.0;
-    /** Budget is bit-identical to the hinted solve's. */
-    bool sameBudget = false;
 };
 
 /** Options controlling the FastCap solve. */
@@ -156,17 +148,6 @@ struct SolverOptions
     double maxBusUtilisation = 0.9;
     /** Previous-epoch hint; see WarmStart. */
     WarmStart warmStart;
-    /**
-     * With a valid warm-start hint whose budget is unchanged, shrink
-     * the D bisection bracket to a band around the hinted D (falling
-     * back to the full bracket when the band does not bracket the
-     * root). This changes the bisection iterate sequence, so the
-     * returned D may differ from a cold solve in its last ulps —
-     * within dTolerance, but not bit-identical. Off by default;
-     * leave it off wherever byte-stable output matters (golden CSVs,
-     * paired sweeps).
-     */
-    bool warmStartShrinkBracket = false;
     /**
      * Optional per-processor budgets (additional constraints 6').
      * The achieved D becomes the minimum of the global solve and
@@ -296,11 +277,6 @@ class FastCapSolver
     // Constants hoisted out of the per-probe loops.
     Watts _staticPower = 0.0;
     double _minCoreRatio = 1.0;
-    /**
-     * Bracket-shrink hint for the level being probed; set by solve()
-     * around the warm-started level only, 0 when inactive.
-     */
-    double _dHint = 0.0;
 
     // Class scratch (SoA), built once per construction.
     std::vector<std::uint32_t> _classOf;   //!< core -> class id

@@ -111,8 +111,13 @@ ExperimentRunner::ExperimentRunner(SimConfig sim_cfg,
     // Written so NaN fails too: every comparison with NaN is false.
     if (!(_cfg.budgetFraction > 0.0 && _cfg.budgetFraction <= 1.0))
         fatal("ExperimentRunner: budget fraction must be in (0, 1]");
-    if (_cfg.targetInstructions <= 0.0)
-        fatal("ExperimentRunner: target instructions must be positive");
+    if (!(std::isfinite(_cfg.targetInstructions) &&
+          _cfg.targetInstructions > 0.0))
+        fatal("ExperimentRunner: target instructions must be positive "
+              "and finite");
+    if (_cfg.maxEpochs < 1)
+        fatal("ExperimentRunner: maxEpochs must be >= 1 (got %d)",
+              _cfg.maxEpochs);
     _baseBudgetFraction = _cfg.budgetFraction;
 
     // Scenario workload events know their core index only as a

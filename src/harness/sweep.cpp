@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdlib>
 #include <set>
 
@@ -99,8 +100,10 @@ SweepGrid::validate() const
     if (replicates < 1)
         fatal("SweepGrid: replicates must be >= 1 (got %d)",
               replicates);
-    if (targetInstructions <= 0.0)
-        fatal("SweepGrid: targetInstructions must be positive");
+    // Written so NaN fails too: every comparison with NaN is false.
+    if (!(std::isfinite(targetInstructions) && targetInstructions > 0.0))
+        fatal("SweepGrid: targetInstructions must be positive and "
+              "finite");
     if (maxEpochs < 1)
         fatal("SweepGrid: maxEpochs must be >= 1");
     if (shards < 0)
@@ -114,7 +117,7 @@ SweepGrid::validate() const
         c.sim.validate();
     }
     for (double b : budgetFractions)
-        if (b <= 0.0 || b > 1.0)
+        if (!(b > 0.0 && b <= 1.0))
             fatal("SweepGrid: budget fraction %g not in (0, 1]", b);
     // Scenario problems fail fast here rather than mid-sweep on a
     // worker thread, mirroring the workload/policy name checks.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 
@@ -15,18 +14,6 @@ namespace fastcap {
 namespace {
 
 constexpr double kTwoPi = 6.28318530717958647692;
-
-/** Strict finite-double parse; fatal() with context otherwise. */
-double
-parseNumber(const std::string &s, const char *what,
-            const std::string &spec)
-{
-    double v = 0.0;
-    if (!parseDouble(s, v))
-        fatal("BudgetSchedule: bad %s '%s' in '%s'", what, s.c_str(),
-              spec.c_str());
-    return v;
-}
 
 /** Budget fractions must land in (0, 1] wherever a segment can go. */
 void
@@ -60,9 +47,11 @@ nextBudgetRow(TraceFile &file, std::vector<std::string> &cells,
         if (rows_so_far == 0 && !parseDouble(cells[0], ignored) &&
             !parseDouble(cells[1], ignored))
             continue;
-        out.time = parseNumber(cells[0], "trace time", file.name());
-        out.fraction =
-            parseNumber(cells[1], "trace fraction", file.name());
+        out.time = parseOrFatal<double>(cells[0], "BudgetSchedule",
+                                        "trace time", file.name());
+        out.fraction = parseOrFatal<double>(cells[1], "BudgetSchedule",
+                                            "trace fraction",
+                                            file.name());
         checkFraction(out.fraction, "trace fraction");
         return true;
     }
@@ -294,6 +283,11 @@ BudgetSchedule::parse(const std::string &spec)
     if (whole.empty() || whole == "constant")
         return sched;
 
+    // Every number goes through the one strict parser; a bad one
+    // fails naming the field and the whole spec.
+    const auto number = [&spec](const std::string &s, const char *what) {
+        return parseOrFatal<double>(s, "BudgetSchedule", what, spec);
+    };
     std::stringstream ss(whole);
     std::string part;
     while (std::getline(ss, part, ';')) {
@@ -309,14 +303,13 @@ BudgetSchedule::parse(const std::string &spec)
             fatal("BudgetSchedule: segment '%s' is not of the form "
                   "kind@time:params", part.c_str());
         const std::string kind = trimmed(part.substr(0, at));
-        const Seconds start = parseNumber(
-            trimmed(part.substr(at + 1, colon - at - 1)),
-            "segment start time", spec);
+        const Seconds start =
+            number(trimmed(part.substr(at + 1, colon - at - 1)),
+                   "segment start time");
         const std::string params = trimmed(part.substr(colon + 1));
 
         if (kind == "step") {
-            sched.addStep(start,
-                          parseNumber(params, "step level", spec));
+            sched.addStep(start, number(params, "step level"));
         } else if (kind == "ramp") {
             // FROM->TO/DUR
             const auto arrow = params.find("->");
@@ -330,14 +323,13 @@ BudgetSchedule::parse(const std::string &spec)
                       "the form FROM->TO/DURATION", params.c_str());
             sched.addRamp(
                 start,
-                parseNumber(trimmed(params.substr(0, arrow)),
-                            "ramp start fraction", spec),
-                parseNumber(
-                    trimmed(params.substr(arrow + 2,
-                                          slash - arrow - 2)),
-                    "ramp end fraction", spec),
-                parseNumber(trimmed(params.substr(slash + 1)),
-                            "ramp duration", spec));
+                number(trimmed(params.substr(0, arrow)),
+                       "ramp start fraction"),
+                number(trimmed(params.substr(arrow + 2,
+                                             slash - arrow - 2)),
+                       "ramp end fraction"),
+                number(trimmed(params.substr(slash + 1)),
+                       "ramp duration"));
         } else if (kind == "sine") {
             // MEAN~AMP/PERIOD
             const auto tilde = params.find('~');
@@ -352,14 +344,12 @@ BudgetSchedule::parse(const std::string &spec)
                       params.c_str());
             sched.addSine(
                 start,
-                parseNumber(trimmed(params.substr(0, tilde)),
-                            "sine mean", spec),
-                parseNumber(
-                    trimmed(params.substr(tilde + 1,
-                                          slash - tilde - 1)),
-                    "sine amplitude", spec),
-                parseNumber(trimmed(params.substr(slash + 1)),
-                            "sine period", spec));
+                number(trimmed(params.substr(0, tilde)), "sine mean"),
+                number(trimmed(params.substr(tilde + 1,
+                                             slash - tilde - 1)),
+                       "sine amplitude"),
+                number(trimmed(params.substr(slash + 1)),
+                       "sine period"));
         } else if (kind == "trace") {
             if (params.empty())
                 fatal("BudgetSchedule: trace segment needs a path");

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <limits>
 #include <sstream>
 
 #include "util/logging.hpp"
@@ -73,22 +71,13 @@ WorkloadSchedule::parse(const std::string &spec)
             trimmed(part.substr(c1 + 1, c2 - c1 - 1));
         const std::string app = trimmed(part.substr(c2 + 1));
 
-        double t = 0.0;
-        if (!parseDouble(t_str, t))
-            fatal("WorkloadSchedule: bad event time '%s' in '%s'",
-                  t_str.c_str(), spec.c_str());
-        char *end = nullptr;
-        const long core = std::strtol(core_str.c_str(), &end, 10);
-        // Range check before narrowing: an overflowing index must
-        // fail here, not wrap onto a valid core.
-        if (core_str.empty() || end == core_str.c_str() ||
-            *end != '\0' ||
-            core > std::numeric_limits<int>::max() ||
-            core < std::numeric_limits<int>::min())
-            fatal("WorkloadSchedule: bad core index '%s' in '%s'",
-                  core_str.c_str(), spec.c_str());
-
-        sched.add(t, static_cast<int>(core), app);
+        // parseInt range-checks against int: an overflowing index
+        // fails here, not wraps onto a valid core.
+        const double t = parseOrFatal<double>(t_str, "WorkloadSchedule",
+                                              "event time", spec);
+        const int core = parseOrFatal<int>(core_str, "WorkloadSchedule",
+                                           "core index", spec);
+        sched.add(t, core, app);
     }
     return sched;
 }

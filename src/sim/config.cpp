@@ -1,5 +1,8 @@
 #include "sim/config.hpp"
 
+#include <cmath>
+#include <limits>
+
 #include "util/logging.hpp"
 
 namespace fastcap {
@@ -35,9 +38,31 @@ SimConfig::defaultConfig(int cores)
     return cfg;
 }
 
+namespace {
+
+/** Finite and > 0; false for NaN, which fails every comparison. */
+bool
+positiveFinite(double x)
+{
+    return std::isfinite(x) && x > 0.0;
+}
+
+/** lo <= x <= hi; false for NaN. */
+bool
+within(double x, double lo, double hi)
+{
+    return x >= lo && x <= hi;
+}
+
+constexpr double kMaxFinite = std::numeric_limits<double>::max();
+
+} // namespace
+
 void
 SimConfig::validate() const
 {
+    // Each double check is written so that NaN fails: library
+    // callers reach here without passing through a CLI parser.
     if (numCores < 1)
         fatal("SimConfig: numCores must be >= 1 (got %d)", numCores);
     if (numControllers < 1)
@@ -46,24 +71,28 @@ SimConfig::validate() const
     if (banksPerController < 1)
         fatal("SimConfig: banksPerController must be >= 1 (got %d)",
               banksPerController);
-    if (busBurstCycles <= 0.0)
+    if (!positiveFinite(busBurstCycles))
         fatal("SimConfig: busBurstCycles must be positive");
-    if (epochLength <= 0.0 || profileWindow <= 0.0 || execWindow <= 0.0)
-        fatal("SimConfig: epoch/window lengths must be positive");
+    if (!positiveFinite(epochLength) || !positiveFinite(profileWindow) ||
+        !positiveFinite(execWindow))
+        fatal("SimConfig: epoch/window lengths must be positive and "
+              "finite");
     if (profileWindow + execWindow > epochLength)
         fatal("SimConfig: sampling windows (%g s) exceed the epoch "
               "(%g s)", profileWindow + execWindow, epochLength);
-    if (skewHotFraction <= 0.0 || skewHotFraction > 1.0)
+    if (!(skewHotFraction > 0.0 && skewHotFraction <= 1.0))
         fatal("SimConfig: skewHotFraction must be in (0, 1]");
-    if (rowHitRate < 0.0 || rowHitRate > 1.0)
+    if (!within(rowHitRate, 0.0, 1.0))
         fatal("SimConfig: rowHitRate must be in [0, 1]");
-    if (bankRowHitTime <= 0.0 || bankRowMissTime < bankRowHitTime)
+    if (!positiveFinite(bankRowHitTime) ||
+        !within(bankRowMissTime, bankRowHitTime, kMaxFinite))
         fatal("SimConfig: need 0 < bankRowHitTime <= bankRowMissTime");
     if (oooMaxOutstanding < 1)
         fatal("SimConfig: oooMaxOutstanding must be >= 1");
-    if (corePower.dynMax <= 0.0 || corePower.staticPower < 0.0)
+    if (!positiveFinite(corePower.dynMax) ||
+        !within(corePower.staticPower, 0.0, kMaxFinite))
         fatal("SimConfig: core power parameters must be positive");
-    if (corePower.stallFactor < 0.0 || corePower.stallFactor > 1.0)
+    if (!within(corePower.stallFactor, 0.0, 1.0))
         fatal("SimConfig: stallFactor must be in [0, 1]");
 }
 

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
-#include <limits>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "util/logging.hpp"
@@ -18,31 +17,6 @@ namespace fastcap {
 namespace {
 
 constexpr double kTwoPi = 6.28318530717958647692;
-
-double
-parseGenNumber(const std::string &s, const char *what,
-               const std::string &spec)
-{
-    double v = 0.0;
-    if (!parseDouble(s, v))
-        fatal("TraceGenSpec: bad %s '%s' in '%s'", what, s.c_str(),
-              spec.c_str());
-    return v;
-}
-
-/** Strict full-string unsigned integer parse; fatal() with context. */
-std::uint64_t
-parseGenUint(const std::string &s, const char *what,
-             const std::string &spec)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (s.empty() || end == s.c_str() || *end != '\0' ||
-        s.front() == '-')
-        fatal("TraceGenSpec: bad %s '%s' in '%s'", what, s.c_str(),
-              spec.c_str());
-    return v;
-}
 
 std::string
 num(double v)
@@ -258,10 +232,16 @@ TraceGenSpec::parse(const std::string &spec)
         const std::string key = trimmed(part.substr(0, eq));
         const std::string val = trimmed(part.substr(eq + 1));
 
+        // Every value goes through the one strict parser; a bad one
+        // fails naming the field and the whole spec.
+        const auto set = [&](auto &field, const char *what) {
+            using T = std::remove_reference_t<decltype(field)>;
+            field = parseOrFatal<T>(val, "TraceGenSpec", what, spec);
+        };
         if (key == "horizon")
-            g.horizon = parseGenNumber(val, "horizon", spec);
+            set(g.horizon, "horizon");
         else if (key == "rate")
-            g.rate = parseGenNumber(val, "rate", spec);
+            set(g.rate, "rate");
         else if (key == "apps") {
             g.apps.clear();
             std::stringstream as(val);
@@ -269,35 +249,31 @@ TraceGenSpec::parse(const std::string &spec)
             while (std::getline(as, app, '+'))
                 g.apps.push_back(trimmed(app));
         } else if (key == "mean-duration")
-            g.meanDuration =
-                parseGenNumber(val, "mean duration", spec);
+            set(g.meanDuration, "mean duration");
         else if (key == "max-cores")
-            g.maxCores = static_cast<int>(std::min<std::uint64_t>(
-                parseGenUint(val, "max cores", spec),
-                std::numeric_limits<int>::max()));
+            set(g.maxCores, "max cores");
         else if (key == "seed")
-            g.seed = parseGenUint(val, "seed", spec);
+            set(g.seed, "seed");
         else if (key == "events")
-            g.maxEvents = parseGenUint(val, "event cap", spec);
+            set(g.maxEvents, "event cap");
         else if (key == "burst-factor")
-            g.burstFactor = parseGenNumber(val, "burst factor", spec);
+            set(g.burstFactor, "burst factor");
         else if (key == "mean-burst")
-            g.meanBurst = parseGenNumber(val, "mean burst", spec);
+            set(g.meanBurst, "mean burst");
         else if (key == "mean-quiet")
-            g.meanQuiet = parseGenNumber(val, "mean quiet", spec);
+            set(g.meanQuiet, "mean quiet");
         else if (key == "amplitude")
-            g.amplitude = parseGenNumber(val, "amplitude", spec);
+            set(g.amplitude, "amplitude");
         else if (key == "period")
-            g.period = parseGenNumber(val, "period", spec);
+            set(g.period, "period");
         else if (key == "flash-start")
-            g.flashStart = parseGenNumber(val, "flash start", spec);
+            set(g.flashStart, "flash start");
         else if (key == "flash-duration")
-            g.flashDuration =
-                parseGenNumber(val, "flash duration", spec);
+            set(g.flashDuration, "flash duration");
         else if (key == "flash-factor")
-            g.flashFactor = parseGenNumber(val, "flash factor", spec);
+            set(g.flashFactor, "flash factor");
         else if (key == "batch-mean")
-            g.batchMean = parseGenNumber(val, "batch mean", spec);
+            set(g.batchMean, "batch mean");
         else
             fatal("TraceGenSpec: unknown key '%s' in '%s'",
                   key.c_str(), spec.c_str());

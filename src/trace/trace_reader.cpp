@@ -1,7 +1,5 @@
 #include "trace/trace_reader.hpp"
 
-#include <cstdlib>
-#include <limits>
 #include <utility>
 
 #include "util/logging.hpp"
@@ -59,20 +57,14 @@ TraceReader::next(TraceEvent &ev)
                   "positive number of seconds)", name().c_str(),
                   _file.lineno(), _cells[2].c_str());
 
-        // Range check before narrowing: an overflowing core demand
-        // must fail here, not wrap onto a plausible small count.
-        const std::string &cores_str = _cells[3];
-        char *end = nullptr;
-        const long cores = std::strtol(cores_str.c_str(), &end, 10);
-        if (cores_str.empty() || end == cores_str.c_str() ||
-            *end != '\0' || cores < 1 ||
-            cores > std::numeric_limits<int>::max())
+        // parseInt range-checks against int: an overflowing core
+        // demand fails here, not wraps onto a plausible small count.
+        if (!parseInt(_cells[3], ev.cores) || ev.cores < 1)
             fatal("%s:%d: bad core demand '%s' (must be an integer "
                   ">= 1)", name().c_str(), _file.lineno(),
-                  cores_str.c_str());
+                  _cells[3].c_str());
 
         ev.app = _cells[1];
-        ev.cores = static_cast<int>(cores);
         _lastArrival = ev.arrival;
         ++_events;
         return true;

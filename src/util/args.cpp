@@ -1,23 +1,13 @@
 #include "util/args.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "util/logging.hpp"
 #include "util/strings.hpp"
 
 namespace fastcap {
-
-int
-narrowToInt(long value, const char *what)
-{
-    if (value < std::numeric_limits<int>::min() ||
-        value > std::numeric_limits<int>::max())
-        fatal("%s value %ld does not fit in an int", what, value);
-    return static_cast<int>(value);
-}
 
 ArgParser::ArgParser(std::string program, std::string description)
     : _program(std::move(program)), _description(std::move(description))
@@ -25,14 +15,18 @@ ArgParser::ArgParser(std::string program, std::string description)
 }
 
 void
+ArgParser::declare(const std::string &name, Option opt)
+{
+    if (!_options.emplace(name, std::move(opt)).second)
+        panic("ArgParser: duplicate option --%s", name.c_str());
+    _order.push_back(name);
+}
+
+void
 ArgParser::addString(const std::string &name, std::string def,
                      std::string help)
 {
-    if (!_options.emplace(name, Option{Kind::String, std::move(help),
-                                       std::move(def), false})
-             .second)
-        panic("ArgParser: duplicate option --%s", name.c_str());
-    _order.push_back(name);
+    declare(name, Option{Kind::String, std::move(help), std::move(def)});
 }
 
 void
@@ -41,31 +35,32 @@ ArgParser::addDouble(const std::string &name, double def,
 {
     char buf[64];
     checkedSnprintf(buf, sizeof(buf), "%g", def);
-    if (!_options.emplace(name, Option{Kind::Double, std::move(help),
-                                       std::string(buf), false})
-             .second)
-        panic("ArgParser: duplicate option --%s", name.c_str());
-    _order.push_back(name);
+    Option opt{Kind::Double, std::move(help), buf};
+    opt.real = def;
+    declare(name, std::move(opt));
 }
 
 void
-ArgParser::addInt(const std::string &name, long def, std::string help)
+ArgParser::addInt(const std::string &name, int def, std::string help)
 {
-    if (!_options.emplace(name, Option{Kind::Int, std::move(help),
-                                       std::to_string(def), false})
-             .second)
-        panic("ArgParser: duplicate option --%s", name.c_str());
-    _order.push_back(name);
+    Option opt{Kind::Int, std::move(help), std::to_string(def)};
+    opt.integer = def;
+    declare(name, std::move(opt));
+}
+
+void
+ArgParser::addUnsigned(const std::string &name, std::uint64_t def,
+                       std::string help)
+{
+    Option opt{Kind::Unsigned, std::move(help), std::to_string(def)};
+    opt.count = def;
+    declare(name, std::move(opt));
 }
 
 void
 ArgParser::addFlag(const std::string &name, std::string help)
 {
-    if (!_options.emplace(name, Option{Kind::Flag, std::move(help),
-                                       "0", false})
-             .second)
-        panic("ArgParser: duplicate option --%s", name.c_str());
-    _order.push_back(name);
+    declare(name, Option{Kind::Flag, std::move(help), "0"});
 }
 
 bool
@@ -76,28 +71,25 @@ ArgParser::assign(const std::string &name, const std::string &value)
         return false;
     Option &opt = it->second;
 
+    bool ok = true;
     switch (opt.kind) {
-      case Kind::Double: {
-        char *end = nullptr;
-        (void)std::strtod(value.c_str(), &end);
-        if (end == value.c_str() || *end != '\0')
-            return false;
+      case Kind::Double:
+        ok = parseDouble(value, opt.real);
         break;
-      }
-      case Kind::Int: {
-        char *end = nullptr;
-        (void)std::strtol(value.c_str(), &end, 10);
-        if (end == value.c_str() || *end != '\0')
-            return false;
+      case Kind::Int:
+        ok = parseInt(value, opt.integer);
         break;
-      }
+      case Kind::Unsigned:
+        ok = parseInt(value, opt.count);
+        break;
       case Kind::Flag:
-        if (value != "0" && value != "1")
-            return false;
+        ok = value == "0" || value == "1";
         break;
       case Kind::String:
         break;
     }
+    if (!ok)
+        return false;
     opt.value = value;
     opt.provided = true;
     return true;
@@ -179,30 +171,19 @@ ArgParser::getString(const std::string &name) const
 double
 ArgParser::getDouble(const std::string &name) const
 {
-    return std::strtod(find(name, Kind::Double).value.c_str(),
-                       nullptr);
-}
-
-long
-ArgParser::getInt(const std::string &name) const
-{
-    return std::strtol(find(name, Kind::Int).value.c_str(), nullptr,
-                       10);
+    return find(name, Kind::Double).real;
 }
 
 int
-ArgParser::getIntNarrowed(const std::string &name) const
+ArgParser::getInt(const std::string &name) const
 {
-    return narrowToInt(getInt(name), ("--" + name).c_str());
+    return find(name, Kind::Int).integer;
 }
 
 std::uint64_t
 ArgParser::getUnsigned(const std::string &name) const
 {
-    const long value = getInt(name);
-    if (value < 0)
-        fatal("--%s must not be negative (got %ld)", name.c_str(), value);
-    return static_cast<std::uint64_t>(value);
+    return find(name, Kind::Unsigned).count;
 }
 
 bool
@@ -235,6 +216,9 @@ ArgParser::helpText() const
             break;
           case Kind::Int:
             os << " <int>";
+            break;
+          case Kind::Unsigned:
+            os << " <uint>";
             break;
           case Kind::Flag:
             break;

@@ -2,7 +2,9 @@
  * @file
  * Minimal command-line flag parser for the CLI tools. Supports
  * `--flag value`, `--flag=value` and boolean `--flag` forms, typed
- * accessors with defaults, and generated `--help` text.
+ * accessors with defaults, and generated `--help` text. Typed values
+ * go through util/strings.hpp's strict parsers once, in parse(), so a
+ * bad number is a usage error before any work starts.
  */
 
 #ifndef FASTCAP_UTIL_ARGS_HPP
@@ -14,13 +16,6 @@
 #include <vector>
 
 namespace fastcap {
-
-/**
- * `value` narrowed to int. fatal() naming `what` when it does not
- * fit, so an out-of-range count such as 4294967300 cannot silently
- * wrap to 4.
- */
-int narrowToInt(long value, const char *what);
 
 /**
  * Declarative flag set.
@@ -41,11 +36,20 @@ class ArgParser
     /** Declare a string-valued option. */
     void addString(const std::string &name, std::string def,
                    std::string help);
-    /** Declare a double-valued option. */
+    /** Declare a double-valued option; values must be finite. */
     void addDouble(const std::string &name, double def,
                    std::string help);
-    /** Declare an integer-valued option. */
-    void addInt(const std::string &name, long def, std::string help);
+    /**
+     * Declare an int-valued option. A value outside int's range is
+     * rejected, so 4294967300 cannot wrap to 4.
+     */
+    void addInt(const std::string &name, int def, std::string help);
+    /**
+     * Declare a uint64-valued option for a count or seed. A `-` sign
+     * is rejected, so -1 cannot wrap to 2^64 - 1.
+     */
+    void addUnsigned(const std::string &name, std::uint64_t def,
+                     std::string help);
     /** Declare a boolean switch (false unless present). */
     void addFlag(const std::string &name, std::string help);
 
@@ -57,13 +61,7 @@ class ArgParser
 
     const std::string &getString(const std::string &name) const;
     double getDouble(const std::string &name) const;
-    long getInt(const std::string &name) const;
-    /** getInt() through narrowToInt(): fatal() unless it fits. */
-    int getIntNarrowed(const std::string &name) const;
-    /**
-     * getInt() for a count or seed: fatal() naming the flag on a
-     * negative value, which a plain cast would wrap to a huge one.
-     */
+    int getInt(const std::string &name) const;
     std::uint64_t getUnsigned(const std::string &name) const;
     bool getFlag(const std::string &name) const;
 
@@ -74,16 +72,21 @@ class ArgParser
     std::string helpText() const;
 
   private:
-    enum class Kind { String, Double, Int, Flag };
+    enum class Kind { String, Double, Int, Unsigned, Flag };
 
     struct Option
     {
         Kind kind;
         std::string help;
-        std::string value;  //!< current (default or parsed) value
+        std::string value;  //!< current (default or given) text
         bool provided = false;
+        /** The parsed value of a Double, Int or Unsigned option. */
+        double real = 0.0;
+        int integer = 0;
+        std::uint64_t count = 0;
     };
 
+    void declare(const std::string &name, Option opt);
     const Option &find(const std::string &name, Kind kind) const;
     bool assign(const std::string &name, const std::string &value);
 

@@ -1,105 +1,8 @@
 #include "util/stats.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <sstream>
-
 #include "util/logging.hpp"
 
 namespace fastcap {
-
-void
-RunningStat::reset()
-{
-    *this = RunningStat();
-}
-
-void
-RunningStat::add(double x)
-{
-    ++_n;
-    _sum += x;
-    const double delta = x - _mean;
-    _mean += delta / static_cast<double>(_n);
-    _m2 += delta * (x - _mean);
-    _min = std::min(_min, x);
-    _max = std::max(_max, x);
-}
-
-double
-RunningStat::variance() const
-{
-    return (_n > 1) ? _m2 / static_cast<double>(_n - 1) : 0.0;
-}
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-double
-RunningStat::min() const
-{
-    return _n ? _min : 0.0;
-}
-
-double
-RunningStat::max() const
-{
-    return _n ? _max : 0.0;
-}
-
-void
-RunningStat::merge(const RunningStat &other)
-{
-    if (other._n == 0)
-        return;
-    if (_n == 0) {
-        *this = other;
-        return;
-    }
-    const double na = static_cast<double>(_n);
-    const double nb = static_cast<double>(other._n);
-    const double delta = other._mean - _mean;
-    const double n = na + nb;
-    _mean += delta * nb / n;
-    _m2 += other._m2 + delta * delta * na * nb / n;
-    _n += other._n;
-    _sum += other._sum;
-    _min = std::min(_min, other._min);
-    _max = std::max(_max, other._max);
-}
-
-void
-TimeWeightedStat::reset(double start_time, double initial_value)
-{
-    _startTime = start_time;
-    _lastTime = start_time;
-    _value = initial_value;
-    _area = 0.0;
-}
-
-void
-TimeWeightedStat::record(double value, double now)
-{
-    if (now < _lastTime)
-        panic("TimeWeightedStat::record: time went backwards "
-              "(%g < %g)", now, _lastTime);
-    _area += _value * (now - _lastTime);
-    _lastTime = now;
-    _value = value;
-}
-
-double
-TimeWeightedStat::mean(double now) const
-{
-    const double span = now - _startTime;
-    if (span <= 0.0)
-        return _value;
-    const double area = _area + _value * (now - _lastTime);
-    return area / span;
-}
 
 Ewma::Ewma(double alpha) : _alpha(alpha)
 {
@@ -116,101 +19,6 @@ Ewma::add(double x)
     } else {
         _value = _alpha * x + (1.0 - _alpha) * _value;
     }
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : _lo(lo), _hi(hi), _width((hi - lo) / static_cast<double>(bins)),
-      _counts(bins, 0)
-{
-    if (bins == 0 || hi <= lo)
-        fatal("Histogram: need hi > lo and bins > 0 (lo=%g hi=%g "
-              "bins=%zu)", lo, hi, bins);
-}
-
-void
-Histogram::add(double x)
-{
-    ++_total;
-    if (x < _lo) {
-        ++_underflow;
-        return;
-    }
-    if (x >= _hi) {
-        ++_overflow;
-        return;
-    }
-    auto idx = static_cast<std::size_t>((x - _lo) / _width);
-    idx = std::min(idx, _counts.size() - 1);
-    ++_counts[idx];
-}
-
-void
-Histogram::reset()
-{
-    std::fill(_counts.begin(), _counts.end(), 0);
-    _underflow = _overflow = _total = 0;
-}
-
-double
-Histogram::binLo(std::size_t i) const
-{
-    return _lo + _width * static_cast<double>(i);
-}
-
-double
-Histogram::binHi(std::size_t i) const
-{
-    return binLo(i) + _width;
-}
-
-double
-Histogram::quantile(double q) const
-{
-    if (_total == 0)
-        return _lo;
-    q = std::clamp(q, 0.0, 1.0);
-
-    // q = 1 with nothing past the top: the maximum observed value
-    // lies in the highest occupied bin, so report that bin's upper
-    // edge rather than the histogram bound _hi. Handled explicitly
-    // because the general path depends on `target <= cum` holding
-    // exactly at the top bin, which breaks once counts exceed 2^53
-    // and q * total rounds up — then it would fall through to _hi.
-    if (q >= 1.0 && _overflow == 0) {
-        for (std::size_t i = _counts.size(); i-- > 0;)
-            if (_counts[i] > 0)
-                return binHi(i);
-        return _lo; // only underflow samples
-    }
-
-    const double target = q * static_cast<double>(_total);
-
-    double cum = static_cast<double>(_underflow);
-    if (target <= cum)
-        return _lo;
-    for (std::size_t i = 0; i < _counts.size(); ++i) {
-        const double next = cum + static_cast<double>(_counts[i]);
-        if (target <= next && _counts[i] > 0) {
-            const double frac = (target - cum) /
-                static_cast<double>(_counts[i]);
-            return binLo(i) + frac * _width;
-        }
-        cum = next;
-    }
-    return _hi;
-}
-
-std::string
-Histogram::summary() const
-{
-    std::ostringstream os;
-    os << "n=" << _total
-       << " p50=" << quantile(0.5)
-       << " p90=" << quantile(0.9)
-       << " p99=" << quantile(0.99)
-       << " under=" << _underflow
-       << " over=" << _overflow;
-    return os.str();
 }
 
 } // namespace fastcap

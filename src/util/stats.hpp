@@ -1,77 +1,14 @@
 /**
  * @file
- * Lightweight statistics containers: running moments, time-weighted
- * averages (for queue lengths), exponentially weighted moving
- * averages, and fixed-bin histograms.
+ * Exponentially weighted moving average, the smoother the experiment
+ * runner applies to per-controller queue, utilisation and arrival-rate
+ * observations.
  */
 
 #ifndef FASTCAP_UTIL_STATS_HPP
 #define FASTCAP_UTIL_STATS_HPP
 
-#include <cstddef>
-#include <cstdint>
-#include <limits>
-#include <string>
-#include <vector>
-
 namespace fastcap {
-
-/**
- * Streaming mean / variance / min / max over samples (Welford).
- */
-class RunningStat
-{
-  public:
-    void reset();
-    void add(double x);
-
-    std::uint64_t count() const { return _n; }
-    bool empty() const { return _n == 0; }
-    double mean() const { return _n ? _mean : 0.0; }
-    double variance() const;
-    double stddev() const;
-    double min() const;
-    double max() const;
-    double sum() const { return _sum; }
-
-    /** Merge another accumulator into this one. */
-    void merge(const RunningStat &other);
-
-  private:
-    std::uint64_t _n = 0;
-    double _mean = 0.0;
-    double _m2 = 0.0;
-    double _sum = 0.0;
-    double _min = std::numeric_limits<double>::infinity();
-    double _max = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * Time-weighted average of a piecewise-constant signal, used for
- * average queue lengths: record(value, now) extends the previous value
- * up to `now`, then switches to `value`.
- */
-class TimeWeightedStat
-{
-  public:
-    /** Start (or restart) accumulation at the given time/value. */
-    void reset(double start_time, double initial_value);
-
-    /** The signal changes to `value` at time `now` (now >= last). */
-    void record(double value, double now);
-
-    /** Close the window at `now` and return the time-weighted mean. */
-    double mean(double now) const;
-
-    double current() const { return _value; }
-    double elapsed(double now) const { return now - _startTime; }
-
-  private:
-    double _startTime = 0.0;
-    double _lastTime = 0.0;
-    double _value = 0.0;
-    double _area = 0.0;
-};
 
 /** Exponentially weighted moving average. */
 class Ewma
@@ -86,54 +23,14 @@ class Ewma
      */
     explicit Ewma(double alpha = 0.25);
 
-    void reset() { _seeded = false; _value = 0.0; }
     void add(double x);
     double value() const { return _value; }
-    double alpha() const { return _alpha; }
     bool seeded() const { return _seeded; }
 
   private:
     double _alpha = 0.0;
     double _value = 0.0;
     bool _seeded = false;
-};
-
-/**
- * Fixed-width-bin histogram over [lo, hi) with under/overflow bins.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x);
-    void reset();
-
-    std::size_t bins() const { return _counts.size(); }
-    std::uint64_t binCount(std::size_t i) const { return _counts.at(i); }
-    std::uint64_t underflow() const { return _underflow; }
-    std::uint64_t overflow() const { return _overflow; }
-    std::uint64_t total() const { return _total; }
-
-    /** Lower edge of bin i. */
-    double binLo(std::size_t i) const;
-    /** Upper edge of bin i. */
-    double binHi(std::size_t i) const;
-
-    /** Approximate quantile (q in [0,1]) by linear bin interpolation. */
-    double quantile(double q) const;
-
-    /** Render a compact one-line summary for logs. */
-    std::string summary() const;
-
-  private:
-    double _lo = 0.0;
-    double _hi = 0.0;
-    double _width = 0.0;
-    std::vector<std::uint64_t> _counts;
-    std::uint64_t _underflow = 0;
-    std::uint64_t _overflow = 0;
-    std::uint64_t _total = 0;
 };
 
 } // namespace fastcap

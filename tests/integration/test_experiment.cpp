@@ -218,6 +218,31 @@ TEST(Experiment, NonFiniteBudgetsAreFatal)
     runner.budgetFraction(1.0);
 }
 
+TEST(Experiment, NonFiniteTargetsAndEpochCapsAreFatal)
+{
+    SimConfig scfg = SimConfig::defaultConfig(4);
+    auto policy = FastCapPolicy();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double t : {nan, inf, -inf}) {
+        ExperimentConfig bad = quickConfig();
+        bad.targetInstructions = t;
+        EXPECT_THROW(ExperimentRunner(scfg, workloads::mix("ILP1", 4),
+                                      policy, bad),
+                     FatalError)
+            << t;
+    }
+    // A run of zero or fewer epochs would end with nothing to report.
+    for (int epochs : {0, -1}) {
+        ExperimentConfig bad = quickConfig();
+        bad.maxEpochs = epochs;
+        EXPECT_THROW(ExperimentRunner(scfg, workloads::mix("ILP1", 4),
+                                      policy, bad),
+                     FatalError)
+            << epochs;
+    }
+}
+
 TEST(Experiment, MaxEpochsBoundsRun)
 {
     ExperimentConfig cfg = quickConfig(0.6, 1e12); // unreachable

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sim/system.hpp"
 #include "util/logging.hpp"
 #include "workload/spec_table.hpp"
@@ -27,6 +29,38 @@ TEST(System, RejectsMismatchedAppCount)
     SimConfig cfg = smallConfig(4);
     std::vector<AppProfile> apps(3, workloads::spec("gcc"));
     EXPECT_THROW(ManyCoreSystem(cfg, apps), FatalError);
+}
+
+TEST(System, ConfigRejectsNonFiniteFields)
+{
+    // Library callers reach validate() without a CLI parser, and NaN
+    // compares false with everything, so `x <= 0`-style checks would
+    // let it through.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    double SimConfig::*const fields[] = {
+        &SimConfig::busBurstCycles, &SimConfig::epochLength,
+        &SimConfig::profileWindow,  &SimConfig::execWindow,
+        &SimConfig::skewHotFraction, &SimConfig::rowHitRate,
+        &SimConfig::bankRowHitTime, &SimConfig::bankRowMissTime};
+    for (double SimConfig::*field : fields) {
+        for (double bad : {nan, inf, -inf}) {
+            SimConfig cfg = smallConfig(4);
+            cfg.*field = bad;
+            EXPECT_THROW(cfg.validate(), FatalError) << bad;
+        }
+    }
+    double CorePowerConfig::*const power[] = {
+        &CorePowerConfig::dynMax, &CorePowerConfig::staticPower,
+        &CorePowerConfig::stallFactor};
+    for (double CorePowerConfig::*field : power) {
+        for (double bad : {nan, inf, -inf}) {
+            SimConfig cfg = smallConfig(4);
+            cfg.corePower.*field = bad;
+            EXPECT_THROW(cfg.validate(), FatalError) << bad;
+        }
+    }
+    EXPECT_NO_THROW(smallConfig(4).validate());
 }
 
 TEST(System, WindowProducesActivityOnAllCores)

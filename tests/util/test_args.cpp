@@ -140,45 +140,76 @@ TEST(Args, DuplicateDeclarationPanics)
 
 TEST(Args, NarrowingRejectsValuesOutsideInt)
 {
-    EXPECT_EQ(narrowToInt(-7, "x"), -7);
-    EXPECT_EQ(narrowToInt(2147483647L, "x"), 2147483647);
-    EXPECT_THROW(narrowToInt(2147483648L, "x"), FatalError);
-    EXPECT_THROW(narrowToInt(-2147483649L, "x"), FatalError);
-
-    // 4294967300 = 2^32 + 4 would wrap to 4 through a plain cast.
-    ArgParser args = makeParser();
-    const char *argv[] = {"prog", "--cores", "4294967300"};
-    ASSERT_TRUE(args.parse(3, argv));
-    EXPECT_EQ(args.getInt("cores"), 4294967300L);
-    EXPECT_THROW(args.getIntNarrowed("cores"), FatalError);
+    // 4294967300 = 2^32 + 4 would wrap to 4 through a plain cast; an
+    // Int option rejects it at parse(), before any work starts.
+    for (const char *bad : {"4294967300", "2147483648", "-2147483649"}) {
+        ArgParser args = makeParser();
+        const char *argv[] = {"prog", "--cores", bad};
+        EXPECT_FALSE(args.parse(3, argv)) << bad;
+    }
 
     ArgParser ok = makeParser();
-    const char *argv_ok[] = {"prog", "--cores", "64"};
+    const char *argv_ok[] = {"prog", "--cores", "2147483647"};
     ASSERT_TRUE(ok.parse(3, argv_ok));
-    EXPECT_EQ(ok.getIntNarrowed("cores"), 64);
+    EXPECT_EQ(ok.getInt("cores"), 2147483647);
+
+    ArgParser neg = makeParser();
+    const char *argv_neg[] = {"prog", "--cores", "-7"};
+    ASSERT_TRUE(neg.parse(3, argv_neg));
+    EXPECT_EQ(neg.getInt("cores"), -7);
 }
 
 TEST(Args, UnsignedRejectsNegativeValues)
 {
-    ArgParser args = makeParser();
-    const char *argv[] = {"prog", "--cores", "-1"};
-    ASSERT_TRUE(args.parse(3, argv));
-    EXPECT_EQ(args.getInt("cores"), -1);
+    const auto parser = [] {
+        ArgParser args("prog", "test program");
+        args.addUnsigned("seed", 16, "seed");
+        return args;
+    };
     // -1 would wrap to 18446744073709551615 through a plain cast.
-    try {
-        args.getUnsigned("cores");
-        ADD_FAILURE() << "negative value accepted";
-    } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("--cores"),
-                  std::string::npos)
-            << e.what();
+    for (const char *bad : {"-1", "-0", "18446744073709551616", "1.5"}) {
+        ArgParser args = parser();
+        const char *argv[] = {"prog", "--seed", bad};
+        EXPECT_FALSE(args.parse(3, argv)) << bad;
     }
 
-    ArgParser ok = makeParser();
-    const char *argv_zero[] = {"prog", "--cores", "0"};
-    ASSERT_TRUE(ok.parse(3, argv_zero));
-    EXPECT_EQ(ok.getUnsigned("cores"), 0u);
-    EXPECT_EQ(makeParser().getUnsigned("cores"), 16u); // the default
+    ArgParser zero = parser();
+    const char *argv_zero[] = {"prog", "--seed", "0"};
+    ASSERT_TRUE(zero.parse(3, argv_zero));
+    EXPECT_EQ(zero.getUnsigned("seed"), 0u);
+
+    ArgParser top = parser();
+    const char *argv_top[] = {"prog", "--seed=18446744073709551615"};
+    ASSERT_TRUE(top.parse(2, argv_top));
+    EXPECT_EQ(top.getUnsigned("seed"), 18446744073709551615ull);
+    EXPECT_EQ(parser().getUnsigned("seed"), 16u); // the default
+}
+
+TEST(Args, DoublesMustBeFinite)
+{
+    for (const char *bad : {"nan", "inf", "-inf", "1e999"}) {
+        ArgParser args = makeParser();
+        const char *argv[] = {"prog", "--budget", bad};
+        EXPECT_FALSE(args.parse(3, argv)) << bad;
+    }
+}
+
+TEST(Args, IntegersAreDecimalOrHexNeverOctal)
+{
+    ArgParser dec = makeParser();
+    const char *argv_dec[] = {"prog", "--cores", "010"};
+    ASSERT_TRUE(dec.parse(3, argv_dec));
+    EXPECT_EQ(dec.getInt("cores"), 10);
+
+    ArgParser hex = makeParser();
+    const char *argv_hex[] = {"prog", "--cores", "0x40"};
+    ASSERT_TRUE(hex.parse(3, argv_hex));
+    EXPECT_EQ(hex.getInt("cores"), 64);
+
+    ArgParser octal = makeParser();
+    const char *argv_octal[] = {"prog", "--cores", "08"};
+    ASSERT_TRUE(octal.parse(3, argv_octal));
+    EXPECT_EQ(octal.getInt("cores"), 8);
 }
 
 } // namespace

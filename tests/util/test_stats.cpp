@@ -1,98 +1,15 @@
 /**
  * @file
- * Tests for statistics containers (RunningStat, TimeWeightedStat,
- * Ewma, Histogram).
+ * Tests for the exponentially weighted moving average.
  */
 
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "util/logging.hpp"
 #include "util/stats.hpp"
 
 namespace fastcap {
 namespace {
-
-TEST(RunningStat, BasicMoments)
-{
-    RunningStat s;
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(v);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-    EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStat, EmptyIsSafe)
-{
-    RunningStat s;
-    EXPECT_TRUE(s.empty());
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-    EXPECT_DOUBLE_EQ(s.min(), 0.0);
-    EXPECT_DOUBLE_EQ(s.max(), 0.0);
-}
-
-TEST(RunningStat, MergeMatchesCombinedStream)
-{
-    RunningStat a, b, whole;
-    for (int i = 0; i < 100; ++i) {
-        const double v = std::sin(i * 0.7) * 3.0 + i * 0.01;
-        if (i % 2)
-            a.add(v);
-        else
-            b.add(v);
-        whole.add(v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), whole.count());
-    EXPECT_NEAR(a.mean(), whole.mean(), 1e-12);
-    EXPECT_NEAR(a.variance(), whole.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(a.min(), whole.min());
-    EXPECT_DOUBLE_EQ(a.max(), whole.max());
-}
-
-TEST(RunningStat, MergeWithEmpty)
-{
-    RunningStat a, b;
-    a.add(1.0);
-    a.add(2.0);
-    const double mean_before = a.mean();
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.mean(), mean_before);
-    b.merge(a);
-    EXPECT_DOUBLE_EQ(b.mean(), mean_before);
-}
-
-TEST(TimeWeightedStat, PiecewiseConstantAverage)
-{
-    // Queue length: 1 for 2s, 3 for 1s, 0 for 1s -> mean 1.25.
-    TimeWeightedStat q;
-    q.reset(0.0, 1.0);
-    q.record(3.0, 2.0);
-    q.record(0.0, 3.0);
-    EXPECT_NEAR(q.mean(4.0), (1.0 * 2 + 3.0 * 1 + 0.0 * 1) / 4.0,
-                1e-12);
-}
-
-TEST(TimeWeightedStat, ZeroSpanReturnsCurrent)
-{
-    TimeWeightedStat q;
-    q.reset(5.0, 7.0);
-    EXPECT_DOUBLE_EQ(q.mean(5.0), 7.0);
-}
-
-TEST(TimeWeightedStat, BackwardsTimePanics)
-{
-    TimeWeightedStat q;
-    q.reset(0.0, 0.0);
-    q.record(1.0, 2.0);
-    EXPECT_THROW(q.record(2.0, 1.0), PanicError);
-}
 
 TEST(Ewma, FirstSampleSeeds)
 {
@@ -119,34 +36,6 @@ TEST(Ewma, WeightsNewSamples)
     EXPECT_DOUBLE_EQ(e.value(), 5.0);
 }
 
-TEST(Histogram, BinningAndEdges)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-1.0);   // underflow
-    h.add(0.0);    // bin 0
-    h.add(9.999);  // bin 9
-    h.add(10.0);   // overflow
-    h.add(5.5);    // bin 5
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(9), 1u);
-    EXPECT_EQ(h.binCount(5), 1u);
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_DOUBLE_EQ(h.binLo(5), 5.0);
-    EXPECT_DOUBLE_EQ(h.binHi(5), 6.0);
-}
-
-TEST(Histogram, QuantileInterpolation)
-{
-    Histogram h(0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.add(i + 0.5);
-    EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-    EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-    EXPECT_NEAR(h.quantile(0.0), 0.0, 1.0);
-}
-
 TEST(Ewma, RejectsAlphaOutsideUnitInterval)
 {
     EXPECT_THROW(Ewma(0.0), FatalError);   // frozen average
@@ -154,59 +43,6 @@ TEST(Ewma, RejectsAlphaOutsideUnitInterval)
     EXPECT_THROW(Ewma(1.5), FatalError);   // oscillating
     EXPECT_NO_THROW(Ewma(1.0));            // degenerate but valid
     EXPECT_NO_THROW(Ewma(1e-9));
-}
-
-TEST(Histogram, RejectsBadConstruction)
-{
-    EXPECT_THROW(Histogram(1.0, 1.0, 10), FatalError);
-    EXPECT_THROW(Histogram(0.0, 10.0, 0), FatalError);
-}
-
-TEST(Histogram, TopQuantileEndsAtHighestOccupiedBin)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(2.5); // bin 2
-    h.add(5.5); // bin 5
-    h.add(5.7); // bin 5
-    // No overflow: the maximum lives in bin 5, so q=1 must report
-    // that bin's upper edge, not the histogram bound 10.
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), h.binHi(5));
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 6.0);
-}
-
-TEST(Histogram, TopQuantileWithOverflowIsUpperBound)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(2.5);
-    h.add(42.0); // overflow: the true max is beyond the range
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 10.0);
-}
-
-TEST(Histogram, TopQuantileOnlyUnderflowIsLowerBound)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-3.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 0.0);
-}
-
-TEST(Histogram, ResetClearsEverything)
-{
-    Histogram h(0.0, 1.0, 4);
-    h.add(0.5);
-    h.add(2.0);
-    h.reset();
-    EXPECT_EQ(h.total(), 0u);
-    EXPECT_EQ(h.overflow(), 0u);
-    EXPECT_EQ(h.binCount(2), 0u);
-}
-
-TEST(Histogram, SummaryMentionsCount)
-{
-    Histogram h(0.0, 1.0, 4);
-    h.add(0.1);
-    h.add(0.2);
-    const std::string s = h.summary();
-    EXPECT_NE(s.find("n=2"), std::string::npos);
 }
 
 } // namespace

@@ -16,7 +16,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -24,6 +23,7 @@
 #include "scenario/budget_schedule.hpp"
 #include "util/args.hpp"
 #include "util/logging.hpp"
+#include "util/strings.hpp"
 
 using namespace fastcap;
 
@@ -47,28 +47,18 @@ parseFailures(const std::string &spec)
         pos = end + 1;
         if (item.empty())
             continue;
+        const auto at = item.find('@');
+        const auto colon = item.find(':');
         MachineFailure f;
-        char *rest = nullptr;
-        f.machine =
-            static_cast<int>(std::strtol(item.c_str(), &rest, 10));
-        if (rest == item.c_str() || *rest != '@')
+        if (at == std::string::npos || colon < at ||
+            !parseInt(item.substr(0, at), f.machine))
             fatal("--fail: expected MACHINE@FAIL[:RESTORE], got '%s'",
                   item.c_str());
-        const char *p = rest + 1;
-        f.failEpoch = static_cast<int>(std::strtol(p, &rest, 10));
-        if (rest == p)
-            fatal("--fail: missing failure epoch in '%s'",
-                  item.c_str());
-        if (*rest == ':') {
-            p = rest + 1;
-            f.restoreEpoch =
-                static_cast<int>(std::strtol(p, &rest, 10));
-            if (rest == p)
-                fatal("--fail: missing restore epoch in '%s'",
-                      item.c_str());
-        }
-        if (*rest != '\0')
-            fatal("--fail: trailing garbage in '%s'", item.c_str());
+        if (!parseInt(item.substr(at + 1, colon - at - 1), f.failEpoch))
+            fatal("--fail: bad failure epoch in '%s'", item.c_str());
+        if (colon != std::string::npos &&
+            !parseInt(item.substr(colon + 1), f.restoreEpoch))
+            fatal("--fail: bad restore epoch in '%s'", item.c_str());
         out.push_back(f);
     }
     return out;
@@ -107,7 +97,7 @@ main(int argc, char **argv)
                    "arbiter floor: guaranteed peak share per machine");
     args.addString("fail", "",
                    "failure schedule: MACHINE@FAIL[:RESTORE];...");
-    args.addInt("seed", 0, "base seed (0 = default)");
+    args.addUnsigned("seed", 0, "base seed (0 = default)");
     args.addString("csv", "",
                    "write the per-epoch rack CSV here ('-' = stdout)");
     args.addFlag("telemetry",
@@ -137,8 +127,8 @@ main(int argc, char **argv)
         telemetry::Tracer tracer;
 
         ClusterConfig cfg;
-        cfg.machines = args.getIntNarrowed("machines");
-        cfg.machine = SimConfig::defaultConfig(args.getIntNarrowed("cores"));
+        cfg.machines = args.getInt("machines");
+        cfg.machine = SimConfig::defaultConfig(args.getInt("cores"));
         cfg.workload = args.getString("workload");
         cfg.policy = args.getString("policy");
         cfg.rackBudgetFraction = args.getDouble("budget");
@@ -146,10 +136,10 @@ main(int argc, char **argv)
             cfg.rackSchedule =
                 BudgetSchedule::parse(args.getString("rack-schedule"));
         cfg.trace = args.getString("trace");
-        cfg.maxEpochs = args.getIntNarrowed("max-epochs");
-        cfg.machineThreads = args.getIntNarrowed("machine-threads");
-        cfg.shards = args.getIntNarrowed("shards");
-        cfg.shardThreads = args.getIntNarrowed("shard-threads");
+        cfg.maxEpochs = args.getInt("max-epochs");
+        cfg.machineThreads = args.getInt("machine-threads");
+        cfg.shards = args.getInt("shards");
+        cfg.shardThreads = args.getInt("shard-threads");
         cfg.floorFraction = args.getDouble("floor");
         cfg.failures = parseFailures(args.getString("fail"));
         if (args.getUnsigned("seed") != 0)

@@ -17,7 +17,7 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <algorithm>
 
 #include "harness/experiment.hpp"
 #include "harness/metrics.hpp"
@@ -58,7 +58,7 @@ main(int argc, char **argv)
     args.addString("scenario", "",
                    "inline time-varying scenario, e.g. "
                    "'name=drop|budget=step@0:0.9;step@0.05:0.5'");
-    args.addInt("seed", 0, "simulation seed (0 = default)");
+    args.addUnsigned("seed", 0, "simulation seed (0 = default)");
     args.addInt("max-epochs", 1000,
                 "hard stop in epochs (bounds trace replays whose "
                 "apps never complete)");
@@ -95,15 +95,15 @@ main(int argc, char **argv)
         telemetry::Tracer tracer;
 
         SimConfig scfg = SimConfig::defaultConfig(
-            args.getIntNarrowed("cores"));
+            args.getInt("cores"));
         scfg.epochLength = args.getDouble("epoch-ms") * 1e-3;
-        if (args.getInt("controllers") > 1) {
-            const int k = args.getIntNarrowed("controllers");
-            scfg.numControllers = k;
-            scfg.banksPerController =
-                std::max(1, scfg.banksPerController / k);
-            scfg.busBurstCycles *= k; // one channel share each
-        }
+        // validate() rejects a count below one before it divides;
+        // k = 1 leaves the banks and the burst time unchanged.
+        scfg.numControllers = args.getInt("controllers");
+        scfg.validate();
+        const int k = scfg.numControllers;
+        scfg.banksPerController = std::max(1, scfg.banksPerController / k);
+        scfg.busBurstCycles *= k; // one channel share each
         if (args.getDouble("skew") > 0.0) {
             scfg.interleave = InterleaveMode::Skewed;
             scfg.skewHotFraction = args.getDouble("skew");
@@ -117,9 +117,9 @@ main(int argc, char **argv)
         ExperimentConfig ecfg;
         ecfg.budgetFraction = args.getDouble("budget");
         ecfg.targetInstructions = args.getDouble("instructions");
-        ecfg.maxEpochs = args.getIntNarrowed("max-epochs");
-        ecfg.shards = args.getIntNarrowed("shards");
-        ecfg.shardThreads = args.getIntNarrowed("shard-threads");
+        ecfg.maxEpochs = args.getInt("max-epochs");
+        ecfg.shards = args.getInt("shards");
+        ecfg.shardThreads = args.getInt("shard-threads");
         if (!args.getString("scenario").empty())
             ecfg.scenario =
                 Scenario::parse(args.getString("scenario"));

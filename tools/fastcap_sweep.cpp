@@ -33,12 +33,13 @@
  * without one the output is byte-identical to scenario-less builds.
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "harness/sweep.hpp"
@@ -70,51 +71,29 @@ splitList(const std::string &csv)
     return out;
 }
 
-std::vector<double>
-splitDoubles(const std::string &csv, const char *what)
+/** Each list item through the strict numeric parser. */
+template <class T>
+std::vector<T>
+parseList(const std::string &csv, const char *what)
 {
-    std::vector<double> out;
+    std::vector<T> out;
     for (const std::string &s : splitList(csv)) {
-        char *end = nullptr;
-        const double v = std::strtod(s.c_str(), &end);
-        if (end == s.c_str() || *end != '\0')
-            fatal("bad %s value '%s'", what, s.c_str());
+        T v{};
+        // Strict: "16.9" or "1e2" must not silently truncate.
+        if (!parseNumber(s, v))
+            fatal("bad %s value '%s'%s", what, s.c_str(),
+                  std::is_integral_v<T> ? " (expected an integer)" : "");
         out.push_back(v);
     }
     return out;
 }
 
-std::vector<int>
-splitInts(const std::string &csv, const char *what)
-{
-    std::vector<int> out;
-    for (const std::string &s : splitList(csv)) {
-        char *end = nullptr;
-        const long v = std::strtol(s.c_str(), &end, 10);
-        // Strict: "16.9" or "1e2" must not silently truncate.
-        if (end == s.c_str() || *end != '\0')
-            fatal("bad %s value '%s' (expected an integer)", what,
-                  s.c_str());
-        out.push_back(narrowToInt(v, what));
-    }
-    return out;
-}
-
 /** Single numeric value; empty input is a clean user error. */
-double
-oneDouble(const std::string &s, const char *what)
+template <class T>
+T
+parseOne(const std::string &s, const char *what)
 {
-    const std::vector<double> v = splitDoubles(s, what);
-    if (v.size() != 1)
-        fatal("expected one %s value (got '%s')", what, s.c_str());
-    return v.front();
-}
-
-/** Single integer value; empty input is a clean user error. */
-int
-oneInt(const std::string &s, const char *what)
-{
-    const std::vector<int> v = splitInts(s, what);
+    const std::vector<T> v = parseList<T>(s, what);
     if (v.size() != 1)
         fatal("expected one %s value (got '%s')", what, s.c_str());
     return v.front();
@@ -264,8 +243,8 @@ main(int argc, char **argv)
 
         SweepGrid grid;
         grid.configs =
-            SweepGrid::configsForCores(splitInts(value("cores"),
-                                                 "cores"));
+            SweepGrid::configsForCores(parseList<int>(value("cores"),
+                                                      "cores"));
         // Merge classes and explicit workloads, keeping the first
         // occurrence of each name (a workload may appear in both).
         auto addWorkload = [&grid](const std::string &wl) {
@@ -284,21 +263,15 @@ main(int argc, char **argv)
         if (grid.workloads.empty())
             grid.workloads = workloads::workloadNames();
         grid.policies = splitList(value("policies"));
-        grid.budgetFractions = splitDoubles(value("budgets"),
-                                            "budget");
-        grid.replicates = oneInt(value("replicates"), "replicates");
+        grid.budgetFractions = parseList<double>(value("budgets"),
+                                                 "budget");
+        grid.replicates = parseOne<int>(value("replicates"), "replicates");
         grid.targetInstructions =
-            oneDouble(value("instructions"), "instructions");
-        grid.maxEpochs = oneInt(value("max-epochs"), "max-epochs");
-        // Full 64-bit seeds, decimal or 0x-hex. Reject negatives
-        // rather than letting strtoull wrap them around silently.
-        const std::string seed_str = value("seed");
-        char *end = nullptr;
-        const std::uint64_t seed =
-            std::strtoull(seed_str.c_str(), &end, 0);
-        if (end == seed_str.c_str() || *end != '\0' ||
-            seed_str.find('-') != std::string::npos)
-            fatal("bad seed '%s'", seed_str.c_str());
+            parseOne<double>(value("instructions"), "instructions");
+        grid.maxEpochs = parseOne<int>(value("max-epochs"), "max-epochs");
+        // Full 64-bit seeds, decimal or 0x-hex; a negative one is
+        // rejected rather than wrapped.
+        const auto seed = parseOne<std::uint64_t>(value("seed"), "seed");
         if (seed != 0)
             grid.baseSeed = seed;
         // The flag form is boolean-valued, the spec form true/false.
@@ -311,9 +284,9 @@ main(int argc, char **argv)
         grid.solver.referenceImpl = boolOption("reference-solver");
         grid.solver.exhaustiveMemSearch =
             boolOption("exhaustive-mem-search");
-        grid.shards = oneInt(value("shards"), "shards");
+        grid.shards = parseOne<int>(value("shards"), "shards");
         grid.shardThreads =
-            oneInt(value("shard-threads"), "shard-threads");
+            parseOne<int>(value("shard-threads"), "shard-threads");
 
         // Scenario axis: a file of named scenarios, or one inline
         // spec. Omitting both keeps the implicit constant scenario
@@ -340,7 +313,7 @@ main(int argc, char **argv)
         else if (!scenario_inline.empty())
             grid.scenarios = {Scenario::parse(scenario_inline)};
 
-        SweepRunner runner(grid, args.getIntNarrowed("threads"));
+        SweepRunner runner(grid, args.getInt("threads"));
         const SweepResult result = runner.run();
 
         logkv(LogLevel::Inform, "sweep", "done",

@@ -36,7 +36,7 @@ specFromFlags(const ArgParser &args)
     g.horizon = args.getDouble("horizon");
     g.rate = args.getDouble("rate");
     g.meanDuration = args.getDouble("mean-duration");
-    g.maxCores = args.getIntNarrowed("max-cores");
+    g.maxCores = args.getInt("max-cores");
     g.seed = args.getUnsigned("seed");
     g.maxEvents = static_cast<std::size_t>(args.getUnsigned("events"));
     g.burstFactor = args.getDouble("burst-factor");
@@ -79,8 +79,8 @@ main(int argc, char **argv)
                    "mean exponential service demand (s)");
     args.addInt("max-cores", 1,
                 "per-job core demand drawn from [1, N]");
-    args.addInt("seed", 1, "generator seed");
-    args.addInt("events", 0, "hard event cap (0 = horizon only)");
+    args.addUnsigned("seed", 1, "generator seed");
+    args.addUnsigned("events", 0, "hard event cap (0 = horizon only)");
     args.addDouble("burst-factor", 8.0, "mmpp: burst-state rate gain");
     args.addDouble("mean-burst", 0.02, "mmpp: mean burst dwell (s)");
     args.addDouble("mean-quiet", 0.1, "mmpp: mean quiet dwell (s)");

@@ -2,7 +2,7 @@
 
 Analysis order per invocation:
 
-  1. per-file rules R1–R5 (+ W0) over every target file;
+  1. per-file rules R1–R5 and R9 (+ W0) over every target file;
   2. symbol index + call graph over the same token streams;
   3. R6 determinism taint, R7 lock-order, and R8 telemetry-sink
      over the index;
@@ -146,7 +146,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="fastcap_lint",
         description="FastCap determinism & concurrency lint "
-                    "(rules R1-R8, W0/W1).")
+                    "(rules R1-R9, W0/W1).")
     ap.add_argument("files", nargs="*",
                     help="files to lint (default: src/ tree)")
     ap.add_argument("--root", default=None,

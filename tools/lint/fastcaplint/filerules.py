@@ -1,4 +1,5 @@
-"""Per-file rules R1–R5 (+ W0 via waiver parsing) and source facts.
+"""Per-file rules R1–R5 and R9 (+ W0 via waiver parsing) and source
+facts.
 
 The FileLinter walks one token stream. Besides emitting the zone-
 scoped per-line findings, it records *source facts* — entropy /
@@ -64,6 +65,16 @@ BANNED_CALLS = {
     "clock_gettime": "wall-clock",
     "timespec_get": "wall-clock",
 }
+
+# R9: raw numeric conversions. util/strings.hpp is the one strict
+# parse layer (full-string, range-checked, finite-only); every other
+# src/ file goes through it, so no lax copy can come back.
+PARSE_BANNED = frozenset({
+    "strtod", "strtof", "strtold", "strtol", "strtoll", "strtoul",
+    "strtoull", "atoi", "atol", "atoll", "atof", "stoi", "stol",
+    "stoll", "stoul", "stoull", "stod", "stof", "stold",
+})
+PARSE_LAYER = "src/util/strings.hpp"
 
 FORMAT_BANNED = frozenset({"sprintf", "vsprintf"})
 FORMAT_CHECKED = frozenset({"snprintf", "vsnprintf"})
@@ -180,12 +191,13 @@ class FileLinter:
         self.comments = comments
         self.source_facts = []
         # In-file zone override, for the self-test corpus.
-        self.zone = zone_of(relpath)
+        self.logical_path = relpath.replace(os.sep, "/")
         for c in self.comments:
             zm = ZONE_PRAGMA_RE.search(c.text)
             if zm:
-                self.zone = zone_of(zm.group(1))
+                self.logical_path = zm.group(1)
                 break
+        self.zone = zone_of(self.logical_path)
         self.waivers = collect_waivers(self.comments, self.tokens,
                                        self.findings, relpath)
         # Scope-aware table of names with unordered container type.
@@ -265,6 +277,9 @@ class FileLinter:
             if t.text == "assert":
                 self.check_assert(i)
                 i += 1
+                continue
+            if self.check_raw_parse(i, after, name, prev):
+                i = after
                 continue
             if self.check_banned_entropy(i, after, name, prev):
                 i = after
@@ -473,6 +488,25 @@ class FileLinter:
                  "raw assert(): compiled out in release; use "
                  "FASTCAP_ASSERT (panics) or fatal()",
                  statement_span(toks, i))
+
+    def check_raw_parse(self, i, after, name, prev):
+        """R9: a bare or std:: strto*/ato*/sto* outside the parse
+        layer. Any mention counts, so a function pointer to strtod
+        cannot smuggle one in; member accesses do not fire."""
+        if prev is not None and prev.text in (".", "->", "::"):
+            return False
+        parts = name.split("::")
+        if len(parts) == 2 and parts[0] == "std":
+            parts = parts[1:]
+        if len(parts) != 1 or parts[0] not in PARSE_BANNED:
+            return False
+        if self.logical_path != PARSE_LAYER:
+            self.add(self.tokens[i], "R9",
+                     "raw %s outside the parse layer: use parseInt/"
+                     "parseDouble/parseOrFatal from util/strings.hpp "
+                     "(full-string, range-checked, finite-only)"
+                     % parts[0], statement_span(self.tokens, i))
+        return True
 
     def check_banned_entropy(self, i, after, name, prev):
         toks = self.tokens

@@ -22,6 +22,9 @@ RULES = {
     "R8": ("telemetry-sink",
            "telemetry value read back into result-affecting code "
            "(src/telemetry is write-only from result zones)"),
+    "R9": ("parse-checked",
+           "raw strto*/ato*/sto* numeric conversion outside "
+           "util/strings.hpp"),
     "W0": (None, "malformed fastcap-lint waiver"),
     "W1": (None, "stale fastcap-lint waiver (suppresses nothing)"),
 }
@@ -38,6 +41,7 @@ WAIVER_TAGS = {
     "raw-assert": "R5",
     "lock-order": "R7",
     "telemetry-sink": "R8",
+    "parse-checked": "R9",
 }
 
 WAIVER_TAGS_BY_RULE = {}
