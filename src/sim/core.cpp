@@ -1,7 +1,9 @@
 #include "sim/core.hpp"
 
 #include <algorithm>
+#include <optional>
 
+#include "sim/memory_controller.hpp"
 #include "util/logging.hpp"
 
 namespace fastcap {
@@ -39,7 +41,7 @@ Core::start()
     if (_started)
         panic("Core %d: started twice", _id);
     _started = true;
-    scheduleThink();
+    scheduleThink(_queue.now(), _app->phaseAt(_instrRetired));
 }
 
 double
@@ -77,19 +79,18 @@ Core::onEvent(std::uint32_t tag, double arg)
 }
 
 void
-Core::scheduleThink()
+Core::scheduleThink(Seconds from, const Phase &phase)
 {
     if (_thinkPending)
         panic("Core %d: second think scheduled while one is pending",
               _id);
-    const Phase &phase = _app->phaseAt(_instrRetired);
     _thinkInstr = phase.instructionsPerMiss();
     // Think time: instructions * CPI_exec cycles at the current
     // frequency, jittered to avoid lockstep artefacts.
     _thinkTime = _thinkInstr * phase.cpiExec / _freq *
         _rng.jitter(_cfg.thinkJitterSigma);
     _thinkPending = true;
-    _queue.scheduleAfter(_thinkTime, *this, kThinkDone);
+    _queue.schedule(from + _thinkTime, *this, kThinkDone);
 }
 
 void
@@ -104,6 +105,8 @@ Core::onThinkDone()
 
     const Phase &phase = _app->phaseAt(_instrRetired);
     maybeIssueWriteback(phase);
+    if (resolveInline(now, phase))
+        return;
 
     // Demand read: traverses the shared L2 (constant-latency separate
     // voltage domain), then the memory subsystem.
@@ -117,8 +120,29 @@ Core::onThinkDone()
         _stallStart = now;
         ++_counters.stalls;
     } else {
-        scheduleThink();
+        scheduleThink(now, phase);
     }
+}
+
+bool
+Core::resolveInline(Seconds now, const Phase &phase)
+{
+    // An in-order core stalls on this read with nothing else
+    // outstanding. If the controller is also empty, so no writeback
+    // went out at this think either, the lane queue holds nothing
+    // else and the read's whole path is fixed.
+    if (!_inline || _cfg.execMode != ExecMode::InOrder)
+        return false;
+    const std::optional<Seconds> done =
+        _inline->resolveRead(now + _cfg.l2Time, _queue.horizon());
+    if (!done)
+        return false;
+    // The event path's stall at `now` and data return at `done`.
+    ++_counters.stalls;
+    ++_counters.returns;
+    _counters.stallTime += *done - now;
+    scheduleThink(*done, phase);
+    return true;
 }
 
 void
@@ -153,7 +177,7 @@ Core::onDataReturn(const Request &req, Seconds now)
     if (_stalled) {
         _stalled = false;
         _counters.stallTime += now - _stallStart;
-        scheduleThink();
+        scheduleThink(now, _app->phaseAt(_instrRetired));
     }
 }
 

@@ -20,6 +20,8 @@
 
 namespace fastcap {
 
+class MemoryController;
+
 /**
  * Per-window core performance counters: the inputs of Eq. 9 plus the
  * busy/stall split used for power accounting.
@@ -62,6 +64,20 @@ class Core final : public EventHandler, public DeliverySink
 
     /** Install the request sink (not owned). Must precede start(). */
     void requestSink(RequestSink *sink) { _sink = sink; }
+
+    /**
+     * Let an in-order core resolve a miss inline through `ctrl` (not
+     * owned), its request sink, whose queue it must share and whose
+     * only client it must be: the sharded engine's lanes. When the
+     * controller is empty at think-done and no writeback was issued,
+     * the read's L2 hop, bank service and transfer are fully
+     * determined, so MemoryController::resolveRead() accounts them
+     * and the core schedules its next think at the delivery time,
+     * one event per miss instead of four. Reads whose delivery would
+     * fall past the queue's horizon() take the event path. Counters
+     * are bit-identical either way.
+     */
+    void inlineController(MemoryController *ctrl) { _inline = ctrl; }
 
     /** Begin execution at the current simulated time. */
     void start();
@@ -113,8 +129,13 @@ class Core final : public EventHandler, public DeliverySink
     };
 
     void onEvent(std::uint32_t tag, double arg) override;
-    void scheduleThink();
+    /** Draw the next think in `phase` (the one at the retired count)
+     *  and schedule its end at `from` + its duration; `from` is now()
+     *  except on the inline path. */
+    void scheduleThink(Seconds from, const Phase &phase);
     void onThinkDone();
+    /** The inline path of onThinkDone(); false = use events. */
+    bool resolveInline(Seconds now, const Phase &phase);
     void maybeIssueWriteback(const Phase &phase);
     int maxOutstanding(const Phase &phase) const;
 
@@ -124,6 +145,7 @@ class Core final : public EventHandler, public DeliverySink
     Rng _rng;
     const AppProfile *_app = nullptr;
     RequestSink *_sink = nullptr;
+    MemoryController *_inline = nullptr;
 
     Hertz _freq = 0.0;
     std::size_t _freqIndex = 0;

@@ -117,6 +117,9 @@ ShardedSystem::Lane::Lane(int core_id, const SimConfig &lane_cfg,
     // other's sinks directly.
     core.requestSink(&controller);
     controller.deliverySink(&core);
+    // ...and the core is the controller's only client, so a miss
+    // that meets an empty controller resolves inside its think-done.
+    core.inlineController(&controller);
     core.start();
 }
 

@@ -1,6 +1,7 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/logging.hpp"
 
@@ -36,10 +37,12 @@ std::uint64_t
 EventQueue::runUntil(Seconds t_end)
 {
     std::uint64_t ran = 0;
+    _horizon = t_end;
     while (!_heap.empty() && _heap.front().when <= t_end) {
         dispatchNext();
         ++ran;
     }
+    _horizon = -std::numeric_limits<Seconds>::infinity();
     if (t_end > _now)
         _now = t_end;
     return ran;

@@ -15,6 +15,7 @@
 #define FASTCAP_SIM_EVENT_QUEUE_HPP
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/units.hpp"
@@ -51,6 +52,13 @@ class EventQueue
 
     /** Total events executed since construction. */
     std::uint64_t processed() const { return _processed; }
+
+    /**
+     * The bound the runUntil() in progress runs to: an event at or
+     * before it is certain to be dispatched by that call. Outside
+     * runUntil() it is -infinity, so nothing counts as certain.
+     */
+    Seconds horizon() const { return _horizon; }
 
     /** Number of pending events. */
     std::size_t pending() const { return _heap.size(); }
@@ -124,6 +132,7 @@ class EventQueue
      */
     std::vector<Entry> _heap;
     Seconds _now = 0.0;
+    Seconds _horizon = -std::numeric_limits<Seconds>::infinity();
     std::uint64_t _seq = 0;
     std::uint64_t _processed = 0;
 };

@@ -86,6 +86,10 @@ class MemoryBank
     /** Cumulative time spent actively serving requests. */
     Seconds busyTime() const { return _busyTime; }
 
+    /** Account a service of `dt` resolved without passing through
+     *  the queue (the controller's inline read). */
+    void addBusy(Seconds dt) { _busyTime += dt; }
+
     /** Reset the busy-time accumulator (window boundaries). */
     void resetBusyTime() { _busyTime = 0.0; }
 

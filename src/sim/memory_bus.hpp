@@ -63,6 +63,10 @@ class MemoryBus
     Seconds busyTime() const { return _busyTime; }
     void resetBusyTime() { _busyTime = 0.0; }
 
+    /** Account a transfer of `dt` resolved without passing through
+     *  the queue (the controller's inline read). */
+    void addBusy(Seconds dt) { _busyTime += dt; }
+
   private:
     RequestFifo _queue; //!< in-transfer head (if any) + waiting
     bool _transferring = false;

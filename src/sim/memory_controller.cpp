@@ -75,6 +75,39 @@ MemoryController::submit(Request req)
     tryStartBank(bank_id);
 }
 
+std::optional<Seconds>
+MemoryController::resolveRead(Seconds arrive, Seconds horizon)
+{
+    if (_inFlight != 0)
+        return std::nullopt;
+    const Rng saved = _rng;
+    const int bank_id = static_cast<int>(
+        _rng.below(static_cast<std::uint64_t>(_banks.size())));
+    const Seconds svc = drawServiceTime();
+    const Seconds ready = arrive + svc;
+    const Seconds done = ready + transferTime();
+    if (!(done <= horizon)) {
+        _rng = saved;
+        return std::nullopt;
+    }
+
+    // submit(): a depth-1 arrival, then tryStartBank().
+    ++_counters.reads;
+    _counters.qSum += 1.0;
+    ++_counters.qSamples;
+    _counters.serviceSum += svc;
+    ++_counters.serviceCount;
+    // Bank-done at `ready`: the bus queue holds only this read.
+    _banks[static_cast<std::size_t>(bank_id)].addBusy(ready - arrive);
+    _counters.uSum += 1.0;
+    ++_counters.uSamples;
+    // Transfer-done at `done`.
+    _bus.addBusy(done - ready);
+    _counters.responseSum += done - arrive;
+    ++_counters.responseCount;
+    return done;
+}
+
 void
 MemoryController::tryStartBank(int bank_id)
 {

@@ -9,6 +9,7 @@
 #define FASTCAP_SIM_MEMORY_CONTROLLER_HPP
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -122,6 +123,21 @@ class MemoryController final : public EventHandler, public RequestSink
      * address interleaving across this controller's banks.
      */
     void submit(Request req) override;
+
+    /**
+     * Resolve a demand read arriving at `arrive` without events. Only
+     * an empty controller (inFlight() == 0) does: the read then meets
+     * an idle bank and an idle bus, so its path is fixed. Draws the
+     * bank and the service time exactly as submit() would, and
+     * applies the counter updates the bank-done and transfer-done
+     * events would, in their order and with their float expressions.
+     *
+     * @return the delivery time; or nothing if the controller is not
+     *         empty or the delivery would not be `<= horizon` (NaN
+     *         included), and then the controller is left untouched,
+     *         its RNG restored, and the read must go through submit().
+     */
+    std::optional<Seconds> resolveRead(Seconds arrive, Seconds horizon);
 
     /** Counters accumulated since the last resetCounters(). */
     const ControllerCounters &counters() const { return _counters; }

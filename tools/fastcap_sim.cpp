@@ -48,7 +48,8 @@ main(int argc, char **argv)
     args.addDouble("epoch-ms", 5.0, "epoch length in milliseconds");
     args.addInt("controllers", 1, "memory controllers");
     args.addDouble("skew", 0.0,
-                   "hot-controller access fraction (0 = uniform)");
+                   "hot-controller access fraction in (0, 1] "
+                   "(0 = uniform)");
     args.addFlag("ooo", "idealized out-of-order cores");
     args.addInt("shards", 0,
                 "simulation-engine shards (0 = auto: monolithic "
@@ -104,7 +105,9 @@ main(int argc, char **argv)
         const int k = scfg.numControllers;
         scfg.banksPerController = std::max(1, scfg.banksPerController / k);
         scfg.busBurstCycles *= k; // one channel share each
-        if (args.getDouble("skew") > 0.0) {
+        // 0 keeps uniform interleaving; any other value must pass
+        // validate()'s (0, 1] check, so a negative one is an error.
+        if (args.getDouble("skew") != 0.0) {
             scfg.interleave = InterleaveMode::Skewed;
             scfg.skewHotFraction = args.getDouble("skew");
         }
