@@ -104,9 +104,18 @@ Core::onThinkDone()
     ++_counters.misses;
 
     const Phase &phase = _app->phaseAt(_instrRetired);
-    maybeIssueWriteback(phase);
-    if (resolveInline(now, phase))
+    const int writebacks = drawWritebacks(phase);
+    if (resolveInline(now, phase, writebacks))
         return;
+
+    // Writebacks are background traffic, submitted ahead of the read.
+    for (int i = 0; i < writebacks; ++i) {
+        Request wb;
+        wb.type = RequestType::Writeback;
+        wb.coreId = _id;
+        wb.issueTime = now;
+        _sink->submit(wb);
+    }
 
     // Demand read: traverses the shared L2 (constant-latency separate
     // voltage domain), then the memory subsystem.
@@ -125,16 +134,16 @@ Core::onThinkDone()
 }
 
 bool
-Core::resolveInline(Seconds now, const Phase &phase)
+Core::resolveInline(Seconds now, const Phase &phase, int writebacks)
 {
     // An in-order core stalls on this read with nothing else
-    // outstanding. If the controller is also empty, so no writeback
-    // went out at this think either, the lane queue holds nothing
-    // else and the read's whole path is fixed.
-    if (!_inline || _cfg.execMode != ExecMode::InOrder)
+    // outstanding. If the controller is also empty, the lane queue
+    // holds nothing but this think's requests and their whole paths
+    // are fixed.
+    if (!_inline || _cfg.execMode != ExecMode::InOrder || writebacks > 1)
         return false;
-    const std::optional<Seconds> done =
-        _inline->resolveRead(now + _cfg.l2Time, _queue.horizon());
+    const std::optional<Seconds> done = _inline->resolveThink(
+        now, writebacks == 1, now + _cfg.l2Time, _queue.horizon());
     if (!done)
         return false;
     // The event path's stall at `now` and data return at `done`.
@@ -145,24 +154,21 @@ Core::resolveInline(Seconds now, const Phase &phase)
     return true;
 }
 
-void
-Core::maybeIssueWriteback(const Phase &phase)
+int
+Core::drawWritebacks(const Phase &phase)
 {
     // Writebacks occur at wpki/mpki per demand miss; values above 1
     // (write-heavy phases) emit multiple writebacks stochastically.
+    int drawn = 0;
     double expected = phase.wpki / phase.mpki;
     while (expected > 0.0) {
         const double p = std::min(expected, 1.0);
-        if (p >= 1.0 || _rng.chance(p)) {
-            Request wb;
-            wb.type = RequestType::Writeback;
-            wb.coreId = _id;
-            wb.issueTime = _queue.now();
-            ++_counters.writebacks;
-            _sink->submit(wb);
-        }
+        if (p >= 1.0 || _rng.chance(p))
+            ++drawn;
         expected -= 1.0;
     }
+    _counters.writebacks += static_cast<std::uint64_t>(drawn);
+    return drawn;
 }
 
 void

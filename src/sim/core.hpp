@@ -66,16 +66,19 @@ class Core final : public EventHandler, public DeliverySink
     void requestSink(RequestSink *sink) { _sink = sink; }
 
     /**
-     * Let an in-order core resolve a miss inline through `ctrl` (not
+     * Let an in-order core resolve a think inline through `ctrl` (not
      * owned), its request sink, whose queue it must share and whose
      * only client it must be: the sharded engine's lanes. When the
-     * controller is empty at think-done and no writeback was issued,
-     * the read's L2 hop, bank service and transfer are fully
-     * determined, so MemoryController::resolveRead() accounts them
-     * and the core schedules its next think at the delivery time,
-     * one event per miss instead of four. Reads whose delivery would
-     * fall past the queue's horizon() take the event path. Counters
-     * are bit-identical either way.
+     * controller is empty at think-done, the think's requests (its
+     * demand read and at most one writeback) meet nothing but each
+     * other, so their whole paths are fixed:
+     * MemoryController::resolveThink() accounts them and the core
+     * schedules its next think at the read's delivery time, one event
+     * per miss instead of four (six with a writeback). A think that
+     * drew two or more writebacks, whose read would overtake its
+     * writeback, or whose delivery would fall past the queue's
+     * horizon() takes the event path. Counters are bit-identical
+     * either way.
      */
     void inlineController(MemoryController *ctrl) { _inline = ctrl; }
 
@@ -135,8 +138,11 @@ class Core final : public EventHandler, public DeliverySink
     void scheduleThink(Seconds from, const Phase &phase);
     void onThinkDone();
     /** The inline path of onThinkDone(); false = use events. */
-    bool resolveInline(Seconds now, const Phase &phase);
-    void maybeIssueWriteback(const Phase &phase);
+    bool resolveInline(Seconds now, const Phase &phase, int writebacks);
+    /** Draw this think's writebacks from the core RNG and count them;
+     *  the caller submits them unless it resolves the think inline.
+     *  @return how many were drawn. */
+    int drawWritebacks(const Phase &phase);
     int maxOutstanding(const Phase &phase) const;
 
     int _id = 0;

@@ -55,7 +55,6 @@ class MemoryBank
     void
     startService(Seconds now)
     {
-        _queue.front().serveTime = now;
         _serviceStart = now;
         _serving = true;
     }
@@ -71,7 +70,6 @@ class MemoryBank
         _serving = false;
         _blocked = true;
         _busyTime += now - _serviceStart;
-        req.readyTime = now;
         return req;
     }
 
@@ -87,7 +85,7 @@ class MemoryBank
     Seconds busyTime() const { return _busyTime; }
 
     /** Account a service of `dt` resolved without passing through
-     *  the queue (the controller's inline read). */
+     *  the queue (the controller's inline think). */
     void addBusy(Seconds dt) { _busyTime += dt; }
 
     /** Reset the busy-time accumulator (window boundaries). */

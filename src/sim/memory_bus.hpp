@@ -64,7 +64,7 @@ class MemoryBus
     void resetBusyTime() { _busyTime = 0.0; }
 
     /** Account a transfer of `dt` resolved without passing through
-     *  the queue (the controller's inline read). */
+     *  the queue (the controller's inline think). */
     void addBusy(Seconds dt) { _busyTime += dt; }
 
   private:

@@ -125,19 +125,25 @@ class MemoryController final : public EventHandler, public RequestSink
     void submit(Request req) override;
 
     /**
-     * Resolve a demand read arriving at `arrive` without events. Only
-     * an empty controller (inFlight() == 0) does: the read then meets
-     * an idle bank and an idle bus, so its path is fixed. Draws the
-     * bank and the service time exactly as submit() would, and
-     * applies the counter updates the bank-done and transfer-done
-     * events would, in their order and with their float expressions.
+     * Resolve one in-order think's requests without events: the
+     * writeback it issued at `t`, if `writeback`, and its demand read
+     * arriving at `arrive`. Only an empty controller (inFlight() == 0)
+     * does: both requests then meet queues holding nothing but each
+     * other, so their paths are fixed. Draws the banks and service
+     * times in submit() order (writeback bank, writeback service, read
+     * bank, read service) and applies the counter updates the
+     * bank-done and transfer-done events would, in their order and
+     * with their float expressions.
      *
-     * @return the delivery time; or nothing if the controller is not
-     *         empty or the delivery would not be `<= horizon` (NaN
-     *         included), and then the controller is left untouched,
-     *         its RNG restored, and the read must go through submit().
+     * @return the read's delivery time; or nothing if the controller
+     *         is not empty, the read would be delivered before the
+     *         writeback (it overtook it on the bus) or the delivery
+     *         would not be `<= horizon` (NaN included). Then the
+     *         controller is left untouched, its RNG restored, and the
+     *         requests must go through submit().
      */
-    std::optional<Seconds> resolveRead(Seconds arrive, Seconds horizon);
+    std::optional<Seconds> resolveThink(Seconds t, bool writeback,
+                                        Seconds arrive, Seconds horizon);
 
     /** Counters accumulated since the last resetCounters(). */
     const ControllerCounters &counters() const { return _counters; }

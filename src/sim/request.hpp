@@ -33,12 +33,9 @@ struct Request
 {
     RequestType type = RequestType::Read;
     int coreId = -1;          //!< issuing core
-    int controllerId = -1;    //!< controller servicing the request
     int bankId = -1;          //!< bank within the controller
     Seconds issueTime = 0.0;  //!< when the core generated it
     Seconds arriveTime = 0.0; //!< when it entered the bank queue
-    Seconds serveTime = 0.0;  //!< when bank service started
-    Seconds readyTime = 0.0;  //!< when it joined the bus queue
 };
 
 /** Where a core sends the requests it generates. */

@@ -1,10 +1,10 @@
 /**
  * @file
- * The DES hot path allocates nothing per event: once a warm-up window
- * has grown the event heap and the bank/bus rings to their working
+ * The DES hot path allocates nothing per event: once warm-up windows
+ * have grown the event heap and the bank/bus rings to their working
  * size, a window allocates the same number of times whatever its
  * length. Both engines are checked; the sharded case also checks that
- * its lanes resolve idle misses inline (under three events per miss).
+ * its lanes resolve idle thinks inline (about one event per miss).
  *
  * This suite replaces the global operator new to count allocations,
  * so it must stay a gtest binary of its own.
@@ -81,8 +81,13 @@ std::uint64_t
 expectLengthIndependentAllocations(System &sys)
 {
     // Warm-up, longer than either measured window: the event heap and
-    // the bank/bus rings grow to their working size here.
-    std::uint64_t misses = missesOf(sys.runWindow(4e-3));
+    // the bank/bus rings grow to their working size here. It is cut
+    // into many windows because a sharded lane only takes events, and
+    // so only grows its heap and rings, when a miss chain crosses a
+    // window end or its requests contend.
+    std::uint64_t misses = 0;
+    for (int w = 0; w < 16; ++w)
+        misses += missesOf(sys.runWindow(0.25e-3));
     const std::uint64_t short_window =
         allocationsOfWindow(sys, 0.4e-3, misses);
     const std::uint64_t long_window =
@@ -103,11 +108,13 @@ TEST(SteadyStateAllocation, ShardedWindowAllocatesIndependentOfLength)
                           workloads::mix("MIX1", 64), shards, 1);
         const std::uint64_t misses =
             expectLengthIndependentAllocations(sys);
-        // The lane fast path fires: a miss that meets an empty
+        // The lane fast path fires: a think that meets an empty
         // controller costs one dispatched event instead of four
-        // (think, L2 hop, bank done, transfer done).
-        EXPECT_LT(sys.eventsProcessed(), 3 * misses)
-            << "the lane fast path no longer resolves idle misses";
+        // (think, L2 hop, bank done, transfer done), or six with a
+        // writeback.
+        EXPECT_LT(static_cast<double>(sys.eventsProcessed()),
+                  1.1 * static_cast<double>(misses))
+            << "the lane fast path no longer resolves idle thinks";
     }
 }
 
