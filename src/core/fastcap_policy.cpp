@@ -1,7 +1,6 @@
 #include "core/fastcap_policy.hpp"
 
 #include <cmath>
-#include <unordered_map>
 
 #include "telemetry/registry.hpp"
 #include "util/logging.hpp"
@@ -39,25 +38,9 @@ mapToLadders(const PolicyInputs &inputs, const InnerSolution &sol,
     dec.predictedPower = sol.predictedPower;
     dec.budgetSaturated = sol.saturatedLow || !sol.budgetFeasible;
     dec.coreFreqIdx.reserve(inputs.cores.size());
-    // The solver emits one ratio per equivalence class (cores of a
-    // class share their x(D) bit-for-bit), so the ladder walk runs
-    // once per distinct ratio bit pattern and fans out to the cores.
-    // Keyed on the exact bits — the same rule the solver classes use —
-    // so the mapped index per core is identical to a per-core walk.
-    // The map is a pure keyed memo: values depend only on their key,
-    // results are emitted in coreRatios order, and the map is never
-    // iterated — hash/insertion order cannot reach the decision.
-    // Proven by InsertionOrderPermutationBitIdentity in
-    // tests/core/test_fastcap_policy.cpp.
-    // fastcap-lint: order-insensitive(keyed memo, never iterated)
-    std::unordered_map<std::uint64_t, std::size_t> mapped;
-    mapped.reserve(16);
-    for (double x : sol.coreRatios) {
-        const auto [it, inserted] = mapped.emplace(doubleBits(x), 0);
-        if (inserted)
-            it->second = closestRatioIndex(inputs.coreRatios, x);
-        dec.coreFreqIdx.push_back(it->second);
-    }
+    for (double x : sol.coreRatios)
+        dec.coreFreqIdx.push_back(
+            closestRatioIndex(inputs.coreRatios, x));
     return dec;
 }
 

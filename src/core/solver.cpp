@@ -1,13 +1,14 @@
 #include "core/solver.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <map>
 
 #include "util/logging.hpp"
 #include "util/math.hpp"
+#include "util/rng.hpp"
 
 namespace fastcap {
 
@@ -44,39 +45,63 @@ FastCapSolver::buildClasses()
     // Exact-bit class key: cores are interchangeable for the solve
     // iff every model parameter the inner loop reads is the same
     // double, including the controller-access row the queuing model
-    // weights R by.
-    std::map<std::vector<std::uint64_t>, std::uint32_t> ids;
-    std::vector<std::uint64_t> key;
-    for (std::size_t i = 0; i < n; ++i) {
+    // weights R by. A flat open-addressing table at most half full
+    // maps a key's hash to a class id; a hit is confirmed against the
+    // class representative's own fields, so nothing is copied or
+    // allocated per core. Ids follow first occurrence.
+    const auto fields = [this](std::size_t i) {
         const CoreModel &c = _in.cores[i];
-        key.clear();
-        key.reserve(5 + _in.accessProbs[i].size());
-        key.push_back(doubleBits(c.zbar));
-        key.push_back(doubleBits(c.cache));
-        key.push_back(doubleBits(c.pi));
-        key.push_back(doubleBits(c.alpha));
-        key.push_back(doubleBits(c.pStatic));
+        return std::array<std::uint64_t, 5>{
+            doubleBits(c.zbar), doubleBits(c.cache), doubleBits(c.pi),
+            doubleBits(c.alpha), doubleBits(c.pStatic)};
+    };
+    const auto same_key = [&](std::size_t i, std::size_t j) {
+        const std::vector<double> &a = _in.accessProbs[i];
+        const std::vector<double> &b = _in.accessProbs[j];
+        return fields(i) == fields(j) &&
+            std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                       [](double x, double y) {
+                           return doubleBits(x) == doubleBits(y);
+                       });
+    };
+    std::size_t table_size = 1;
+    while (table_size < 2 * n)
+        table_size <<= 1;
+    const std::size_t mask = table_size - 1;
+    constexpr std::uint32_t kFree = ~std::uint32_t{0};
+    std::vector<std::uint32_t> slots(table_size, kFree);
+    _classRep.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        std::uint64_t h = 0;
+        for (std::uint64_t w : fields(i))
+            h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
         for (double p : _in.accessProbs[i])
-            key.push_back(doubleBits(p));
-
-        const auto [it, inserted] = ids.emplace(
-            key, static_cast<std::uint32_t>(_classRep.size()));
-        if (inserted) {
+            h = (h ^ doubleBits(p)) * 0x9e3779b97f4a7c15ULL;
+        std::size_t s = splitmix64Mix(h) & mask;
+        while (slots[s] != kFree && !same_key(i, _classRep[slots[s]]))
+            s = (s + 1) & mask;
+        if (slots[s] == kFree) {
+            slots[s] = static_cast<std::uint32_t>(_classRep.size());
             _classRep.push_back(i);
-            _classMinT.push_back(_minTurnaround[i]);
-            _classCache.push_back(c.cache);
-            _classZbar.push_back(c.zbar);
-            _classPi.push_back(c.pi);
-            _classAlpha.push_back(c.alpha);
-            _classPStatic.push_back(c.pStatic);
         }
-        _classOf[i] = it->second;
+        _classOf[i] = slots[s];
     }
 
     const std::size_t k = _classRep.size();
-    _classR.resize(k);
-    _classRatio.resize(k);
-    _classPowTerm.resize(k);
+    for (std::vector<double> *v :
+         {&_classMinT, &_classCache, &_classZbar, &_classPi, &_classAlpha,
+          &_classPStatic, &_classR, &_classRatio, &_classPowTerm})
+        v->resize(k);
+    for (std::size_t c = 0; c < k; ++c) {
+        const std::size_t i = _classRep[c];
+        const CoreModel &m = _in.cores[i];
+        _classMinT[c] = _minTurnaround[i];
+        _classCache[c] = m.cache;
+        _classZbar[c] = m.zbar;
+        _classPi[c] = m.pi;
+        _classAlpha[c] = m.alpha;
+        _classPStatic[c] = m.pStatic;
+    }
 }
 
 Watts

@@ -199,6 +199,13 @@ class FastCapSolver
     /** Distinct core equivalence classes (1 for homogeneous mixes). */
     std::size_t numClasses() const { return _classRep.size(); }
 
+    /** Class id of a core, in first-occurrence order (not in
+     *  referenceImpl mode, which builds no classes). */
+    std::uint32_t classOf(std::size_t core) const
+    {
+        return _classOf[core];
+    }
+
     const QueuingModel &queuing() const { return _queuing; }
 
   private:

@@ -198,10 +198,9 @@ ExperimentRunner::done() const
     return true;
 }
 
-PolicyInputs
-ExperimentRunner::buildInputs(const WindowStats &w)
+void
+ExperimentRunner::buildInputs(const WindowStats &w, PolicyInputs &in)
 {
-    PolicyInputs in;
     const std::size_t n = w.cores.size();
     const double f_max = _simCfg.coreLadder.max();
 
@@ -291,8 +290,6 @@ ExperimentRunner::buildInputs(const WindowStats &w)
     for (std::size_t i = 0; i < n; ++i)
         in.accessProbs[i] =
             _system->accessProbabilities(static_cast<int>(i));
-
-    return in;
 }
 
 void
@@ -394,7 +391,7 @@ ExperimentRunner::step()
     const WindowStats w1 = _system->runWindow(_simCfg.profileWindow);
 
     // 2-3. Inputs, decision, actuation.
-    _inputs = buildInputs(w1);
+    buildInputs(w1, _inputs);
     const PolicyDecision dec = _policy.decide(_inputs);
     bool core_changed = false;
     bool mem_changed = false;

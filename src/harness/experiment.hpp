@@ -248,7 +248,11 @@ class ExperimentRunner
     }
 
   private:
-    PolicyInputs buildInputs(const WindowStats &w);
+    /**
+     * Fill `in` from a profiling window, overwriting every field, so
+     * a reused PolicyInputs keeps its vectors' capacity.
+     */
+    void buildInputs(const WindowStats &w, PolicyInputs &in);
     void applyDecision(const PolicyDecision &dec, bool &core_changed,
                        bool &mem_changed);
     void recordCompletions(Seconds epoch_start,

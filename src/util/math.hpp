@@ -18,7 +18,7 @@ namespace fastcap {
 /**
  * Bit pattern of a double: the *exact* equality key (-0.0 != 0.0,
  * NaNs by payload) used wherever "same value" must mean "same bits" —
- * solver equivalence classes, ladder-mapping memoisation, cache keys.
+ * solver equivalence classes, cache keys.
  */
 inline std::uint64_t
 doubleBits(double v)

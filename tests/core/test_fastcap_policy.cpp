@@ -172,7 +172,7 @@ TEST(MapToLadders, ClassMemoisedMappingBitIdenticalToPerCoreWalk)
 {
     const PolicyInputs in = inputs(40.0);
     // Ratio mix a class-collapsed solve emits: heavy duplication, plus
-    // the adversarial values a memoised walk could mishandle — exact
+    // the adversarial values a ladder walk could mishandle — exact
     // ladder entries, midpoints between levels (ties), the f_min
     // clamp, both zero signs, and the 1.0 saturation value.
     const std::vector<double> pool = {
@@ -194,14 +194,12 @@ TEST(MapToLadders, ClassMemoisedMappingBitIdenticalToPerCoreWalk)
             << "core " << i << " ratio " << sol.coreRatios[i];
 }
 
-// The bit-identity obligation behind the unordered_map waiver in
-// mapToLadders (fastcap-lint: order-insensitive): the memo is keyed
-// on exact ratio bits and never iterated, so permuting the order the
-// ratios arrive in — which permutes the map's insertion order and,
-// with it, its bucket layout — must map every ratio value to the
-// same ladder index. If iteration order ever leaked into the result
-// (or a value came to depend on which duplicate inserted first),
-// some permutation would disagree.
+// mapToLadders maps each core's ratio on its own: permuting the
+// order the ratios arrive in must map every ratio value, both zero
+// signs included, to the same ladder index. If the mapping of one
+// core ever came to depend on the cores before it (shared state, a
+// cache filled by whichever duplicate came first), some permutation
+// would disagree.
 TEST(MapToLadders, InsertionOrderPermutationBitIdentity)
 {
     const PolicyInputs in = inputs(40.0);

@@ -11,12 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 #include "core/fastcap_policy.hpp"
 #include "core/solver.hpp"
 #include "harness/experiment.hpp"
 #include "policies/registry.hpp"
 #include "util/logging.hpp"
+#include "util/math.hpp"
 #include "util/rng.hpp"
 #include "workload/spec_table.hpp"
 
@@ -110,6 +112,121 @@ TEST(SolverHotPath, DistinctAccessRowsSplitClasses)
     in.accessProbs[2] = {0.9, 0.1};
     FastCapSolver solver(in);
     EXPECT_EQ(solver.numClasses(), 2u);
+}
+
+/**
+ * Class ids by an independent grouping: a std::map over the exact-bit
+ * key (the five model fields, then the access row), ids handed out in
+ * first-occurrence order.
+ */
+std::vector<std::uint32_t>
+referenceClassIds(const PolicyInputs &in)
+{
+    std::map<std::vector<std::uint64_t>, std::uint32_t> ids;
+    std::vector<std::uint32_t> out;
+    for (std::size_t i = 0; i < in.cores.size(); ++i) {
+        const CoreModel &c = in.cores[i];
+        std::vector<std::uint64_t> key = {
+            doubleBits(c.zbar), doubleBits(c.cache), doubleBits(c.pi),
+            doubleBits(c.alpha), doubleBits(c.pStatic)};
+        for (double p : in.accessProbs[i])
+            key.push_back(doubleBits(p));
+        const auto next = static_cast<std::uint32_t>(ids.size());
+        out.push_back(ids.emplace(key, next).first->second);
+    }
+    return out;
+}
+
+/** The solver's class table must group exactly as the reference. */
+void
+expectReferenceClasses(const PolicyInputs &in, std::size_t want_classes)
+{
+    const std::vector<std::uint32_t> want = referenceClassIds(in);
+    FastCapSolver solver(in);
+    ASSERT_EQ(solver.numClasses(), want_classes);
+    for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(solver.classOf(i), want[i]) << "core " << i;
+}
+
+TEST(SolverClassTable, AllDistinctRackShape)
+{
+    // Fitted inputs on a 1024-core machine: every core its own class.
+    const PolicyInputs in = classedInputs(1024, 1024, 41);
+    expectReferenceClasses(in, 1024);
+}
+
+TEST(SolverClassTable, SignedZerosStaySeparate)
+{
+    // Keys are exact bits: +0.0 and -0.0 compare equal as doubles
+    // but must not share a class. All 1024 keys here are equal as
+    // doubles and no two have the same bits: the bits of the core
+    // index pick the sign of the five model fields, all zero, and of
+    // five zeros appended to the access row. Such keys meet in probe
+    // chains, where only the exact-bit comparison keeps them apart.
+    PolicyInputs in = classedInputs(1024, 1, 43);
+    for (std::size_t i = 0; i < in.cores.size(); ++i) {
+        const auto zero = [i](int bit) {
+            return ((i >> bit) & 1) ? -0.0 : 0.0;
+        };
+        CoreModel &c = in.cores[i];
+        c.zbar = zero(0);
+        c.cache = zero(1);
+        c.pi = zero(2);
+        c.alpha = zero(3);
+        c.pStatic = zero(4);
+        for (int bit = 5; bit < 10; ++bit)
+            in.accessProbs[i].push_back(zero(bit));
+    }
+    expectReferenceClasses(in, 1024);
+}
+
+TEST(SolverClassTable, AccessRowsDifferingOnlyAtTheEnd)
+{
+    // All cores share their model fields; only the rows differ. 128
+    // rows differ only in their last entry, 64 only in length (one
+    // row padded with zeros), and each row appears twice, so keys
+    // both collide in the table and recur.
+    PolicyInputs in = classedInputs(384, 1, 47);
+    in.memory.controllers.assign(66, in.memory.controllers[0]);
+    double last = 0.5;
+    for (std::size_t j = 0; j < 128; ++j) {
+        in.accessProbs[j] = {0.25, 0.25, last};
+        in.accessProbs[j + 192] = in.accessProbs[j];
+        last = std::nextafter(last, 1.0);
+    }
+    for (std::size_t j = 0; j < 64; ++j) {
+        in.accessProbs[128 + j] = {0.5, 0.5};
+        in.accessProbs[128 + j].resize(2 + j, 0.0);
+        in.accessProbs[320 + j] = in.accessProbs[128 + j];
+    }
+    expectReferenceClasses(in, 192);
+}
+
+TEST(SolverClassTable, RepeatedKeysInterleavedWithDistinct)
+{
+    // Three keys recur at every even core, each odd core is unique:
+    // recurring keys must find their class past the distinct keys
+    // that collide with them in the table.
+    const PolicyInputs distinct = classedInputs(512, 512, 53);
+    const PolicyInputs repeated = classedInputs(512, 3, 59);
+    PolicyInputs in = distinct;
+    for (std::size_t i = 0; i < in.cores.size(); i += 2)
+        in.cores[i] = repeated.cores[i];
+    expectReferenceClasses(in, 3 + 256);
+}
+
+TEST(SolverClassTable, AllDistinctSolveBitIdenticalToReference)
+{
+    const PolicyInputs in = classedInputs(1024, 1024, 61);
+    FastCapSolver fast(in);
+    SolverOptions ref_opts;
+    ref_opts.referenceImpl = true;
+    FastCapSolver ref(in, ref_opts);
+    const SolveResult a = fast.solve();
+    const SolveResult b = ref.solve();
+    EXPECT_EQ(fast.numClasses(), 1024u);
+    EXPECT_EQ(a.memIndex, b.memIndex);
+    expectBitIdentical(a.best, b.best, "1024 distinct cores");
 }
 
 TEST(SolverHotPath, InnerSolveBitIdenticalToReference)

@@ -1,38 +1,37 @@
-# Golden-file regression runner: execute fastcap_sweep on a committed
-# grid spec and byte-compare the CSV against the committed reference.
+# Golden-file regression runner: execute a CSV-writing CLI
+# (fastcap_sweep, fastcap_cluster) with fixed arguments and
+# byte-compare the CSV it writes against the committed reference.
 #
-#   cmake -DSWEEP=<fastcap_sweep> -DSPEC=<grid.spec>
-#         -DGOLDEN=<reference.csv> -DOUT=<scratch.csv> -DTHREADS=<n>
+#   cmake -DTOOL=<executable> "-DARGS=<arguments>"
+#         -DGOLDEN=<reference.csv> -DOUT=<scratch.csv>
 #         -P run_golden.cmake
 #
-# A mismatch means a change altered simulation results. If that is
-# intentional (a bugfix or a model change), regenerate the reference:
-#   fastcap_sweep --spec <grid.spec> --threads 1 --csv <reference.csv>
-# (plus --scenario "<spec>" when the test passes -DSCENARIO) and call
-# the change out in the PR description.
+# ARGS is one shell-style string (split with separate_arguments
+# UNIX_COMMAND); the runner appends `--csv <OUT>`. Every golden test
+# is declared in tests/CMakeLists.txt through add_golden_test().
 #
-# Optional -DSCENARIO=<scenario spec> adds a scenario axis on the
-# command line; used by the trace goldens, whose corpus paths are
-# only known at configure time.
+# A mismatch means a change altered simulation results. If that is
+# intentional (a bugfix or a model change), regenerate the reference
+# by running the same command with `--csv <reference.csv>` — the
+# failure message prints it — and call the change out in the PR
+# description. The outputs do not depend on thread counts, so the
+# printed command regenerates the reference as it stands.
 
-foreach(var SWEEP SPEC GOLDEN OUT THREADS)
+foreach(var TOOL ARGS GOLDEN OUT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "run_golden.cmake: missing -D${var}=...")
   endif()
 endforeach()
 
-set(scenario_args)
-if(DEFINED SCENARIO)
-  set(scenario_args --scenario ${SCENARIO})
-endif()
+separate_arguments(args UNIX_COMMAND "${ARGS}")
 
 execute_process(
-  COMMAND ${SWEEP} --spec ${SPEC} --threads ${THREADS} --csv ${OUT}
-          ${scenario_args}
+  COMMAND ${TOOL} ${args} --csv ${OUT}
   RESULT_VARIABLE rc
+  OUTPUT_QUIET
   ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "fastcap_sweep failed (${rc}): ${err}")
+  message(FATAL_ERROR "${TOOL} failed (${rc}): ${err}")
 endif()
 
 execute_process(
@@ -41,6 +40,7 @@ execute_process(
 if(NOT diff EQUAL 0)
   message(FATAL_ERROR
     "golden CSV mismatch: ${OUT} differs from ${GOLDEN}. If the "
-    "result change is intentional, regenerate the reference (see "
-    "tests/golden/run_golden.cmake) and justify it in the PR.")
+    "result change is intentional, regenerate the reference with\n"
+    "  ${TOOL} ${ARGS} --csv ${GOLDEN}\n"
+    "and justify it in the PR.")
 endif()
