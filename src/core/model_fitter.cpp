@@ -15,8 +15,8 @@ PowerLawTracker::PowerLawTracker(double default_exponent,
     : _defaultExponent(default_exponent), _historyLimit(history),
       _minExponent(min_exponent), _maxExponent(max_exponent)
 {
-    if (history < 2)
-        fatal("PowerLawTracker: history must be >= 2");
+    if (history < 2 || history > 3)
+        fatal("PowerLawTracker: history must be 2 or 3");
     _model.exponent = default_exponent;
 }
 
@@ -42,27 +42,31 @@ PowerLawTracker::observe(double ratio, Watts dyn_power)
         return;
     }
 
-    auto same = std::find_if(_history.begin(), _history.end(),
-                             [&](const Sample &s) {
-                                 return approxEqual(s.ratio, ratio, 1e-6);
-                             });
-    if (same != _history.end()) {
+    std::size_t j = 0;
+    while (j < _count && !approxEqual(at(j).ratio, ratio, 1e-6))
+        ++j;
+    if (j < _count) {
         // Refresh: smooth toward the new measurement so stale samples
         // at the same frequency do not fossilise. Rank-1 moment swap:
         // the old log-power contributions leave, the smoothed ones
         // enter; lx is unchanged.
-        accumulate(*same, -1.0);
-        same->power = 0.5 * same->power + 0.5 * dyn_power;
-        same->ly = std::log(same->power);
-        accumulate(*same, +1.0);
+        Sample &same = at(j);
+        accumulate(same, -1.0);
+        same.power = 0.5 * same.power + 0.5 * dyn_power;
+        same.ly = std::log(same.power);
+        accumulate(same, +1.0);
     } else {
-        Sample s{ratio, dyn_power, std::log(ratio),
-                 std::log(dyn_power)};
+        const Sample s{ratio, dyn_power, std::log(ratio),
+                       std::log(dyn_power)};
+        // Push, then evict: the new sample's moments enter before the
+        // oldest's leave, and the new sample takes the oldest's slot.
         accumulate(s, +1.0);
-        _history.push_back(s);
-        while (_history.size() > _historyLimit) {
-            accumulate(_history.front(), -1.0);
-            _history.pop_front();
+        if (_count < _historyLimit) {
+            at(_count++) = s;
+        } else {
+            accumulate(at(0), -1.0);
+            at(0) = s;
+            _head = (_head + 1) % _historyLimit;
         }
     }
     refit();
@@ -71,13 +75,13 @@ PowerLawTracker::observe(double ratio, Watts dyn_power)
 void
 PowerLawTracker::refit()
 {
-    if (_history.empty())
+    if (_count == 0)
         return;
 
-    if (_history.size() == 1) {
+    if (_count == 1) {
         // Bootstrap: solve Eq. 2 for the scale with the default
         // exponent.
-        const Sample &s = _history.front();
+        const Sample &s = at(0);
         _model.scale = s.power / std::pow(s.ratio, _defaultExponent);
         _model.exponent = _defaultExponent;
         _model.fromFit = false;
@@ -87,7 +91,7 @@ PowerLawTracker::refit()
     // O(1) log-log least squares from the running moments: the same
     // normal equations fitPowerLaw solves, with centered statistics
     // recovered from the raw sums instead of a two-pass sweep.
-    const double n = static_cast<double>(_history.size());
+    const double n = static_cast<double>(_count);
     const double mx = _sumLx / n;
     const double my = _sumLy / n;
     const double sxx = _sumLxx - n * mx * mx;
@@ -97,7 +101,7 @@ PowerLawTracker::refit()
         // history invariant, but rounding is not a proof): fall back
         // to bootstrap on the freshest sample, as the batch fit does
         // for all-equal ratios.
-        const Sample &s = _history.back();
+        const Sample &s = at(_count - 1);
         _model.scale = s.power / std::pow(s.ratio, _defaultExponent);
         _model.exponent = _defaultExponent;
         _model.fromFit = false;
@@ -112,7 +116,7 @@ PowerLawTracker::refit()
     } else {
         // Exponent clamped: re-anchor the scale on the freshest
         // sample so predictions stay close to recent reality.
-        const Sample &s = _history.back();
+        const Sample &s = at(_count - 1);
         _model.scale = s.power / std::pow(s.ratio, _model.exponent);
     }
     _model.fromFit = true;

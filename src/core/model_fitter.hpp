@@ -4,7 +4,7 @@
  *
  * FastCap "keeps data about the last three frequencies it has seen,
  * and periodically recomputes these parameters": per core, the pairs
- * (x = f/f_max, dynamic power) observed at the last few distinct
+ * (x = f/f_max, dynamic power) observed at the last three distinct
  * frequencies are fit to Eq. 2's P_i * x^alpha_i by log-log least
  * squares; the memory subsystem is fit to Eq. 3 the same way.
  *
@@ -16,8 +16,8 @@
 #ifndef FASTCAP_CORE_MODEL_FITTER_HPP
 #define FASTCAP_CORE_MODEL_FITTER_HPP
 
+#include <array>
 #include <cstddef>
-#include <deque>
 #include <vector>
 
 #include "util/units.hpp"
@@ -41,7 +41,8 @@ class PowerLawTracker
   public:
     /**
      * @param default_exponent bootstrap exponent before 2 samples
-     * @param history          distinct frequencies retained (paper: 3)
+     * @param history          distinct frequencies retained, 2 or 3
+     *                         (paper: 3)
      * @param min_exponent     clamp for fit robustness
      * @param max_exponent     clamp for fit robustness
      */
@@ -70,7 +71,7 @@ class PowerLawTracker
     /** Current fitted (or bootstrapped) model. */
     FittedModel model() const { return _model; }
 
-    std::size_t samples() const { return _history.size(); }
+    std::size_t samples() const { return _count; }
 
   private:
     void refit();
@@ -86,11 +87,20 @@ class PowerLawTracker
     /** Add (+1) or remove (-1) a sample's log-log moment terms. */
     void accumulate(const Sample &s, double sign);
 
+    /** The j-th oldest retained sample, j < _count. */
+    Sample &at(std::size_t j)
+    {
+        return _history[(_head + j) % _historyLimit];
+    }
+
     double _defaultExponent = 0.0;
     std::size_t _historyLimit = 0;
     double _minExponent = 0.0;
     double _maxExponent = 0.0;
-    std::deque<Sample> _history;
+    /** Oldest-first ring over slots [0, _historyLimit). */
+    std::array<Sample, 3> _history{};
+    std::size_t _head = 0;
+    std::size_t _count = 0;
     FittedModel _model;
     // Running log-log moments over the history: sum lx, sum ly,
     // sum lx^2, sum lx*ly. History ratios are pairwise distinct (a

@@ -90,7 +90,8 @@ FastCapSolver::buildClasses()
     const std::size_t k = _classRep.size();
     for (std::vector<double> *v :
          {&_classMinT, &_classCache, &_classZbar, &_classPi, &_classAlpha,
-          &_classPStatic, &_classR, &_classRatio, &_classPowTerm})
+          &_classPStatic, &_classFloorTerm, &_classR, &_classRatio,
+          &_classPowTerm})
         v->resize(k);
     for (std::size_t c = 0; c < k; ++c) {
         const std::size_t i = _classRep[c];
@@ -101,6 +102,7 @@ FastCapSolver::buildClasses()
         _classPi[c] = m.pi;
         _classAlpha[c] = m.alpha;
         _classPStatic[c] = m.pStatic;
+        _classFloorTerm[c] = m.pi * std::pow(_minCoreRatio, m.alpha);
     }
 }
 
@@ -192,6 +194,7 @@ FastCapSolver::classResponseTimes(double x_b)
     // access-probability row, so R_i(x_b) is the same arithmetic.
     for (std::size_t c = 0; c < _classRep.size(); ++c)
         _classR[c] = _queuing.responseTime(_classRep[c], x_b);
+    _termsD = std::numeric_limits<double>::quiet_NaN();
 }
 
 double
@@ -215,16 +218,30 @@ FastCapSolver::classTermAt(double d, std::uint32_t c) const
     if (z > _classZbar[c])
         x = std::max(_classZbar[c] / z, _minCoreRatio);
     _classRatio[c] = x;
-    _classPowTerm[c] = _classPi[c] * std::pow(x, _classAlpha[c]);
+    // Saturated classes skip the pow with the same bits: pow(1, y) is
+    // exactly 1 (C99 F.9.4.4), and the floor term is this expression
+    // evaluated once per class.
+    if (x == 1.0)
+        _classPowTerm[c] = _classPi[c];
+    else if (x == _minCoreRatio)
+        _classPowTerm[c] = _classFloorTerm[c];
+    else
+        _classPowTerm[c] = _classPi[c] * std::pow(x, _classAlpha[c]);
 }
 
 void
 FastCapSolver::classTermsAtD(double d) const
 {
-    // The only transcendental work per probe: one pow per class.
+    // The scratch already holds this exact D's terms: the final
+    // ratios at a root that ended on its last probe.
+    if (doubleBits(d) == doubleBits(_termsD) && !std::isnan(d))
+        return;
+    // The only transcendental work per probe: one pow per
+    // unsaturated class.
     for (std::uint32_t c = 0;
          c < static_cast<std::uint32_t>(_classRep.size()); ++c)
         classTermAt(d, c);
+    _termsD = d;
 }
 
 void
@@ -235,6 +252,7 @@ FastCapSolver::classTermsAtDFor(
     // full recompute because both paths run the same classTermAt.
     for (const std::uint32_t c : subset)
         classTermAt(d, c);
+    _termsD = std::numeric_limits<double>::quiet_NaN();
 }
 
 const std::vector<std::uint32_t> &

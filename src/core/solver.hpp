@@ -43,6 +43,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/inputs.hpp"
@@ -294,10 +295,14 @@ class FastCapSolver
     std::vector<double> _classPi;          //!< P_i per class
     std::vector<double> _classAlpha;       //!< alpha per class
     std::vector<double> _classPStatic;     //!< P_static per class
+    std::vector<double> _classFloorTerm;   //!< P_i x_min^alpha per class
     // Per-probe state, reused across solves (no allocation).
     std::vector<double> _classR;           //!< R(x_b) per class
     mutable std::vector<double> _classRatio;   //!< x(D) per class
     mutable std::vector<double> _classPowTerm; //!< P_i x^alpha per class
+    /** D whose terms fill the whole scratch; NaN after R changes or
+     *  a socket subset overwrote part of it. */
+    mutable double _termsD = std::numeric_limits<double>::quiet_NaN();
     /**
      * Socket index -> ascending class ids present in that socket's
      * core range. Built lazily at the first socket probe (after the

@@ -56,6 +56,7 @@ ShardedSystem::ShardedSystem(SimConfig cfg,
     // multiple of k_ctrl. Banks split the same way (floored at one;
     // they model latency, not the bandwidth bottleneck).
     _laneCfgs.reserve(static_cast<std::size_t>(k_ctrl));
+    _laneScale.resize(static_cast<std::size_t>(n));
     for (int c = 0; c < k_ctrl; ++c) {
         // A controller can be lane-less when numControllers exceeds
         // numCores (it then just idles, as on the monolithic engine);
@@ -68,16 +69,14 @@ ShardedSystem::ShardedSystem(SimConfig cfg,
         lane_cfg.banksPerController =
             std::max(1, _cfg.banksPerController / lanes);
         _laneCfgs.push_back(std::move(lane_cfg));
+        // Every lane starts on the fair share of its controller's
+        // bus; redivideBandwidth() retunes these scales at window
+        // barriers.
+        for (int i = c; i < n; i += k_ctrl)
+            _laneScale[static_cast<std::size_t>(i)] =
+                static_cast<double>(lanes);
     }
-    // Every lane starts on the fair share of its controller's bus;
-    // redivideBandwidth() retunes these scales at window barriers.
-    _laneScale.resize(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-        const int c = i % k_ctrl;
-        _laneScale[static_cast<std::size_t>(i)] = std::max(
-            1.0, static_cast<double>(n / k_ctrl +
-                                     (c < n % k_ctrl ? 1 : 0)));
-    }
+    _coreEnergy.resize(static_cast<std::size_t>(n));
 
     _numShards = std::clamp(shards, 1, n);
     _lanes = std::vector<std::optional<Lane>>(static_cast<std::size_t>(n));
@@ -213,18 +212,33 @@ ShardedSystem::maxFrequencies()
 }
 
 void
-ShardedSystem::runShardWindow(int s, Seconds t_end)
+ShardedSystem::runShardWindow(int s, Seconds t_end, WindowStats &stats)
 {
+    const Seconds duration = stats.duration;
     const auto [first, count] = shardRange(s);
     for (int i = first; i < first + count; ++i) {
-        Lane &ln = *_lanes[static_cast<std::size_t>(i)];
+        const auto idx = static_cast<std::size_t>(i);
+        Lane &ln = *_lanes[idx];
         ln.core.resetCounters();
         ln.controller.resetCounters();
         ln.queue.runUntil(t_end);
         ln.core.flushStall(t_end);
         // Fold bank/bus busy time into the counters while still
-        // inside the shard job; the merge below only reads.
+        // inside the shard job; the merge only reads them.
         ln.controller.finalizeWindow();
+        // The lane's own stats, while it is still hot in cache. Each
+        // job writes only its own lanes' slots.
+        CoreWindowStats &cs = stats.cores[idx];
+        cs.counters = ln.core.counters();
+        cs.frequency = ln.core.frequency();
+        cs.freqIndex = ln.core.freqIndex();
+        cs.activity = ln.core.currentActivity();
+        const Joules e = _corePower.windowEnergy(
+            cs.frequency, cs.activity, cs.counters.busyTime,
+            cs.counters.stallTime, duration);
+        cs.totalPower = e / duration;
+        cs.dynamicPower = cs.totalPower - _corePower.staticPower();
+        _coreEnergy[idx] = e;
     }
 }
 
@@ -235,45 +249,33 @@ ShardedSystem::runWindow(Seconds duration)
         fatal("runWindow: non-positive duration");
 
     const Seconds t_end = _now + duration;
-
-    // Fan the shards out; pool.wait() is the window barrier. Shard
-    // jobs touch only their own lanes, so any interleaving yields the
-    // same per-lane counters.
-    if (_pool) {
-        for (int s = 0; s < _numShards; ++s)
-            _pool->submit([this, s, t_end] { runShardWindow(s, t_end); });
-        _pool->wait();
-    } else {
-        for (int s = 0; s < _numShards; ++s)
-            runShardWindow(s, t_end);
-    }
-    _now = t_end;
-
-    // Deterministic merge, all on the calling thread: per-core stats
-    // in core-index order, then logical-controller aggregation in
-    // (controller, ascending core) order.
+    const int n = _cfg.numCores;
     WindowStats stats;
     stats.duration = duration;
     stats.backgroundPower = _cfg.backgroundPower;
+    stats.cores.resize(static_cast<std::size_t>(n));
 
-    const int n = _cfg.numCores;
-    double energy = 0.0;
-    stats.cores.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-        const Lane &ln = lane(i);
-        CoreWindowStats cs;
-        cs.counters = ln.core.counters();
-        cs.frequency = ln.core.frequency();
-        cs.freqIndex = ln.core.freqIndex();
-        cs.activity = ln.core.currentActivity();
-        const Joules e = _corePower.windowEnergy(
-            cs.frequency, cs.activity, cs.counters.busyTime,
-            cs.counters.stallTime, duration);
-        cs.totalPower = e / duration;
-        cs.dynamicPower = cs.totalPower - _corePower.staticPower();
-        energy += e;
-        stats.cores.push_back(cs);
+    // Fan the shards out; pool.wait() is the window barrier. Shard
+    // jobs touch only their own lanes and stats slots, so any
+    // interleaving yields the same per-lane results.
+    if (_pool) {
+        for (int s = 0; s < _numShards; ++s)
+            _pool->submit([this, s, t_end, &stats] {
+                runShardWindow(s, t_end, stats);
+            });
+        _pool->wait();
+    } else {
+        for (int s = 0; s < _numShards; ++s)
+            runShardWindow(s, t_end, stats);
     }
+    _now = t_end;
+
+    // Deterministic merge, all on the calling thread: core energies
+    // summed in core-index order, then logical-controller aggregation
+    // in (controller, ascending core) order.
+    double energy = 0.0;
+    for (const double e : _coreEnergy)
+        energy += e;
 
     const int k_ctrl = _cfg.numControllers;
     const Hertz bus_freq = _cfg.memLadder.at(_memFreqIndex);
@@ -355,24 +357,18 @@ ShardedSystem::redivideBandwidth()
             .add();
     const int n = _cfg.numCores;
     const int k_ctrl = _cfg.numControllers;
-    std::vector<double> demand;
-    std::vector<int> cores;
+    const auto demand = [this](int i) {
+        const ControllerCounters &lc = lane(i).controller.counters();
+        return static_cast<double>(lc.reads + lc.writebacks);
+    };
     for (int c = 0; c < k_ctrl; ++c) {
-        demand.clear();
-        cores.clear();
         double total = 0.0;
-        for (int i = c; i < n; i += k_ctrl) {
-            const ControllerCounters &lc =
-                lane(i).controller.counters();
-            const double d =
-                static_cast<double>(lc.reads + lc.writebacks);
-            demand.push_back(d);
-            cores.push_back(i);
-            total += d;
-        }
-        if (cores.size() < 2)
+        std::size_t count = 0;
+        for (int i = c; i < n; i += k_ctrl, ++count)
+            total += demand(i);
+        if (count < 2)
             continue; // a single lane always owns the whole bus
-        const double lanes = static_cast<double>(cores.size());
+        const double lanes = static_cast<double>(count);
         // Idle controller: fall back to the fair share (also the
         // weight every lane starts from, so an idle first window
         // changes nothing).
@@ -381,19 +377,20 @@ ShardedSystem::redivideBandwidth()
         // positive. Renormalize so the shares sum to 1 — the merged
         // logical-bus occupancy stays bounded by the window.
         double wsum = 0.0;
-        std::vector<double> w(cores.size());
-        for (std::size_t j = 0; j < cores.size(); ++j) {
-            w[j] = total > 0.0
-                ? std::max(demand[j] / total, 0.1 / lanes)
+        _laneWeight.resize(count);
+        for (std::size_t j = 0; j < count; ++j) {
+            const int i = c + static_cast<int>(j) * k_ctrl;
+            _laneWeight[j] = total > 0.0
+                ? std::max(demand(i) / total, 0.1 / lanes)
                 : 1.0 / lanes;
-            wsum += w[j];
+            wsum += _laneWeight[j];
         }
-        for (std::size_t j = 0; j < cores.size(); ++j) {
-            const double share = w[j] / wsum;
-            lane(cores[j]).controller.busBurstCycles(
+        for (std::size_t j = 0; j < count; ++j) {
+            const int i = c + static_cast<int>(j) * k_ctrl;
+            const double share = _laneWeight[j] / wsum;
+            lane(i).controller.busBurstCycles(
                 _cfg.busBurstCycles / share);
-            _laneScale[static_cast<std::size_t>(cores[j])] =
-                1.0 / share;
+            _laneScale[static_cast<std::size_t>(i)] = 1.0 / share;
         }
     }
 }

@@ -43,9 +43,9 @@
  *
  * Determinism contract (enforced by tests/engine/): CSV/JSON output
  * of any experiment on this engine is byte-identical for every shard
- * count and every thread count. Per-core stats are merged in
- * original core-index order on the calling thread; the thread pool
- * only runs shard jobs, never the merge.
+ * count and every thread count. Each shard job fills only its own
+ * lanes' per-core stats; the merge sums their energies in core-index
+ * order on the calling thread, never on the pool.
  */
 
 #ifndef FASTCAP_SIM_ENGINE_SHARDED_SYSTEM_HPP
@@ -141,9 +141,10 @@ class ShardedSystem : public SimBackend
 
     Lane &lane(int core);
     const Lane &lane(int core) const;
-    /** Advance shard s's lanes, one by one, to t_end and finalize
-     *  their window counters. */
-    void runShardWindow(int s, Seconds t_end);
+    /** Advance shard s's lanes, one by one, to t_end, finalize
+     *  their window counters and fill their slots of stats.cores and
+     *  _coreEnergy. */
+    void runShardWindow(int s, Seconds t_end, WindowStats &stats);
     /**
      * Re-divide every logical bus across its lanes from the demand
      * (reads + writebacks) the merged window measured. Runs on the
@@ -173,6 +174,11 @@ class ShardedSystem : public SimBackend
      * scale that was in effect during the window.
      */
     std::vector<double> _laneScale;
+    /** Per-core energy of the last window, written by the lane pass
+     *  and summed in core order by the merge. */
+    std::vector<double> _coreEnergy;
+    /** redivideBandwidth()'s per-controller weight scratch. */
+    std::vector<double> _laneWeight;
 
     /**
      * The lanes, indexed by core id, in one flat array. The optional

@@ -120,6 +120,167 @@ TEST(PowerLawTracker, HistoryBelowTwoIsFatal)
     EXPECT_THROW(PowerLawTracker(2.5, 1), FatalError);
 }
 
+TEST(PowerLawTracker, HistoryAboveCapacityIsFatal)
+{
+    EXPECT_THROW(PowerLawTracker(2.5, 4), FatalError);
+}
+
+/**
+ * The deque-backed tracker the ring replaced, kept verbatim as the
+ * reference: same scan order (oldest to newest, first approxEqual
+ * hit), same moment updates (push, then evict), same refit.
+ */
+class DequeTracker
+{
+  public:
+    DequeTracker(double default_exponent, std::size_t history,
+                 double min_exponent, double max_exponent)
+        : _defaultExponent(default_exponent), _historyLimit(history),
+          _minExponent(min_exponent), _maxExponent(max_exponent)
+    {
+        _model.exponent = default_exponent;
+    }
+
+    void
+    observe(double ratio, Watts dyn_power)
+    {
+        if (ratio <= 0.0 || ratio > 1.0 + 1e-9)
+            return;
+        if (dyn_power <= 0.0)
+            return;
+        auto same = std::find_if(_history.begin(), _history.end(),
+                                 [&](const Sample &s) {
+                                     return approxEqual(s.ratio, ratio,
+                                                        1e-6);
+                                 });
+        if (same != _history.end()) {
+            accumulate(*same, -1.0);
+            same->power = 0.5 * same->power + 0.5 * dyn_power;
+            same->ly = std::log(same->power);
+            accumulate(*same, +1.0);
+        } else {
+            Sample s{ratio, dyn_power, std::log(ratio),
+                     std::log(dyn_power)};
+            accumulate(s, +1.0);
+            _history.push_back(s);
+            while (_history.size() > _historyLimit) {
+                accumulate(_history.front(), -1.0);
+                _history.pop_front();
+            }
+        }
+        refit();
+    }
+
+    FittedModel model() const { return _model; }
+    std::size_t samples() const { return _history.size(); }
+
+  private:
+    struct Sample
+    {
+        double ratio = 0.0;
+        Watts power = 0.0;
+        double lx = 0.0;
+        double ly = 0.0;
+    };
+
+    void
+    accumulate(const Sample &s, double sign)
+    {
+        _sumLx += sign * s.lx;
+        _sumLy += sign * s.ly;
+        _sumLxx += sign * s.lx * s.lx;
+        _sumLxy += sign * s.lx * s.ly;
+    }
+
+    void
+    refit()
+    {
+        if (_history.empty())
+            return;
+        if (_history.size() == 1) {
+            const Sample &s = _history.front();
+            _model.scale = s.power / std::pow(s.ratio, _defaultExponent);
+            _model.exponent = _defaultExponent;
+            _model.fromFit = false;
+            return;
+        }
+        const double n = static_cast<double>(_history.size());
+        const double mx = _sumLx / n;
+        const double my = _sumLy / n;
+        const double sxx = _sumLxx - n * mx * mx;
+        const double sxy = _sumLxy - n * mx * my;
+        if (!(sxx > 0.0)) {
+            const Sample &s = _history.back();
+            _model.scale = s.power / std::pow(s.ratio, _defaultExponent);
+            _model.exponent = _defaultExponent;
+            _model.fromFit = false;
+            return;
+        }
+        const double slope = sxy / sxx;
+        const double intercept = my - slope * mx;
+        _model.exponent = std::clamp(slope, _minExponent, _maxExponent);
+        if (approxEqual(_model.exponent, slope)) {
+            _model.scale = std::exp(intercept);
+        } else {
+            const Sample &s = _history.back();
+            _model.scale = s.power / std::pow(s.ratio, _model.exponent);
+        }
+        _model.fromFit = true;
+    }
+
+    double _defaultExponent;
+    std::size_t _historyLimit;
+    double _minExponent;
+    double _maxExponent;
+    std::deque<Sample> _history;
+    FittedModel _model;
+    double _sumLx = 0.0;
+    double _sumLy = 0.0;
+    double _sumLxx = 0.0;
+    double _sumLxy = 0.0;
+};
+
+TEST(PowerLawTracker, RingMatchesDequeReference)
+{
+    Logger::global().level(LogLevel::Silent);
+    for (const std::size_t history : {std::size_t{2}, std::size_t{3}}) {
+        PowerLawTracker ring(2.5, history, 0.3, 4.0);
+        DequeTracker ref(2.5, history, 0.3, 4.0);
+        Rng rng(0x5eed0000ULL + history);
+        for (int step = 0; step < 12000; ++step) {
+            // A 5-level ladder, so repeats and evictions both happen
+            // often; now and then a non-positive power or a ratio
+            // outside (0, 1].
+            double ratio =
+                (2.0 + 0.5 * static_cast<double>(rng.below(5))) / 4.0;
+            double power = 3.0 * std::pow(ratio, 2.7) *
+                rng.uniform(0.5, 2.0);
+            if (step % 53 == 0)
+                power = -power;
+            else if (step % 61 == 0)
+                power = 0.0;
+            if (step % 67 == 0)
+                ratio = 1.5;
+            else if (step % 71 == 0)
+                ratio = 0.0;
+            ring.observe(ratio, power);
+            ref.observe(ratio, power);
+
+            const FittedModel a = ring.model();
+            const FittedModel b = ref.model();
+            ASSERT_EQ(doubleBits(a.scale), doubleBits(b.scale))
+                << "history " << history << " step " << step;
+            ASSERT_EQ(doubleBits(a.exponent), doubleBits(b.exponent))
+                << "history " << history << " step " << step;
+            ASSERT_EQ(a.fromFit, b.fromFit)
+                << "history " << history << " step " << step;
+            ASSERT_EQ(ring.samples(), ref.samples())
+                << "history " << history << " step " << step;
+        }
+    }
+    Logger::global().level(LogLevel::Warn);
+}
+
 TEST(ModelFitter, TracksAllCoresIndependently)
 {
     ModelFitter f(3);

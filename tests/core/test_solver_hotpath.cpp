@@ -280,6 +280,160 @@ TEST(SolverHotPath, SocketBudgetsBitIdenticalToReference)
     expectBitIdentical(a.best, b.best, "socket solve");
 }
 
+/** EXPECT bit-equality (not just ==) of D, power and every ratio. */
+void
+expectSameBits(const InnerSolution &a, const InnerSolution &b,
+               const std::string &what)
+{
+    EXPECT_EQ(doubleBits(a.d), doubleBits(b.d)) << what;
+    EXPECT_EQ(doubleBits(a.predictedPower), doubleBits(b.predictedPower))
+        << what;
+    ASSERT_EQ(a.coreRatios.size(), b.coreRatios.size()) << what;
+    for (std::size_t i = 0; i < a.coreRatios.size(); ++i)
+        ASSERT_EQ(doubleBits(a.coreRatios[i]), doubleBits(b.coreRatios[i]))
+            << what << " core " << i;
+}
+
+/** Cores at the floor, strictly inside the ladder, and at x = 1. */
+struct RatioMix
+{
+    std::size_t floor = 0;
+    std::size_t interior = 0;
+    std::size_t one = 0;
+};
+
+RatioMix
+ratioMix(const InnerSolution &sol, double min_ratio)
+{
+    RatioMix mix;
+    for (const double x : sol.coreRatios) {
+        if (x == 1.0)
+            ++mix.one;
+        else if (x == min_ratio)
+            ++mix.floor;
+        else
+            ++mix.interior;
+    }
+    return mix;
+}
+
+/**
+ * Every memory level, then the full search, on one optimised and one
+ * reference solver: the saturated-term skip and the same-D reuse must
+ * not move a bit. Returns the mix of every per-level solution.
+ */
+std::vector<RatioMix>
+expectSaturatedBitsMatch(const PolicyInputs &in, SolverOptions opts,
+                         const std::string &what)
+{
+    SolverOptions ref_opts = opts;
+    ref_opts.referenceImpl = true;
+    FastCapSolver fast(in, opts);
+    FastCapSolver ref(in, ref_opts);
+    std::vector<RatioMix> mixes;
+    for (std::size_t m = 0; m < in.memRatios.size(); ++m) {
+        const InnerSolution a = fast.solveAtMemIndex(m);
+        expectSameBits(a, ref.solveAtMemIndex(m),
+                       what + " level " + std::to_string(m));
+        mixes.push_back(ratioMix(a, in.minCoreRatio()));
+    }
+    const SolveResult a = fast.solve();
+    const SolveResult b = ref.solve();
+    EXPECT_EQ(a.memIndex, b.memIndex) << what;
+    expectSameBits(a.best, b.best, what + " solve");
+    return mixes;
+}
+
+TEST(SolverHotPath, SaturatedTermsBitIdenticalToReference)
+{
+    Logger::global().level(LogLevel::Silent);
+
+    // Budget below the floor power: every class pinned at x_min.
+    PolicyInputs in = classedInputs(32, 8, 71);
+    in.budget = in.staticPower() * 1.001;
+    for (const RatioMix &mix :
+         expectSaturatedBitsMatch(in, {}, "all at floor"))
+        EXPECT_EQ(mix.floor, in.cores.size());
+
+    // Ample budget on exactly representable model constants: at the
+    // top memory level D = maxD = 1 and every class sits at x = 1.
+    in = classedInputs(32, 8, 73);
+    for (CoreModel &c : in.cores) {
+        c.zbar = std::ldexp(std::round(std::ldexp(c.zbar, 30)), -30);
+        c.cache = std::ldexp(1.0, -27);
+    }
+    in.memory.controllers[0].q = 1.0;
+    in.memory.controllers[0].u = 1.0;
+    in.memory.controllers[0].sm = std::ldexp(1.0, -25);
+    in.memory.controllers[0].sbBar = std::ldexp(1.0, -29);
+    in.budget *= 100.0;
+    const std::vector<RatioMix> ample =
+        expectSaturatedBitsMatch(in, {}, "all at one");
+    EXPECT_EQ(ample.back().one, in.cores.size());
+    for (const RatioMix &mix : ample)
+        EXPECT_EQ(mix.floor, 0u);
+
+    // A bus-dominated response time and a high frequency floor: at
+    // the low memory levels, memory-bound classes reach x = 1 while
+    // compute-bound ones sit at the floor and the rest in between.
+    in = classedInputs(48, 12, 3);
+    in.memory.controllers[0].sm = 2e-9;
+    in.memory.controllers[0].sbBar = 20e-9;
+    in.coreRatios = {0.6, 0.7, 0.8, 0.9, 1.0};
+    double max_power = in.staticPower() + in.memory.pm;
+    for (const CoreModel &c : in.cores)
+        max_power += c.pi;
+    in.budget = 0.8 * max_power;
+    bool mixed = false;
+    for (const RatioMix &mix :
+         expectSaturatedBitsMatch(in, {}, "floor, interior and one"))
+        mixed = mixed || (mix.floor > 0 && mix.interior > 0 && mix.one > 0);
+    EXPECT_TRUE(mixed) << "no solution mixed all three kinds of class";
+
+    // One-level core ladder: x_min == 1, so the floor and x = 1
+    // branches coincide.
+    in = classedInputs(32, 8, 79);
+    in.coreRatios = {1.0};
+    for (const RatioMix &mix :
+         expectSaturatedBitsMatch(in, {}, "one-level ladder"))
+        EXPECT_EQ(mix.one, in.cores.size());
+
+    // Socket budgets: the socket probes overwrite part of the scratch
+    // between the global root's last probe and the final terms at
+    // that same D (when the global budget binds), or at a socket's D.
+    in = classedInputs(16, 4, 83);
+    for (const double share : {0.3, 0.6}) {
+        SolverOptions opts;
+        opts.socketBudgets = {{0, 8, in.budget * share},
+                              {8, 8, in.budget * (1.2 - share)}};
+        expectSaturatedBitsMatch(in, opts,
+                                 "socket share " + std::to_string(share));
+    }
+
+    // A new x_b must not reuse the scratch: above the ladder top,
+    // maxD pins at 1 (the binding class's R does not depend on x_b),
+    // so an infeasible solve ends at the very D_lo the next solve
+    // probes first, while the other class's ratio there moves with R.
+    in = classedInputs(8, 2, 89);
+    ControllerModel flat = in.memory.controllers[0];
+    flat.u = 0.0;
+    in.memory.controllers.insert(in.memory.controllers.begin(), flat);
+    for (std::size_t i = 0; i < in.cores.size(); ++i)
+        in.accessProbs[i] = i % 2 == 0 ? std::vector<double>{1.0, 0.0}
+                                       : std::vector<double>{0.0, 1.0};
+    in.coreRatios = {1e-6, 1.0};
+    in.budget = in.staticPower() * 1.001;
+    SolverOptions ref_opts;
+    ref_opts.referenceImpl = true;
+    FastCapSolver fast(in);
+    FastCapSolver ref(in, ref_opts);
+    for (const double x_b : {1.0, 1.5, 2.0, 1.25})
+        expectSameBits(fast.solveAtMemRatio(x_b), ref.solveAtMemRatio(x_b),
+                       "x_b " + std::to_string(x_b));
+
+    Logger::global().level(LogLevel::Warn);
+}
+
 TEST(SolverHotPath, WarmStartPicksTheColdLevel)
 {
     // Any hint — right, wrong, or out of range — must leave the

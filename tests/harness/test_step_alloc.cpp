@@ -71,7 +71,7 @@ TEST(StepAllocation, Warm1024CoreStepAllocatesFewTimes)
     const std::uint64_t allocations = g_allocations.load() - before;
 
     EXPECT_EQ(rec.coreFreqIdx.size(), static_cast<std::size_t>(kCores));
-    EXPECT_LT(allocations, 256u)
+    EXPECT_LT(allocations, 160u)
         << "a warm step allocates per core again";
 }
 
