@@ -65,7 +65,7 @@ FastCapPolicy::decide(const PolicyInputs &inputs)
         reg.counter("/solver/evaluations")
             .add(static_cast<std::uint64_t>(res.evaluations));
         reg.counter("/solver/iterations")
-            .add(static_cast<std::uint64_t>(res.best.rootIterations));
+            .add(static_cast<std::uint64_t>(res.rootIterations));
         if (same_budget)
             reg.counter("/solver/warm_hits").add();
         reg.gauge("/solver/classes")

@@ -22,6 +22,13 @@ FastCapSolver::FastCapSolver(const PolicyInputs &inputs,
         fatal("FastCapSolver: empty memory ladder");
     if (_in.budget <= 0.0)
         fatal("FastCapSolver: non-positive budget");
+    for (const SocketBudget &socket : _opts.socketBudgets) {
+        if (socket.numCores == 0 || socket.firstCore > _in.cores.size() ||
+            socket.numCores > _in.cores.size() - socket.firstCore)
+            fatal("FastCapSolver: socket budget range [%zu, %zu) out "
+                  "of bounds", socket.firstCore,
+                  socket.firstCore + socket.numCores);
+    }
 
     _minTurnaround.reserve(_in.cores.size());
     for (std::size_t i = 0; i < _in.cores.size(); ++i)
@@ -359,11 +366,6 @@ FastCapSolver::referenceSolveAtMemRatio(double x_b)
     sol.rootIterations = root.iterations;
     applySaturation(sol, root);
     for (const SocketBudget &socket : _opts.socketBudgets) {
-        if (socket.numCores == 0 ||
-            socket.firstCore + socket.numCores > _in.cores.size())
-            fatal("FastCapSolver: socket budget range [%zu, %zu) out "
-                  "of bounds", socket.firstCore,
-                  socket.firstCore + socket.numCores);
         const auto socket_residual = [&](double d) {
             return socketPowerAtD(socket, d, r_at_xb) - socket.budget;
         };
@@ -410,11 +412,6 @@ FastCapSolver::classSolveAtMemRatio(double x_b)
     applySaturation(sol, root);
     for (std::size_t s = 0; s < _opts.socketBudgets.size(); ++s) {
         const SocketBudget &socket = _opts.socketBudgets[s];
-        if (socket.numCores == 0 ||
-            socket.firstCore + socket.numCores > _in.cores.size())
-            fatal("FastCapSolver: socket budget range [%zu, %zu) out "
-                  "of bounds", socket.firstCore,
-                  socket.firstCore + socket.numCores);
         const auto socket_residual = [&](double d) {
             return classSocketPowerAtD(s, socket, d) - socket.budget;
         };
@@ -446,8 +443,9 @@ void
 FastCapSolver::finishSolution(InnerSolution &sol,
                               const std::vector<Seconds> *r_at_xb) const
 {
-    // Tolerance matches the bisection's, so a solution sitting right
-    // on the budget is not misreported as infeasible.
+    // A 1e-3 relative slack, far above the root solve's 1e-9
+    // residual tolerance, so a solution sitting right on the budget
+    // is not misreported as infeasible.
     sol.budgetFeasible =
         sol.predictedPower <= _in.budget * (1.0 + 1e-3);
     for (std::size_t s = 0; s < _opts.socketBudgets.size(); ++s) {
@@ -501,6 +499,7 @@ FastCapSolver::solve()
         bool first = true;
         for (std::size_t idx = floor_idx; idx < m; ++idx) {
             InnerSolution s = solveAtMemIndex(idx);
+            result.rootIterations += s.rootIterations;
             if (first || s.d > best.d) {
                 first = false;
                 best = std::move(s);
@@ -522,6 +521,7 @@ FastCapSolver::solve()
         if (!have[idx]) {
             memo[idx] = solveAtMemIndex(idx);
             have[idx] = true;
+            result.rootIterations += memo[idx].rootIterations;
         }
         return memo[idx];
     };

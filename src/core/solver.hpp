@@ -16,7 +16,10 @@
  *     z_i(D) = T̄_i / D - c_i - R_i(x_b)        (Eq. 8)
  *
  * and total power strictly increasing in D, so D is found by a
- * monotone root solve in O(N) per evaluation. A binary search over
+ * monotone root solve in O(N) per evaluation. The computed power is
+ * non-decreasing in D up to rounding below the solve's tol_f (every
+ * step but std::pow is correctly rounded, and the sum runs in a fixed
+ * order), which is solveMonotone's contract. A binary search over
  * the M memory levels (Algorithm 1) gives O(N log M) overall.
  *
  * Frequency-ladder clamping: cores whose required ratio falls below
@@ -88,6 +91,9 @@ struct SolveResult
     InnerSolution best;
     std::size_t memIndex = 0;   //!< chosen memory ladder index
     int evaluations = 0;        //!< inner solves performed
+    /** Root-solve residual calls summed over every inner solve the
+     *  search ran (best.rootIterations counts the chosen one only). */
+    int rootIterations = 0;
     /**
      * The bus-utilisation guard found no admissible memory level and
      * clamped the search to the top of the ladder: the solution was
@@ -305,8 +311,8 @@ class FastCapSolver
     mutable double _termsD = std::numeric_limits<double>::quiet_NaN();
     /**
      * Socket index -> ascending class ids present in that socket's
-     * core range. Built lazily at the first socket probe (after the
-     * range checks in the solve loop), so socket residual evaluations
+     * core range. Built lazily at the first socket probe (ranges are
+     * checked at construction), so socket residual evaluations
      * stop paying one pow per class *system-wide*.
      */
     mutable std::vector<std::vector<std::uint32_t>> _socketClasses;

@@ -3,24 +3,107 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/logging.hpp"
-
 namespace fastcap {
 
 namespace {
 
+/** Cap on the secant pre-phase's steps (its probes come on top). */
+constexpr int kMaxSecantSteps = 16;
+
 /**
- * Bisection core operating on already-evaluated endpoint residuals.
- * `res.iterations` must arrive pre-seeded with the evaluations the
- * caller spent producing flo/fhi; the core adds one per midpoint.
- * Identical iterate sequence to the historical bisect(): callers that
- * pre-evaluate endpoints get bit-identical roots, just fewer calls.
+ * solveMonotone's pre-phase: safeguarded secant steps through the
+ * last two evaluated points shrink [a, b] around the root. Only a
+ * value with |f| > 2 tol_f moves a bound, so a bisection midpoint at
+ * or beyond a moved bound has that bound's residual sign and is no
+ * root, by monotonicity up to rounding below tol_f. Adds its calls
+ * to `calls`; returns false if f returned a non-finite value, when
+ * nothing is certified.
  */
-RootResult
-bisectCore(const std::function<double(double)> &f, double lo, double flo,
-           double hi, double fhi, double tol_x, double tol_f,
-           int max_iter, RootResult res)
+bool
+certifyBracket(const std::function<double(double)> &f, double &a,
+               double &fa, double &b, double &fb, double tol_x,
+               double tol_f, int &calls)
 {
+    // Evaluates x and moves a bound to it if the residual allows.
+    const auto probe = [&](double x) {
+        const double fx = f(x);
+        ++calls;
+        if (fx < -2.0 * tol_f) {
+            a = x;
+            fa = fx;
+        } else if (fx > 2.0 * tol_f) {
+            b = x;
+            fb = fx;
+        }
+        return fx;
+    };
+    double x0 = a, f0 = fa, x1 = b, f1 = fb;
+    for (int step = 0; step < kMaxSecantSteps; ++step) {
+        double x = x1 - f1 * (x1 - x0) / (f1 - f0);
+        bool converged = false;
+        if (!(x > a && x < b)) {
+            x = 0.5 * (a + b);
+        } else if (std::abs(x - x1) < 4.0 * tol_x) {
+            // The estimate has converged: one point just past it, on
+            // the far side from x1, closes the bracket around it.
+            x += std::copysign(0.1 * tol_x, x - x1);
+            converged = true;
+            if (!(x > a && x < b))
+                return true;
+        }
+        const double fx = probe(x);
+        if (!std::isfinite(fx))
+            return false;
+        if (std::abs(fx) <= 2.0 * tol_f) {
+            // At the root: points a tenth of tol_x either side of it
+            // bound it instead.
+            for (const double p : {x - 0.1 * tol_x, x + 0.1 * tol_x})
+                if (p > a && p < b && !std::isfinite(probe(p)))
+                    return false;
+            return true;
+        }
+        if (converged)
+            return true;
+        x0 = x1;
+        f0 = f1;
+        x1 = x;
+        f1 = fx;
+    }
+    return true;
+}
+
+} // namespace
+
+RootResult
+solveMonotone(const std::function<double(double)> &f, double lo, double hi,
+              double tol_x, double tol_f, int max_iter)
+{
+    RootResult res;
+    if (lo > hi)
+        std::swap(lo, hi);
+
+    double flo = f(lo);
+    res.iterations = 1;
+    if (flo >= 0.0) {
+        // Even the lowest x overshoots: saturate low. Only flag the
+        // clamp when the residual is genuinely large — an endpoint
+        // sitting on the root within tol_f is a root, not saturation.
+        res.x = lo;
+        res.fx = flo;
+        res.converged = true;
+        res.saturated = std::abs(flo) > tol_f;
+        return res;
+    }
+    double fhi = f(hi);
+    res.iterations = 2;
+    if (fhi <= 0.0) {
+        // Even the highest x undershoots: saturate high.
+        res.x = hi;
+        res.fx = fhi;
+        res.converged = true;
+        res.saturated = std::abs(fhi) > tol_f;
+        return res;
+    }
     if (std::abs(flo) <= tol_f) {
         res.x = lo;
         res.fx = flo;
@@ -33,26 +116,38 @@ bisectCore(const std::function<double(double)> &f, double lo, double flo,
         res.converged = true;
         return res;
     }
-    if (flo * fhi > 0.0) {
-        // No sign change: report the endpoint with the smaller
-        // residual, not converged.
-        if (std::abs(flo) < std::abs(fhi)) {
-            res.x = lo;
-            res.fx = flo;
-        } else {
-            res.x = hi;
-            res.fx = fhi;
-        }
-        return res;
-    }
+
+    // Certified bracket [a, b]: a bisection midpoint at or below a
+    // (at or above b) takes the branch f(a) (f(b)) gives it without
+    // calling f. The endpoints need no margin: no midpoint lies
+    // beyond them, and one equal to them repeats their value. Only
+    // the stand-in's sign and its magnitude above tol_f are read, and
+    // tol_f^2 > 0 keeps flo * fmid clear of underflow, so the replay
+    // below visits the historical midpoints and returns the
+    // historical bits. The final midpoint is always evaluated; a
+    // non-finite value turns skipping off.
+    double a = lo, fa = flo, b = hi, fb = fhi;
+    bool skip = std::isfinite(flo) && std::isfinite(fhi) &&
+                tol_f > 0.0 && tol_f * tol_f > 0.0 && max_iter > 0 &&
+                certifyBracket(f, a, fa, b, fb, tol_x, tol_f,
+                               res.iterations);
 
     double mid = 0.5 * (lo + hi);
     double fmid = flo;
     for (int it = 0; it < max_iter; ++it) {
         mid = 0.5 * (lo + hi);
-        fmid = f(mid);
-        ++res.iterations;
-        if (std::abs(fmid) <= tol_f || (hi - lo) * 0.5 <= tol_x) {
+        const bool narrow = (hi - lo) * 0.5 <= tol_x;
+        const bool last = narrow || it + 1 == max_iter;
+        if (skip && !last && mid <= a) {
+            fmid = fa;
+        } else if (skip && !last && mid >= b) {
+            fmid = fb;
+        } else {
+            fmid = f(mid);
+            ++res.iterations;
+            skip = skip && std::isfinite(fmid);
+        }
+        if (std::abs(fmid) <= tol_f || narrow) {
             res.x = mid;
             res.fx = fmid;
             res.converged = true;
@@ -77,81 +172,7 @@ bisectCore(const std::function<double(double)> &f, double lo, double flo,
         res.x = mid;
         res.fx = fmid;
     }
-    res.converged = false;
     return res;
-}
-
-} // namespace
-
-RootResult
-bisect(const std::function<double(double)> &f, double lo, double hi,
-       double tol_x, double tol_f, int max_iter)
-{
-    RootResult res;
-    if (lo > hi)
-        std::swap(lo, hi);
-
-    const double flo = f(lo);
-    res.iterations = 1;
-    if (std::abs(flo) <= tol_f) {
-        res.x = lo;
-        res.fx = flo;
-        res.converged = true;
-        return res;
-    }
-    const double fhi = f(hi);
-    res.iterations = 2;
-    return bisectCore(f, lo, flo, hi, fhi, tol_x, tol_f, max_iter,
-                      res);
-}
-
-RootResult
-bisectWithEndpoints(const std::function<double(double)> &f,
-                    double lo, double flo, double hi, double fhi,
-                    double tol_x, double tol_f, int max_iter)
-{
-    if (lo > hi)
-        fatal("bisectWithEndpoints: lo (%g) > hi (%g)", lo, hi);
-    return bisectCore(f, lo, flo, hi, fhi, tol_x, tol_f, max_iter,
-                      RootResult{});
-}
-
-RootResult
-solveMonotone(const std::function<double(double)> &f, double lo, double hi,
-              double tol_x, double tol_f, int max_iter)
-{
-    RootResult res;
-    if (lo > hi)
-        std::swap(lo, hi);
-
-    const double flo = f(lo);
-    res.iterations = 1;
-    if (flo >= 0.0) {
-        // Even the lowest x overshoots: saturate low. Only flag the
-        // clamp when the residual is genuinely large — an endpoint
-        // sitting on the root within tol_f is a root, not saturation.
-        res.x = lo;
-        res.fx = flo;
-        res.converged = true;
-        res.saturated = std::abs(flo) > tol_f;
-        return res;
-    }
-    const double fhi = f(hi);
-    res.iterations = 2;
-    if (fhi <= 0.0) {
-        // Even the highest x undershoots: saturate high.
-        res.x = hi;
-        res.fx = fhi;
-        res.converged = true;
-        res.saturated = std::abs(fhi) > tol_f;
-        return res;
-    }
-    // Reuse the endpoint residuals computed above: the bisection sees
-    // the exact values a fresh evaluation would produce (f is
-    // deterministic), so the root is bit-identical to the historical
-    // re-evaluating path while costing two calls less per solve.
-    return bisectCore(f, lo, flo, hi, fhi, tol_x, tol_f, max_iter,
-                      res);
 }
 
 LinearFit

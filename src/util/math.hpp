@@ -1,7 +1,7 @@
 /**
  * @file
  * Numerical routines used by the FastCap solver and power-model
- * fitting: bracketed root finding and least-squares fits.
+ * fitting: monotone root finding and least-squares fits.
  */
 
 #ifndef FASTCAP_UTIL_MATH_HPP
@@ -52,45 +52,21 @@ struct RootResult
 };
 
 /**
- * Find x in [lo, hi] with f(x) = 0 by bisection.
+ * Solve f(x) = 0 for an f on [lo, hi] that is non-decreasing up to
+ * rounding below tol_f, clamping to the endpoints when the root lies
+ * outside the bracket: returns lo if f(lo) >= 0, hi if f(hi) <= 0. A
+ * clamped solve whose endpoint residual exceeds tol_f reports
+ * saturated = true (still converged: the clamp IS the answer for a
+ * monotone f, but it is not a root and callers must not treat the
+ * residual as small).
  *
- * Requires f(lo) and f(hi) to have opposite signs (or either to be
- * within tol of zero). f must be continuous; monotonicity is not
- * required but makes the root unique.
- *
- * @param f        function to solve
- * @param lo       lower bracket
- * @param hi       upper bracket
- * @param tol_x    absolute tolerance on x
- * @param tol_f    absolute tolerance on f(x)
- * @param max_iter iteration cap
- */
-RootResult bisect(const std::function<double(double)> &f,
-                  double lo, double hi,
-                  double tol_x = 1e-12, double tol_f = 1e-9,
-                  int max_iter = 200);
-
-/**
- * bisect() for callers that have already evaluated the bracket
- * endpoints (flo = f(lo), fhi = f(hi)): identical iterate sequence —
- * and therefore a bit-identical root — without re-evaluating them.
- * Requires lo <= hi. The returned `iterations` counts only the
- * midpoint evaluations made here; add your own endpoint cost.
- */
-RootResult bisectWithEndpoints(const std::function<double(double)> &f,
-                               double lo, double flo,
-                               double hi, double fhi,
-                               double tol_x = 1e-12,
-                               double tol_f = 1e-9,
-                               int max_iter = 200);
-
-/**
- * Solve f(x) = 0 for a *monotonically increasing* f on [lo, hi],
- * clamping to the endpoints when the root lies outside the bracket:
- * returns lo if f(lo) > 0, hi if f(hi) < 0. A clamped solve whose
- * endpoint residual exceeds tol_f reports saturated = true (still
- * converged: the clamp IS the answer for a monotone f, but it is not
- * a root and callers must not treat the residual as small).
+ * Otherwise the result is the bisection's: midpoints of [lo, hi]
+ * until |f(mid)| <= tol_f or the half-width is <= tol_x (converged),
+ * or until max_iter midpoints (not converged, last midpoint). A short
+ * secant pre-phase first certifies a bracket around the root, and the
+ * bisection then skips the call at every midpoint outside it, whose
+ * branch is already known; x, fx and the flags keep the same bits,
+ * only `iterations` — the calls actually made — drops.
  *
  * This is the shape of FastCap's inner solve: total power is
  * increasing in the performance factor D, and budgets above/below the

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -145,13 +146,18 @@ TEST(SocketBudgets, OutOfRangeSocketIsFatal)
     const PolicyInputs in = twoSocketInputs(40.0);
     SolverOptions opts;
     opts.socketBudgets = {{3, 4, 10.0}};
-    FastCapSolver solver(in, opts);
-    EXPECT_THROW(solver.solve(), FatalError);
+    EXPECT_THROW(FastCapSolver(in, opts), FatalError)
+        << "ranges are checked once, at construction";
 
     SolverOptions empty_range;
     empty_range.socketBudgets = {{0, 0, 10.0}};
-    FastCapSolver solver2(in, empty_range);
-    EXPECT_THROW(solver2.solve(), FatalError);
+    EXPECT_THROW(FastCapSolver(in, empty_range), FatalError);
+
+    SolverOptions wrapping;
+    wrapping.socketBudgets = {
+        {2, std::numeric_limits<std::size_t>::max(), 10.0}};
+    EXPECT_THROW(FastCapSolver(in, wrapping), FatalError)
+        << "firstCore + numCores must not wrap past the check";
 }
 
 TEST(SocketBudgets, BothSocketsTightMeansMinRules)

@@ -504,6 +504,112 @@ TEST(SolverHotPath, SaturatedHighSurfacesAmpleBudget)
     EXPECT_FALSE(res.best.saturatedLow);
 }
 
+/**
+ * The governor benchmark's input shape: every core's parameters
+ * drawn independently around compute-, balanced- and memory-bound
+ * archetypes (all classes distinct), at a given fraction of the
+ * all-max model power.
+ */
+PolicyInputs
+governorShapedInputs(std::size_t n, double budget_fraction,
+                     std::uint64_t seed)
+{
+    Rng rng(seed);
+    PolicyInputs in;
+    const double archetype[4][2] = {{500e-9, 800e-9},
+                                    {250e-9, 500e-9},
+                                    {80e-9, 200e-9},
+                                    {15e-9, 40e-9}};
+    in.cores.resize(n);
+    for (CoreModel &c : in.cores) {
+        const double *z = archetype[rng.below(4)];
+        c.zbar = rng.uniform(z[0], z[1]);
+        c.cache = rng.uniform(5e-9, 10e-9);
+        c.pi = rng.uniform(1.2, 3.5);
+        c.alpha = rng.uniform(2.3, 3.1);
+        c.pStatic = rng.uniform(0.4, 0.6);
+        c.ipa = rng.uniform(100.0, 2500.0);
+    }
+    ControllerModel ctl;
+    ctl.q = rng.uniform(1.2, 1.8);
+    ctl.u = rng.uniform(1.5, 2.2);
+    ctl.sm = 33e-9;
+    ctl.sbBar = 1.875e-9;
+    in.memory.controllers = {ctl};
+    in.memory.pm = 8.0 + 0.25 * static_cast<double>(n);
+    in.memory.beta = 1.1;
+    in.memory.pStatic = 12.0;
+    in.accessProbs.assign(n, {1.0});
+    for (int i = 0; i < 10; ++i) {
+        const double x = i / 9.0;
+        in.coreRatios.push_back(0.55 + 0.45 * x);
+        in.memRatios.push_back(0.2575 + 0.7425 * x);
+    }
+    in.background = 10.0;
+
+    double max_power = in.staticPower() + in.memory.pm;
+    for (const CoreModel &c : in.cores)
+        max_power += c.pi;
+    in.budget = budget_fraction * max_power;
+    return in;
+}
+
+TEST(SolverHotPath, BisectingInnerSolveHalvesResidualCalls)
+{
+    // solveMonotone replays the D bisection against a certified
+    // bracket: same root, about half the residual calls. The
+    // optimised and reference paths share it, so only a count can
+    // see the gain go. The historical bisection makes 22 calls per
+    // solve at the solver's tolerances.
+    int solves = 0;
+    int calls = 0;
+    for (const double fraction : {0.4, 0.6, 0.85}) {
+        const PolicyInputs in = governorShapedInputs(1024, fraction, 1);
+        FastCapSolver solver(in);
+        for (std::size_t idx = 0; idx < in.memRatios.size(); ++idx) {
+            const InnerSolution sol = solver.solveAtMemIndex(idx);
+            if (sol.saturatedLow || sol.saturatedHigh)
+                continue;
+            EXPECT_LE(sol.rootIterations, 22)
+                << "budget " << fraction << " level " << idx;
+            ++solves;
+            calls += sol.rootIterations;
+        }
+    }
+    ASSERT_GT(solves, 10);
+    EXPECT_LE(static_cast<double>(calls) / solves, 13.0)
+        << solves << " bisecting inner solves";
+}
+
+TEST(SolverHotPath, RootIterationsSumEveryInnerSolve)
+{
+    // SolveResult::rootIterations (published as /solver/iterations)
+    // counts the residual calls of every inner solve the search ran,
+    // not only the chosen level's.
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        const PolicyInputs in = classedInputs(64, 64, seed);
+        SolverOptions opts;
+        opts.exhaustiveMemSearch = true;
+        FastCapSolver exhaustive(in, opts);
+        const SolveResult res = exhaustive.solve();
+
+        FastCapSolver levels(in);
+        const std::size_t floor_idx =
+            minMemIndexForUtilisation(in, opts.maxBusUtilisation);
+        int sum = 0;
+        for (std::size_t idx = floor_idx; idx < in.memRatios.size(); ++idx)
+            sum += levels.solveAtMemIndex(idx).rootIterations;
+        EXPECT_EQ(res.rootIterations, sum) << "seed " << seed;
+        EXPECT_GT(res.rootIterations, res.best.rootIterations);
+
+        // The binary search runs a subset of those inner solves.
+        FastCapSolver search(in);
+        const SolveResult probed = search.solve();
+        EXPECT_LE(probed.rootIterations, sum) << "seed " << seed;
+        EXPECT_GT(probed.rootIterations, probed.best.rootIterations);
+    }
+}
+
 TEST(SolverHotPath, RegistryPassesSolverOptionsThrough)
 {
     const PolicyInputs in = classedInputs(8, 2, 9);

@@ -1,46 +1,55 @@
 /**
  * @file
  * Tests for root finding and least-squares fitting — the numeric
- * engines behind the FastCap inner solve and the online model fitter.
+ * engines behind the FastCap inner solve and the online model fitter —
+ * including the oracle holding solveMonotone's certified bisection
+ * replay to the historical bisection's bits.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <functional>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/math.hpp"
+#include "util/rng.hpp"
 
 namespace fastcap {
 namespace {
 
-TEST(Bisect, FindsSimpleRoot)
+TEST(SolveMonotone, FindsSimpleRoot)
 {
     const auto f = [](double x) { return x * x - 4.0; };
-    const RootResult r = bisect(f, 0.0, 10.0);
+    const RootResult r = solveMonotone(f, 0.0, 10.0);
     EXPECT_TRUE(r.converged);
     EXPECT_NEAR(r.x, 2.0, 1e-9);
 }
 
-TEST(Bisect, AcceptsRootAtEndpoint)
+TEST(SolveMonotone, AcceptsRootAtEndpoint)
 {
-    const auto f = [](double x) { return x - 1.0; };
-    const RootResult r = bisect(f, 1.0, 5.0);
-    EXPECT_TRUE(r.converged);
-    EXPECT_NEAR(r.x, 1.0, 1e-9);
+    const auto at_lo = [](double x) { return x - 1.0; };
+    const RootResult lo = solveMonotone(at_lo, 1.0, 5.0);
+    EXPECT_TRUE(lo.converged);
+    EXPECT_FALSE(lo.saturated);
+    EXPECT_DOUBLE_EQ(lo.x, 1.0);
+
+    const auto at_hi = [](double x) { return x - 5.0; };
+    const RootResult hi = solveMonotone(at_hi, 1.0, 5.0);
+    EXPECT_TRUE(hi.converged);
+    EXPECT_FALSE(hi.saturated);
+    EXPECT_DOUBLE_EQ(hi.x, 5.0);
 }
 
-TEST(Bisect, ReportsNoSignChange)
-{
-    const auto f = [](double x) { return x * x + 1.0; };
-    const RootResult r = bisect(f, -1.0, 1.0);
-    EXPECT_FALSE(r.converged);
-}
-
-TEST(Bisect, SwapsReversedBracket)
+TEST(SolveMonotone, SwapsReversedBracket)
 {
     const auto f = [](double x) { return x - 3.0; };
-    const RootResult r = bisect(f, 10.0, 0.0);
+    const RootResult r = solveMonotone(f, 10.0, 0.0);
     EXPECT_TRUE(r.converged);
     EXPECT_NEAR(r.x, 3.0, 1e-9);
 }
@@ -70,35 +79,34 @@ TEST(SolveMonotone, FindsInteriorRoot)
     EXPECT_NEAR(r.x, 3.0, 1e-8);
 }
 
-// Regression (ISSUE 4): endpoint convergence used to leave
-// iterations == 0 even though the solve evaluated f, so callers
-// metering cost could not tell a solved bracket from one never run.
-TEST(Bisect, EndpointConvergenceCountsEvaluations)
+// Regression: endpoint convergence used to leave iterations == 0
+// even though the solve evaluated f, so callers metering cost could
+// not tell a solved bracket from one never run.
+TEST(SolveMonotone, EndpointConvergenceCountsEvaluations)
 {
-    const auto at_lo = [](double x) { return x - 1.0; };
-    const RootResult lo = bisect(at_lo, 1.0, 5.0);
+    // Residuals just below zero at lo and just above it at hi, both
+    // within tol_f: roots found after evaluating both endpoints.
+    const auto near_lo = [](double x) { return x - 1.0 - 1e-12; };
+    const RootResult lo = solveMonotone(near_lo, 1.0, 5.0);
     EXPECT_TRUE(lo.converged);
-    EXPECT_EQ(lo.iterations, 1) << "f(lo) was evaluated";
+    EXPECT_DOUBLE_EQ(lo.x, 1.0);
+    EXPECT_EQ(lo.iterations, 2) << "f(lo) and f(hi) were evaluated";
 
-    const auto at_hi = [](double x) { return x - 5.0; };
-    const RootResult hi = bisect(at_hi, 1.0, 5.0);
+    const auto near_hi = [](double x) { return x - 5.0 + 1e-12; };
+    const RootResult hi = solveMonotone(near_hi, 1.0, 5.0);
     EXPECT_TRUE(hi.converged);
-    EXPECT_EQ(hi.iterations, 2) << "f(lo) and f(hi) were evaluated";
-
-    const auto no_sign = [](double x) { return x * x + 1.0; };
-    const RootResult ns = bisect(no_sign, -1.0, 1.0);
-    EXPECT_FALSE(ns.converged);
-    EXPECT_EQ(ns.iterations, 2);
+    EXPECT_DOUBLE_EQ(hi.x, 5.0);
+    EXPECT_EQ(hi.iterations, 2);
 }
 
-TEST(Bisect, InteriorRootCountsAllEvaluations)
+TEST(SolveMonotone, InteriorRootCountsAllEvaluations)
 {
     int calls = 0;
     const auto f = [&calls](double x) {
         ++calls;
-        return x - 3.0;
+        return std::cbrt(x - 3.0);
     };
-    const RootResult r = bisect(f, 0.0, 10.0, 1e-12, 1e-12);
+    const RootResult r = solveMonotone(f, 0.0, 10.0, 1e-12, 1e-12);
     EXPECT_TRUE(r.converged);
     EXPECT_EQ(r.iterations, calls)
         << "iterations must equal the evaluations consumed";
@@ -146,21 +154,6 @@ TEST(SolveMonotone, InteriorRootIsNotSaturated)
     EXPECT_TRUE(r.converged);
     EXPECT_FALSE(r.saturated);
     EXPECT_NEAR(r.x, 4.0, 1e-8);
-}
-
-TEST(BisectWithEndpoints, MatchesBisectBitForBit)
-{
-    const auto f = [](double x) { return std::cos(x) - x; };
-    const double lo = 0.0, hi = 2.0;
-    const RootResult plain = bisect(f, lo, hi, 1e-14, 1e-15);
-    const RootResult seeded = bisectWithEndpoints(
-        f, lo, f(lo), hi, f(hi), 1e-14, 1e-15);
-    EXPECT_EQ(plain.x, seeded.x)
-        << "identical iterate sequence, identical bits";
-    EXPECT_EQ(plain.fx, seeded.fx);
-    EXPECT_EQ(plain.converged, seeded.converged);
-    // Only the endpoint evaluations differ in the accounting.
-    EXPECT_EQ(plain.iterations, seeded.iterations + 2);
 }
 
 TEST(FitLinear, ExactTwoPointFit)
@@ -269,6 +262,453 @@ TEST_P(SolveMonotoneProperty, RootResidualSmall)
 INSTANTIATE_TEST_SUITE_P(Targets, SolveMonotoneProperty,
                          ::testing::Values(0.5, 1.0, 2.0, 5.0, 13.9,
                                            14.0, 100.0));
+
+
+// --- Replay oracle -------------------------------------------------
+// solveMonotone skips the residual call at bisection midpoints its
+// secant pre-phase has certified. It must still return exactly what
+// the plain bisection returned; the reference below is that
+// bisection, kept verbatim.
+
+using Residual = std::function<double(double)>;
+
+RootResult
+historicalBisectCore(const Residual &f, double lo, double flo, double hi,
+                     double fhi, double tol_x, double tol_f,
+                     int max_iter, RootResult res)
+{
+    if (std::abs(flo) <= tol_f) {
+        res.x = lo;
+        res.fx = flo;
+        res.converged = true;
+        return res;
+    }
+    if (std::abs(fhi) <= tol_f) {
+        res.x = hi;
+        res.fx = fhi;
+        res.converged = true;
+        return res;
+    }
+    if (flo * fhi > 0.0) {
+        if (std::abs(flo) < std::abs(fhi)) {
+            res.x = lo;
+            res.fx = flo;
+        } else {
+            res.x = hi;
+            res.fx = fhi;
+        }
+        return res;
+    }
+
+    double mid = 0.5 * (lo + hi);
+    double fmid = flo;
+    for (int it = 0; it < max_iter; ++it) {
+        mid = 0.5 * (lo + hi);
+        fmid = f(mid);
+        ++res.iterations;
+        if (std::abs(fmid) <= tol_f || (hi - lo) * 0.5 <= tol_x) {
+            res.x = mid;
+            res.fx = fmid;
+            res.converged = true;
+            return res;
+        }
+        if (flo * fmid < 0.0) {
+            hi = mid;
+            fhi = fmid;
+        } else {
+            lo = mid;
+            flo = fmid;
+        }
+    }
+    if (max_iter <= 0) {
+        res.x = std::abs(flo) < std::abs(fhi) ? lo : hi;
+        res.fx = std::abs(flo) < std::abs(fhi) ? flo : fhi;
+    } else {
+        res.x = mid;
+        res.fx = fmid;
+    }
+    res.converged = false;
+    return res;
+}
+
+RootResult
+historicalSolveMonotone(const Residual &f, double lo, double hi,
+                        double tol_x, double tol_f, int max_iter)
+{
+    RootResult res;
+    if (lo > hi)
+        std::swap(lo, hi);
+
+    const double flo = f(lo);
+    res.iterations = 1;
+    if (flo >= 0.0) {
+        res.x = lo;
+        res.fx = flo;
+        res.converged = true;
+        res.saturated = std::abs(flo) > tol_f;
+        return res;
+    }
+    const double fhi = f(hi);
+    res.iterations = 2;
+    if (fhi <= 0.0) {
+        res.x = hi;
+        res.fx = fhi;
+        res.converged = true;
+        res.saturated = std::abs(fhi) > tol_f;
+        return res;
+    }
+    return historicalBisectCore(f, lo, flo, hi, fhi, tol_x, tol_f,
+                                max_iter, res);
+}
+
+/** One oracle case: a residual on a bracket, with its tolerances. */
+struct ReplayCase
+{
+    Residual f;
+    double lo = 0.0;
+    double hi = 1.0;
+    double tolX = 1e-12;
+    double tolF = 1e-9;
+    int maxIter = 200;
+};
+
+std::string
+describe(const ReplayCase &c)
+{
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "[%.17g, %.17g] tol_x %.3g tol_f %.3g max_iter %d",
+                  c.lo, c.hi, c.tolX, c.tolF, c.maxIter);
+    return buf;
+}
+
+/** EXPECT the bits of two results (not the call counts) to agree. */
+void
+expectSameBits(const RootResult &got, const RootResult &want,
+               const std::string &what)
+{
+    EXPECT_EQ(doubleBits(got.x), doubleBits(want.x)) << what;
+    EXPECT_EQ(doubleBits(got.fx), doubleBits(want.fx)) << what;
+    EXPECT_EQ(got.converged, want.converged) << what;
+    EXPECT_EQ(got.saturated, want.saturated) << what;
+}
+
+/** Call totals of the two solvers over a set of cases. */
+struct ReplayTally
+{
+    long calls = 0;
+    long historical = 0;
+    int cases = 0;
+    int failures = 0;
+};
+
+/**
+ * Run both solvers on one case and compare: same bits, `iterations`
+ * equal to the calls made, and at most the pre-phase's worst case (16
+ * secant steps and 2 probes) above the historical count.
+ */
+void
+checkReplay(const ReplayCase &c, const std::string &family,
+            ReplayTally &tally)
+{
+    int calls = 0;
+    const Residual counted = [&](double x) {
+        ++calls;
+        return c.f(x);
+    };
+    const RootResult got =
+        solveMonotone(counted, c.lo, c.hi, c.tolX, c.tolF, c.maxIter);
+    const RootResult want = historicalSolveMonotone(
+        c.f, c.lo, c.hi, c.tolX, c.tolF, c.maxIter);
+    ++tally.cases;
+    tally.calls += got.iterations;
+    tally.historical += want.iterations;
+    const bool same = doubleBits(got.x) == doubleBits(want.x) &&
+                      doubleBits(got.fx) == doubleBits(want.fx) &&
+                      got.converged == want.converged &&
+                      got.saturated == want.saturated &&
+                      got.iterations == calls &&
+                      calls <= want.iterations + 18;
+    // Report the first few failures in full; the count says the rest.
+    if (same || ++tally.failures > 5)
+        return;
+    const std::string what = family + " " + describe(c);
+    expectSameBits(got, want, what);
+    EXPECT_EQ(got.iterations, calls) << what;
+    EXPECT_LE(calls, want.iterations + 18) << what;
+}
+
+/** max_iter in {0, ..., 9, 200}; tol_x, tol_f in 1e-14..1e-2. */
+void
+randomTolerances(Rng &rng, ReplayCase &c)
+{
+    const std::uint64_t pick = rng.below(11);
+    c.maxIter = pick == 10 ? 200 : static_cast<int>(pick);
+    c.tolX = std::pow(10.0, rng.uniform(-14.0, -2.0));
+    c.tolF = std::pow(10.0, rng.uniform(-14.0, -2.0));
+}
+
+/**
+ * FastCap's inner residual in D: sum_i P_i clip(z̄_i / (T_i/D - k_i))
+ * ^ alpha_i + S - B, with the frequency floor x_min, the ceiling x = 1
+ * and the solver's pow(1, alpha) shortcut, on [d_hi 1e-4, d_hi]. With
+ * `solver_tolerances` the solve uses the solver's own settings.
+ */
+ReplayCase
+solverShaped(Rng &rng, bool solver_tolerances)
+{
+    const std::size_t n = 1 + rng.below(16);
+    std::vector<double> pi(n), zbar(n), k(n), t(n), alpha(n);
+    const double x_min = rng.uniform(0.3, 0.7);
+    double sum_pi = 0.0;
+    double d_hi = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < n; ++i) {
+        pi[i] = rng.uniform(0.5, 3.5);
+        zbar[i] = rng.uniform(15e-9, 800e-9);
+        k[i] = rng.uniform(5e-9, 60e-9);
+        t[i] = (zbar[i] + k[i]) * rng.uniform(0.9, 1.3);
+        alpha[i] = rng.uniform(2.2, 3.1);
+        sum_pi += pi[i];
+        d_hi = std::min(d_hi, t[i] / (zbar[i] + k[i]));
+    }
+    const double s = rng.uniform(5.0, 20.0);
+    const double b = s + rng.uniform(0.15, 1.1) * sum_pi;
+
+    ReplayCase c;
+    c.f = [=](double d) {
+        double p = s;
+        for (std::size_t i = 0; i < n; ++i) {
+            const double z = t[i] / d - k[i];
+            double x = 1.0;
+            if (z > zbar[i])
+                x = std::max(zbar[i] / z, x_min);
+            p += x == 1.0 ? pi[i] : pi[i] * std::pow(x, alpha[i]);
+        }
+        return p - b;
+    };
+    c.lo = d_hi * 1e-4;
+    c.hi = d_hi;
+    if (solver_tolerances) {
+        c.tolX = d_hi * 1e-6;
+        c.tolF = b * 1e-9;
+        c.maxIter = 200;
+    } else {
+        randomTolerances(rng, c);
+    }
+    return c;
+}
+
+/** A bracket around 0 of random width and offset. */
+void
+randomBracket(Rng &rng, ReplayCase &c)
+{
+    c.lo = rng.uniform(-2.0, 0.0);
+    c.hi = rng.uniform(0.5, 3.0);
+}
+
+/** c (x - r)^3: a root so flat that tol_f covers a wide interval. */
+ReplayCase
+flatCubic(Rng &rng)
+{
+    ReplayCase c;
+    randomBracket(rng, c);
+    const double r = rng.uniform(c.lo, c.hi);
+    const double scale = std::pow(10.0, rng.uniform(-3.0, 3.0));
+    c.f = [=](double x) {
+        const double u = x - r;
+        return scale * (u * u * u);
+    };
+    randomTolerances(rng, c);
+    return c;
+}
+
+/** tanh(k (x - r)) up to k = 1e6: a near-step. */
+ReplayCase
+steepTanh(Rng &rng)
+{
+    ReplayCase c;
+    randomBracket(rng, c);
+    const double r = rng.uniform(c.lo, c.hi);
+    const double k = std::pow(10.0, rng.uniform(1.0, 6.0));
+    c.f = [=](double x) { return std::tanh(k * (x - r)); };
+    randomTolerances(rng, c);
+    return c;
+}
+
+/** A monotone staircase, sometimes with a plateau exactly at 0. */
+ReplayCase
+staircase(Rng &rng)
+{
+    ReplayCase c;
+    randomBracket(rng, c);
+    const std::size_t m = 2 + rng.below(8);
+    std::vector<double> level(m), edge(m - 1);
+    for (double &v : level)
+        v = rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform(-13.0, 0.0));
+    std::sort(level.begin(), level.end());
+    if (rng.below(3) == 0) {
+        // Zeroing the level nearest 0 keeps the staircase sorted.
+        *std::min_element(level.begin(), level.end(),
+                          [](double p, double q) {
+                              return std::abs(p) < std::abs(q);
+                          }) = 0.0;
+    }
+    for (double &e : edge)
+        e = rng.uniform(c.lo, c.hi);
+    std::sort(edge.begin(), edge.end());
+    c.f = [=](double x) {
+        return level[static_cast<std::size_t>(
+            std::upper_bound(edge.begin(), edge.end(), x) -
+            edge.begin())];
+    };
+    randomTolerances(rng, c);
+    return c;
+}
+
+/** s (x - r) with r a bisection midpoint of [0, 2^e]; tol_f 0 or 1e-12. */
+ReplayCase
+dyadicRoot(Rng &rng)
+{
+    ReplayCase c;
+    c.lo = 0.0;
+    c.hi = std::ldexp(1.0, static_cast<int>(rng.below(6)) - 2);
+    const int depth = 1 + static_cast<int>(rng.below(20));
+    const double r = c.hi *
+        std::ldexp(static_cast<double>(2 * rng.below(std::uint64_t{1}
+                                                      << (depth - 1)) + 1),
+                   -depth);
+    const double slope = std::pow(10.0, rng.uniform(-3.0, 3.0));
+    c.f = [=](double x) { return slope * (x - r); };
+    randomTolerances(rng, c);
+    c.tolF = rng.below(2) == 0 ? 0.0 : 1e-12;
+    return c;
+}
+
+/** expm1(k (x - r)): flat left, overflowing to +inf on the right. */
+ReplayCase
+steepExpm1(Rng &rng)
+{
+    ReplayCase c;
+    randomBracket(rng, c);
+    const double r = rng.uniform(c.lo, c.hi);
+    const double k = std::pow(10.0, rng.uniform(0.0, 3.0));
+    c.f = [=](double x) { return std::expm1(k * (x - r)); };
+    randomTolerances(rng, c);
+    return c;
+}
+
+TEST(SolveMonotone, ReplayBitIdenticalToHistoricalBisection)
+{
+    constexpr int kPerFamily = 17000;
+    Rng rng(20261017);
+    ReplayTally solver_at_own_tolerances, bisecting;
+    const auto run = [&](const std::string &family,
+                         const std::function<ReplayCase()> &make) {
+        ReplayTally tally;
+        for (int i = 0; i < kPerFamily; ++i)
+            checkReplay(make(), family, tally);
+        EXPECT_EQ(tally.failures, 0) << family << ": of " << tally.cases;
+    };
+    run("solver-shaped", [&] { return solverShaped(rng, false); });
+    run("flat cubic", [&] { return flatCubic(rng); });
+    run("steep tanh", [&] { return steepTanh(rng); });
+    run("staircase", [&] { return staircase(rng); });
+    run("dyadic root", [&] { return dyadicRoot(rng); });
+    run("steep expm1", [&] { return steepExpm1(rng); });
+
+    // The gain itself, at the settings FastCap's inner solve uses:
+    // over the solves that bisect, at most 0.6x the historical calls.
+    for (int i = 0; i < kPerFamily; ++i) {
+        const ReplayCase c = solverShaped(rng, true);
+        ReplayTally one;
+        checkReplay(c, "solver tolerances", one);
+        solver_at_own_tolerances.failures += one.failures;
+        if (one.historical > 2) {
+            bisecting.cases += 1;
+            bisecting.calls += one.calls;
+            bisecting.historical += one.historical;
+        }
+    }
+    EXPECT_EQ(solver_at_own_tolerances.failures, 0);
+    ASSERT_GT(bisecting.cases, kPerFamily / 4);
+    EXPECT_LE(static_cast<double>(bisecting.calls),
+              0.6 * static_cast<double>(bisecting.historical))
+        << bisecting.cases << " bisecting solves";
+}
+
+TEST(SolveMonotone, ReplayFollowsNanAtAnEvaluatedMidpoint)
+{
+    // A NaN where the replay calls f turns skipping off: from there
+    // the historical loop runs unchanged (flo * NaN < 0 is false, so
+    // every later midpoint moves lo). Inject it at every point the
+    // clean replay evaluates that the bisection also visits.
+    Rng rng(7);
+    int injected = 0;
+    for (int i = 0; i < 40; ++i) {
+        ReplayCase c = i % 2 ? solverShaped(rng, true) : flatCubic(rng);
+        c.maxIter = 200;
+        std::vector<double> evaluated, midpoints;
+        solveMonotone(
+            [&](double x) {
+                evaluated.push_back(x);
+                return c.f(x);
+            },
+            c.lo, c.hi, c.tolX, c.tolF, c.maxIter);
+        historicalSolveMonotone(
+            [&](double x) {
+                midpoints.push_back(x);
+                return c.f(x);
+            },
+            c.lo, c.hi, c.tolX, c.tolF, c.maxIter);
+        if (midpoints.size() <= 2)
+            continue; // clamped at an endpoint: no midpoints
+        for (const double p : evaluated) {
+            if (std::find(midpoints.begin() + 2, midpoints.end(), p) ==
+                midpoints.end())
+                continue;
+            const Residual nan_at_p = [&](double x) {
+                return x == p ? std::numeric_limits<double>::quiet_NaN()
+                              : c.f(x);
+            };
+            int calls = 0;
+            const RootResult got = solveMonotone(
+                [&](double x) {
+                    ++calls;
+                    return nan_at_p(x);
+                },
+                c.lo, c.hi, c.tolX, c.tolF, c.maxIter);
+            const RootResult want = historicalSolveMonotone(
+                nan_at_p, c.lo, c.hi, c.tolX, c.tolF, c.maxIter);
+            expectSameBits(got, want, describe(c));
+            EXPECT_EQ(got.iterations, calls);
+            ++injected;
+        }
+    }
+    EXPECT_GT(injected, 100);
+}
+
+TEST(SolveMonotone, NonFiniteEndpointsRunTheHistoricalLoop)
+{
+    // No certified bracket without finite endpoint residuals: the
+    // loop runs as it always has, call for call.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<Residual> cases = {
+        [&](double x) { return x <= 0.0 ? -inf : x - 0.3; },
+        [&](double x) { return x >= 1.0 ? inf : x - 0.3; },
+        [&](double x) { return x <= 0.0 ? nan : x - 0.3; },
+        [&](double x) { return x >= 1.0 ? nan : x - 0.3; },
+        [&](double x) { return std::expm1(2000.0 * (x - 0.3)); },
+    };
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        const RootResult got =
+            solveMonotone(cases[i], 0.0, 1.0, 1e-12, 1e-9, 200);
+        const RootResult want =
+            historicalSolveMonotone(cases[i], 0.0, 1.0, 1e-12, 1e-9, 200);
+        expectSameBits(got, want, "case " + std::to_string(i));
+        EXPECT_EQ(got.iterations, want.iterations) << "case " << i;
+    }
+}
 
 } // namespace
 } // namespace fastcap
