@@ -137,31 +137,30 @@ BENCHMARK(BM_EpochDecisionWarm)->Arg(64)->Arg(256)->Arg(1024)
 
 /**
  * Telemetry overhead on the hot path: the same steady-state epoch
- * decision with the metrics registry enabled (counters, gauges,
- * registry lookups) vs disabled (one predicted-false branch per
- * write site). The BM_EpochTelemetryReference/BM_EpochTelemetry
- * ratio is what the perf-smoke job gates at 2%: telemetry must stay
- * observationally free, in cost as well as in results.
+ * decision with a metrics registry (counters, gauges, registry
+ * lookups) vs a null one (one predicted-false branch). The
+ * BM_EpochTelemetryReference/BM_EpochTelemetry ratio is what the
+ * perf-smoke job gates at 2%: telemetry must stay observationally
+ * free, in cost as well as in results.
  */
 void
-epochTelemetry(benchmark::State &state, bool telemetry_on)
+epochTelemetry(benchmark::State &state, telemetry::Registry *registry)
 {
     const auto n = static_cast<std::size_t>(state.range(0));
     const PolicyInputs in = benchutil::syntheticInputs(n);
-    FastCapPolicy policy;
+    FastCapPolicy policy(SolverOptions{}, registry);
     (void)policy.decide(in); // prime the warm-start hint
-    telemetry::setEnabled(telemetry_on);
     for (auto _ : state) {
         PolicyDecision dec = policy.decide(in);
         benchmark::DoNotOptimize(dec);
     }
-    telemetry::setEnabled(false);
 }
 
 void
 BM_EpochTelemetry(benchmark::State &state)
 {
-    epochTelemetry(state, true);
+    telemetry::Registry reg;
+    epochTelemetry(state, &reg);
 }
 BENCHMARK(BM_EpochTelemetry)->Arg(64)->Unit(benchmark::kMicrosecond);
 
@@ -169,7 +168,7 @@ BENCHMARK(BM_EpochTelemetry)->Arg(64)->Unit(benchmark::kMicrosecond);
 void
 BM_EpochTelemetryReference(benchmark::State &state)
 {
-    epochTelemetry(state, false);
+    epochTelemetry(state, nullptr);
 }
 BENCHMARK(BM_EpochTelemetryReference)->Arg(64)
     ->Unit(benchmark::kMicrosecond);

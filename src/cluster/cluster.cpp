@@ -116,8 +116,9 @@ Cluster::Cluster(ClusterConfig cfg) : _cfg(std::move(cfg))
         sc.seed = splitmix64(_cfg.seed,
                              static_cast<std::uint64_t>(i));
         ecfg.tracer = _cfg.tracer;
+        ecfg.registry = _cfg.registry;
         ecfg.machineIndex = i;
-        mc->policy = makePolicy(_cfg.policy, _cfg.solver);
+        mc->policy = makePolicy(_cfg.policy, _cfg.solver, _cfg.registry);
         mc->runner = std::make_unique<ExperimentRunner>(
             sc, workloads::mix(_cfg.workload, sc.numCores),
             *mc->policy, ecfg);
@@ -125,7 +126,7 @@ Cluster::Cluster(ClusterConfig cfg) : _cfg(std::move(cfg))
             "queue:m" + std::to_string(i));
         mc->feed = feed.get();
         mc->replayer = std::make_unique<TraceReplayer>(
-            std::move(feed), sc.numCores);
+            std::move(feed), sc.numCores, 0, _cfg.registry);
         mc->peak = _machinePeak;
         // Before the first epoch every machine claims its full peak:
         // no demand has been observed, and an even split is the only
@@ -138,7 +139,7 @@ Cluster::Cluster(ClusterConfig cfg) : _cfg(std::move(cfg))
         _trace = makeTraceSource(_cfg.trace);
 
     _pool = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(_cfg.machineThreads));
+        static_cast<std::size_t>(_cfg.machineThreads), _cfg.registry);
 
     logkv(LogLevel::Inform, "cluster", "init",
           {{"machines", _cfg.machines},
@@ -257,34 +258,28 @@ Cluster::step()
             const std::size_t lost_before = _lost;
             killMachine(mc, f.machine);
             rec.lost += _lost - lost_before;
-            if (telemetry::enabled()) {
-                telemetry::Registry::global()
-                    .counter("/cluster/arbiter/failures")
+            if (_cfg.registry != nullptr)
+                _cfg.registry->counter("/cluster/arbiter/failures")
                     .add();
-                if (_cfg.tracer != nullptr)
-                    _cfg.tracer->track(0, "cluster")
-                        .instant("machine " +
-                                     std::to_string(f.machine) +
-                                     " failed",
-                                 epoch_start);
-            }
+            if (_cfg.tracer != nullptr)
+                _cfg.tracer->track(0, "cluster")
+                    .instant("machine " + std::to_string(f.machine) +
+                                 " failed",
+                             epoch_start);
         }
         if (f.restoreEpoch == _epoch && !mc.alive) {
             mc.alive = true;
             // No observed demand yet: the floor carries it until its
             // first post-restore epoch reports.
             mc.demand = 0.0;
-            if (telemetry::enabled()) {
-                telemetry::Registry::global()
-                    .counter("/cluster/arbiter/restores")
+            if (_cfg.registry != nullptr)
+                _cfg.registry->counter("/cluster/arbiter/restores")
                     .add();
-                if (_cfg.tracer != nullptr)
-                    _cfg.tracer->track(0, "cluster")
-                        .instant("machine " +
-                                     std::to_string(f.machine) +
-                                     " restored",
-                                 epoch_start);
-            }
+            if (_cfg.tracer != nullptr)
+                _cfg.tracer->track(0, "cluster")
+                    .instant("machine " + std::to_string(f.machine) +
+                                 " restored",
+                             epoch_start);
         }
     }
 
@@ -328,8 +323,8 @@ Cluster::step()
     // Arbiter telemetry, on the stepping thread: one redistribution
     // round per epoch, one grant per live machine, per-machine grant
     // gauges (single writer — only this thread touches them).
-    if (telemetry::enabled()) {
-        telemetry::Registry &reg = telemetry::Registry::global();
+    if (_cfg.registry != nullptr) {
+        telemetry::Registry &reg = *_cfg.registry;
         reg.counter("/cluster/arbiter/rounds").add();
         for (std::size_t i = 0; i < m; ++i) {
             reg.gauge("/cluster/arbiter/grant/" + std::to_string(i))
@@ -396,21 +391,18 @@ Cluster::step()
             std::max(recs[i].totalPower, mc.peak * occupancy));
     }
 
-    if (telemetry::enabled()) {
-        telemetry::Registry &reg = telemetry::Registry::global();
-        reg.gauge("/cluster/power").set(rec.totalPower);
-        reg.gauge("/cluster/pending_jobs")
+    if (_cfg.registry != nullptr) {
+        _cfg.registry->gauge("/cluster/power").set(rec.totalPower);
+        _cfg.registry->gauge("/cluster/pending_jobs")
             .set(static_cast<double>(rec.pendingJobs));
-        if (_cfg.tracer != nullptr) {
-            telemetry::TraceTrack &track =
-                _cfg.tracer->track(0, "cluster");
-            track.span("rack epoch", epoch_start,
-                       epoch_start + _cfg.machine.epochLength);
-            track.counterEvent("rack_budget_w", epoch_start,
-                               rec.rackBudget);
-            track.counterEvent("rack_power_w", epoch_start,
-                               rec.totalPower);
-        }
+    }
+    if (_cfg.tracer != nullptr) {
+        telemetry::TraceTrack &track = _cfg.tracer->track(0, "cluster");
+        track.span("rack epoch", epoch_start,
+                   epoch_start + _cfg.machine.epochLength);
+        track.counterEvent("rack_budget_w", epoch_start,
+                           rec.rackBudget);
+        track.counterEvent("rack_power_w", epoch_start, rec.totalPower);
     }
 
     ++_epoch;

@@ -94,6 +94,14 @@ struct ClusterConfig
      * byte. Observe-only — results are identical with or without it.
      */
     telemetry::Tracer *tracer = nullptr;
+    /**
+     * Optional metrics registry shared by the rack (null = off). The
+     * cluster publishes under /cluster on the stepping thread;
+     * machine i publishes its per-core and engine state under
+     * /machine/<i>/, plus the commuting /solver and /trace totals.
+     * Observe-only, like the tracer.
+     */
+    telemetry::Registry *registry = nullptr;
 
     /** fatal() on invalid knobs. */
     void validate() const;

@@ -57,10 +57,10 @@ FastCapPolicy::decide(const PolicyInputs &inputs)
     SolveResult res = solver.solve();
 
     // Observe-only hot-path instrumentation: commuting writes keep
-    // the counters exact under sweep/cluster thread parallelism, and
-    // the enabled() gate keeps the disabled cost to one branch.
-    if (telemetry::enabled()) {
-        telemetry::Registry &reg = telemetry::Registry::global();
+    // the counters exact under cluster thread parallelism, and a null
+    // registry keeps the uninstrumented cost to one branch.
+    if (_registry != nullptr) {
+        telemetry::Registry &reg = *_registry;
         reg.counter("/solver/solves").add();
         reg.counter("/solver/evaluations")
             .add(static_cast<std::uint64_t>(res.evaluations));

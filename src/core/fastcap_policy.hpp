@@ -15,6 +15,10 @@
 
 namespace fastcap {
 
+namespace telemetry {
+class Registry;
+} // namespace telemetry
+
 /**
  * OS-level FastCap governor decision logic.
  *
@@ -27,8 +31,10 @@ namespace fastcap {
 class FastCapPolicy : public CappingPolicy
 {
   public:
-    explicit FastCapPolicy(SolverOptions opts = SolverOptions{})
-        : _opts(opts)
+    /** @param registry where the /solver metrics go (null = off) */
+    explicit FastCapPolicy(SolverOptions opts = SolverOptions{},
+                           telemetry::Registry *registry = nullptr)
+        : _opts(opts), _registry(registry)
     {}
 
     std::string name() const override { return "FastCap"; }
@@ -39,6 +45,7 @@ class FastCapPolicy : public CappingPolicy
 
   private:
     SolverOptions _opts;
+    telemetry::Registry *_registry = nullptr;
     /** Budget of the epoch that produced the warm-start hint. */
     Watts _lastBudget = 0.0;
 };

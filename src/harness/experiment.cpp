@@ -98,9 +98,11 @@ ExperimentRunner::ExperimentRunner(SimConfig sim_cfg,
                                    CappingPolicy &policy,
                                    ExperimentConfig cfg)
     : _simCfg(std::move(sim_cfg)),
-      _system(makeSimBackend(_simCfg, std::move(apps),
-                             EngineConfig{cfg.shards,
-                                          cfg.shardThreads})),
+      _system(makeSimBackend(
+          _simCfg, std::move(apps),
+          EngineConfig{cfg.shards, cfg.shardThreads, cfg.registry,
+                       "/machine/" +
+                           std::to_string(cfg.machineIndex)})),
       _policy(policy), _cfg(std::move(cfg)),
       _fitter(static_cast<std::size_t>(_simCfg.numCores),
               _cfg.linearPowerModel ? 1.0 : 2.5,
@@ -133,7 +135,8 @@ ExperimentRunner::ExperimentRunner(SimConfig sim_cfg,
     // before any simulation time is spent.
     if (!_cfg.scenario.trace.empty())
         _traceReplayer = std::make_unique<TraceReplayer>(
-            makeTraceSource(_cfg.scenario.trace), _simCfg.numCores);
+            makeTraceSource(_cfg.scenario.trace), _simCfg.numCores, 0,
+            _cfg.registry);
 
     if (_cfg.peakPowerOverride > 0.0)
         _peakPower = _cfg.peakPowerOverride;
@@ -475,28 +478,28 @@ ExperimentRunner::step()
 void
 ExperimentRunner::publishTelemetry(const EpochRecord &rec)
 {
-    if (!telemetry::enabled())
-        return;
-    telemetry::Registry &reg = telemetry::Registry::global();
-    if (_coreFreqGauges.empty()) {
-        const std::string prefix =
-            "/machine/" + std::to_string(_cfg.machineIndex);
-        _coreFreqGauges.reserve(rec.coreFreqIdx.size());
+    if (_cfg.registry != nullptr) {
+        if (_coreFreqGauges.empty()) {
+            telemetry::Registry &reg = *_cfg.registry;
+            const std::string prefix =
+                "/machine/" + std::to_string(_cfg.machineIndex);
+            _coreFreqGauges.reserve(rec.coreFreqIdx.size());
+            for (std::size_t i = 0; i < rec.coreFreqIdx.size(); ++i)
+                _coreFreqGauges.push_back(&reg.gauge(
+                    prefix + "/core/" + std::to_string(i) + "/freq"));
+            _powerGauge = &reg.gauge(prefix + "/power");
+            _epochsCounter = &reg.counter(prefix + "/epochs");
+            if (_traceReplayer)
+                _pendingGauge = &reg.gauge(prefix + "/trace/pending");
+        }
         for (std::size_t i = 0; i < rec.coreFreqIdx.size(); ++i)
-            _coreFreqGauges.push_back(&reg.gauge(
-                prefix + "/core/" + std::to_string(i) + "/freq"));
-        _powerGauge = &reg.gauge(prefix + "/power");
-        _epochsCounter = &reg.counter(prefix + "/epochs");
-        if (_traceReplayer)
-            _pendingGauge = &reg.gauge(prefix + "/trace/pending");
+            _coreFreqGauges[i]->set(
+                _simCfg.coreLadder.at(rec.coreFreqIdx[i]));
+        _powerGauge->set(rec.totalPower);
+        _epochsCounter->add();
+        if (_pendingGauge)
+            _pendingGauge->set(static_cast<double>(rec.tracePending));
     }
-    for (std::size_t i = 0; i < rec.coreFreqIdx.size(); ++i)
-        _coreFreqGauges[i]->set(
-            _simCfg.coreLadder.at(rec.coreFreqIdx[i]));
-    _powerGauge->set(rec.totalPower);
-    _epochsCounter->add();
-    if (_pendingGauge)
-        _pendingGauge->set(static_cast<double>(rec.tracePending));
 
     if (_cfg.tracer != nullptr) {
         telemetry::TraceTrack &track = _cfg.tracer->track(
@@ -552,7 +555,7 @@ runWorkload(const std::string &workload,
             const std::string &policy_name, const ExperimentConfig &cfg,
             const SimConfig &sim_cfg)
 {
-    auto policy = makePolicy(policy_name, cfg.solver);
+    auto policy = makePolicy(policy_name, cfg.solver, cfg.registry);
     ExperimentRunner runner(
         sim_cfg, workloads::mix(workload, sim_cfg.numCores), *policy,
         cfg);

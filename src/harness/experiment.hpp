@@ -90,13 +90,20 @@ struct ExperimentConfig
      */
     int shardThreads = 0;
     /**
-     * Optional epoch tracer. When set (and telemetry is enabled),
-     * step() emits profile/exec spans, a solve instant and power
-     * counter events on track `machineIndex + 1` (pid 0 is reserved
-     * for the cluster arbiter track), timestamped in virtual seconds.
-     * Observe-only: results are byte-identical with or without it.
+     * Optional epoch tracer. When set, step() emits profile/exec
+     * spans, a solve instant and power counter events on track
+     * `machineIndex + 1` (pid 0 is reserved for the cluster arbiter
+     * track), timestamped in virtual seconds. Observe-only: results
+     * are byte-identical with or without it.
      */
     telemetry::Tracer *tracer = nullptr;
+    /**
+     * Optional metrics registry (null = off). The run publishes its
+     * per-core and engine state under /machine/<machineIndex>/, and
+     * runWorkload() hands it to the policy and the trace replayer.
+     * Observe-only, like the tracer.
+     */
+    telemetry::Registry *registry = nullptr;
     /**
      * Machine index prefixing this run's metric paths
      * (/machine/<m>/...) and selecting its tracer track. Single
@@ -262,10 +269,10 @@ class ExperimentRunner
     void applyScenario(Seconds now);
     /**
      * Push the finished epoch into the metrics registry and the
-     * tracer, if any. Gated on telemetry::enabled(); a disabled run
-     * pays one branch. Each machine index writes only its own
-     * /machine/<m>/... paths, so plain Gauge::set stays single-writer
-     * even when a cluster steps machines on pool threads.
+     * tracer, each only if set. Each machine index writes only its
+     * own /machine/<m>/... paths, so plain Gauge::set stays
+     * single-writer even when a cluster steps machines on pool
+     * threads.
      */
     void publishTelemetry(const EpochRecord &rec);
 
@@ -287,7 +294,7 @@ class ExperimentRunner
     /**
      * Lazily-resolved metric slots (stable: the registry never moves
      * a metric once created). Avoids per-epoch path building and
-     * registry locking on the telemetry-enabled hot path.
+     * registry locking on the instrumented hot path.
      */
     std::vector<telemetry::Gauge *> _coreFreqGauges;
     telemetry::Gauge *_powerGauge = nullptr;

@@ -17,10 +17,11 @@ makePolicy(const std::string &name)
 }
 
 std::unique_ptr<CappingPolicy>
-makePolicy(const std::string &name, const SolverOptions &opts)
+makePolicy(const std::string &name, const SolverOptions &opts,
+           telemetry::Registry *registry)
 {
     if (name == "FastCap")
-        return std::make_unique<FastCapPolicy>(opts);
+        return std::make_unique<FastCapPolicy>(opts, registry);
     if (name == "CPU-only")
         return std::make_unique<CpuOnlyPolicy>(opts);
     if (name == "Uncapped")

@@ -17,6 +17,10 @@
 
 namespace fastcap {
 
+namespace telemetry {
+class Registry;
+} // namespace telemetry
+
 /** Instantiate a policy by its report name; fatal() if unknown. */
 std::unique_ptr<CappingPolicy> makePolicy(const std::string &name);
 
@@ -24,10 +28,12 @@ std::unique_ptr<CappingPolicy> makePolicy(const std::string &name);
  * As above, configuring the solver-backed policies ("FastCap",
  * "CPU-only") with explicit options — socket budgets, the reference
  * per-core implementation, warm-start behaviour. Policies that do not
- * run the FastCap solver ignore the options.
+ * run the FastCap solver ignore the options. FastCap publishes its
+ * /solver metrics into `registry` when one is given.
  */
-std::unique_ptr<CappingPolicy> makePolicy(const std::string &name,
-                                          const SolverOptions &opts);
+std::unique_ptr<CappingPolicy>
+makePolicy(const std::string &name, const SolverOptions &opts,
+           telemetry::Registry *registry = nullptr);
 
 /** All policy names known to the registry. */
 std::vector<std::string> policyNames();

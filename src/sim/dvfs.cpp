@@ -1,7 +1,6 @@
 #include "sim/dvfs.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/logging.hpp"
 
@@ -48,27 +47,6 @@ FrequencyLadder::memoryDefault()
     for (int i = 0; i < 10; ++i)
         f.push_back(fromMHz(800.0 - 66.0 * i));
     return FrequencyLadder(std::move(f));
-}
-
-std::size_t
-FrequencyLadder::closestIndex(Hertz f) const
-{
-    std::size_t best = 0;
-    double best_d = std::abs(_freqs[0] - f);
-    for (std::size_t i = 1; i < _freqs.size(); ++i) {
-        const double d = std::abs(_freqs[i] - f);
-        if (d <= best_d) {
-            best_d = d;
-            best = i;
-        }
-    }
-    return best;
-}
-
-std::size_t
-FrequencyLadder::closestToRatio(double ratio) const
-{
-    return closestIndex(ratio * max());
 }
 
 std::vector<double>

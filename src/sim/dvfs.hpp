@@ -52,16 +52,6 @@ class FrequencyLadder
     /** Index of the highest level. */
     std::size_t maxIndex() const { return _freqs.size() - 1; }
 
-    /** Index of the frequency closest to `f` (ties go up). */
-    std::size_t closestIndex(Hertz f) const;
-
-    /**
-     * Index of the frequency closest to ratio * max() — the mapping
-     * FastCap applies after solving for normalized think/transfer
-     * times (Algorithm 1, line 16).
-     */
-    std::size_t closestToRatio(double ratio) const;
-
     /** Normalized ratio f_i / f_max for level i. */
     double ratio(std::size_t i) const { return _freqs[i] / max(); }
 

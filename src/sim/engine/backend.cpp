@@ -122,12 +122,11 @@ makeSimBackend(SimConfig cfg, std::vector<AppProfile> apps,
         const int auto_shards = (cfg.numCores + 63) / 64;
         return std::make_unique<ShardedSystem>(
             std::move(cfg), std::move(apps), auto_shards,
-            engine.threads);
+            engine.threads, engine.registry, engine.metricPrefix);
     }
-    return std::make_unique<ShardedSystem>(std::move(cfg),
-                                           std::move(apps),
-                                           engine.shards,
-                                           engine.threads);
+    return std::make_unique<ShardedSystem>(
+        std::move(cfg), std::move(apps), engine.shards, engine.threads,
+        engine.registry, engine.metricPrefix);
 }
 
 } // namespace fastcap

@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/app_profile.hpp"
@@ -33,6 +34,10 @@
 #include "util/units.hpp"
 
 namespace fastcap {
+
+namespace telemetry {
+class Registry;
+} // namespace telemetry
 
 /**
  * Engine selection and execution knobs, orthogonal to the simulated
@@ -59,6 +64,16 @@ struct EngineConfig
      * monolithic engine.
      */
     int threads = 1;
+
+    /**
+     * Registry the sharded engine publishes its window, lane-merge
+     * and per-shard event counts into, under `metricPrefix` +
+     * "/engine/"; null = off. The harness sets both from the run's
+     * registry and machine index, so machines sharing one registry
+     * never write the same path. Observe-only.
+     */
+    telemetry::Registry *registry = nullptr;
+    std::string metricPrefix = "";
 
     /** Core count at or below which `shards = 0` stays monolithic. */
     static constexpr int kAutoMonolithicLimit = 64;

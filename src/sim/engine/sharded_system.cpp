@@ -30,7 +30,9 @@ laneRng(std::uint64_t seed, int core, int stream)
 
 ShardedSystem::ShardedSystem(SimConfig cfg,
                              std::vector<AppProfile> apps, int shards,
-                             int threads)
+                             int threads,
+                             telemetry::Registry *registry,
+                             const std::string &metric_prefix)
     : _cfg(std::move(cfg)),
       _corePower(_cfg.corePower, _cfg.coreVoltage,
                  _cfg.coreLadder.max()),
@@ -100,7 +102,16 @@ ShardedSystem::ShardedSystem(SimConfig cfg,
 
     if (shardWorkers() > 1)
         _pool = std::make_unique<ThreadPool>(
-            static_cast<std::size_t>(shardWorkers()));
+            static_cast<std::size_t>(shardWorkers()), registry);
+
+    if (registry != nullptr) {
+        const std::string prefix = metric_prefix + "/engine/";
+        _windowsMetric = &registry->counter(prefix + "windows");
+        _laneMergesMetric = &registry->counter(prefix + "lane_merges");
+        for (int s = 0; s < _numShards; ++s)
+            _shardEventsMetric.push_back(&registry->gauge(
+                prefix + "shard/" + std::to_string(s) + "/events"));
+    }
 }
 
 ShardedSystem::~ShardedSystem() = default;
@@ -328,17 +339,15 @@ ShardedSystem::runWindow(Seconds duration)
     // counts (summed over the shard's lanes), published on the merge
     // thread after the barrier so each gauge has one writer per
     // window.
-    if (telemetry::enabled()) {
-        telemetry::Registry &reg = telemetry::Registry::global();
-        reg.counter("/engine/windows").add();
+    if (_windowsMetric != nullptr) {
+        _windowsMetric->add();
         for (int s = 0; s < _numShards; ++s) {
             const auto [first, count] = shardRange(s);
             std::uint64_t events = 0;
             for (int i = first; i < first + count; ++i)
                 events += lane(i).queue.processed();
-            reg.gauge("/engine/shard/" + std::to_string(s) +
-                      "/events")
-                .set(static_cast<double>(events));
+            _shardEventsMetric[static_cast<std::size_t>(s)]->set(
+                static_cast<double>(events));
         }
     }
 
@@ -351,10 +360,8 @@ ShardedSystem::runWindow(Seconds duration)
 void
 ShardedSystem::redivideBandwidth()
 {
-    if (telemetry::enabled())
-        telemetry::Registry::global()
-            .counter("/engine/lane_merges")
-            .add();
+    if (_laneMergesMetric != nullptr)
+        _laneMergesMetric->add();
     const int n = _cfg.numCores;
     const int k_ctrl = _cfg.numControllers;
     const auto demand = [this](int i) {

@@ -54,6 +54,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "sim/core.hpp"
@@ -78,9 +79,14 @@ class ShardedSystem : public SimBackend
      * @param shards  shard count, clamped to [1, numCores]
      * @param threads shard workers; 0 = hardware concurrency, 1 =
      *                serial. Output is identical either way.
+     * @param registry observe-only metrics sink (null = off); see
+     *                EngineConfig::registry
+     * @param metric_prefix path prefix of the engine's metrics
      */
     ShardedSystem(SimConfig cfg, std::vector<AppProfile> apps,
-                  int shards, int threads);
+                  int shards, int threads,
+                  telemetry::Registry *registry = nullptr,
+                  const std::string &metric_prefix = "");
     ~ShardedSystem() override;
 
     ShardedSystem(const ShardedSystem &) = delete;
@@ -197,6 +203,10 @@ class ShardedSystem : public SimBackend
     int _threads = 1;
     /** Created only when more than one worker is requested. */
     std::unique_ptr<ThreadPool> _pool;
+    /** Metric handles; null (empty) without a registry. */
+    telemetry::Counter *_windowsMetric = nullptr;
+    telemetry::Counter *_laneMergesMetric = nullptr;
+    std::vector<telemetry::Gauge *> _shardEventsMetric;
 };
 
 } // namespace fastcap

@@ -57,10 +57,4 @@ EventQueue::step()
     return true;
 }
 
-void
-EventQueue::clear()
-{
-    _heap.clear();
-}
-
 } // namespace fastcap

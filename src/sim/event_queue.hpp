@@ -98,9 +98,6 @@ class EventQueue
      */
     bool step();
 
-    /** Drop all pending events (used between experiments). */
-    void clear();
-
   private:
     struct Entry
     {

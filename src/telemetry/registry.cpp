@@ -11,8 +11,6 @@ namespace telemetry {
 
 namespace {
 
-std::atomic<bool> g_enabled{false};
-
 /** `/seg/seg` with non-empty segments; rejects "", "/", "a/b". */
 bool
 validPath(const std::string &path)
@@ -39,28 +37,8 @@ renderDouble(double v)
 
 } // namespace
 
-bool
-enabled()
-{
-    return g_enabled.load(std::memory_order_relaxed);
-}
-
-void
-setEnabled(bool on)
-{
-    g_enabled.store(on, std::memory_order_relaxed);
-}
-
 void
 Gauge::setMax(double v)
-{
-    if (!enabled())
-        return;
-    mergeMax(v);
-}
-
-void
-Gauge::mergeMax(double v)
 {
     double cur = _value.load(std::memory_order_relaxed);
     while (v > cur &&
@@ -84,8 +62,6 @@ Histogram::Histogram(std::vector<double> edges)
 void
 Histogram::observe(double v)
 {
-    if (!enabled())
-        return;
     const auto it =
         std::lower_bound(_edges.begin(), _edges.end(), v);
     const std::size_t idx =
@@ -109,29 +85,6 @@ Histogram::buckets() const
     for (std::size_t i = 0; i < out.size(); ++i)
         out[i] = _counts[i].load(std::memory_order_relaxed);
     return out;
-}
-
-void
-Histogram::reset()
-{
-    for (std::size_t i = 0; i <= _edges.size(); ++i)
-        _counts[i].store(0, std::memory_order_relaxed);
-}
-
-void
-Histogram::mergeBuckets(const std::vector<std::uint64_t> &buckets)
-{
-    if (buckets.size() != _edges.size() + 1)
-        panic("telemetry: histogram merge with mismatched buckets");
-    for (std::size_t i = 0; i < buckets.size(); ++i)
-        _counts[i].fetch_add(buckets[i], std::memory_order_relaxed);
-}
-
-Registry &
-Registry::global()
-{
-    static Registry instance;
-    return instance;
 }
 
 Registry::Metric &
@@ -183,57 +136,6 @@ Registry::histogram(const std::string &path, std::vector<double> edges)
               path.c_str());
     }
     return *m.histogram;
-}
-
-void
-Registry::mergeFrom(const Registry &other)
-{
-    // Render the other side to plain values first so the two lock
-    // scopes never nest (self-merge and lock-order both stay safe).
-    struct Entry
-    {
-        std::string path;
-        std::uint64_t counter = 0;
-        double gauge = 0.0;
-        std::vector<double> edges;
-        std::vector<std::uint64_t> buckets;
-        int kind = 0; // 0 counter, 1 gauge, 2 histogram
-    };
-    std::vector<Entry> entries;
-    {
-        LockGuard lock(other._mu);
-        for (const auto &kv : other._metrics) {
-            Entry e;
-            e.path = kv.first;
-            if (kv.second.counter) {
-                e.kind = 0;
-                e.counter = kv.second.counter->value();
-            } else if (kv.second.gauge) {
-                e.kind = 1;
-                e.gauge = kv.second.gauge->value();
-            } else if (kv.second.histogram) {
-                e.kind = 2;
-                e.edges = kv.second.histogram->edges();
-                e.buckets = kv.second.histogram->buckets();
-            } else {
-                continue;
-            }
-            entries.push_back(std::move(e));
-        }
-    }
-    for (const Entry &e : entries) {
-        switch (e.kind) {
-          case 0:
-            counter(e.path).mergeAdd(e.counter);
-            break;
-          case 1:
-            gauge(e.path).mergeMax(e.gauge);
-            break;
-          default:
-            histogram(e.path, e.edges).mergeBuckets(e.buckets);
-            break;
-        }
-    }
 }
 
 std::vector<std::pair<std::string, std::string>>
@@ -294,20 +196,6 @@ Registry::query(const std::string &path) const
         }
     }
     return out;
-}
-
-void
-Registry::resetAll()
-{
-    LockGuard lock(_mu);
-    for (auto &kv : _metrics) {
-        if (kv.second.counter)
-            kv.second.counter->reset();
-        else if (kv.second.gauge)
-            kv.second.gauge->reset();
-        else if (kv.second.histogram)
-            kv.second.histogram->reset();
-    }
 }
 
 } // namespace telemetry

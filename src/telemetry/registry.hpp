@@ -6,20 +6,23 @@
  * under slash-separated paths (`/solver/solves`,
  * `/machine/3/core/17/freq`); operator-facing surfaces — the CLI
  * `--introspect` dump, the future `--serve` daemon — *read* them
- * back as a sorted path tree, 9front-devproc style. The hard
- * contract is that telemetry can never flow back into results:
+ * back as a sorted path tree, 9front-devproc style. A registry is
+ * handed down like the tracer: components take a `Registry *` at
+ * construction and publish only when it is non-null, so a null
+ * pointer means telemetry is off. The hard contract is that
+ * telemetry can never flow back into results:
  *
- *  - every write method drops the update when telemetry is disabled
- *    (the default), so an un-instrumented and an instrumented run
- *    execute the same result-affecting code;
  *  - reading a metric from a result zone is a lint finding (R8,
- *    `src/telemetry` is a sink zone) — only `enabled()` and the
- *    write surface are callable from result-bearing code;
+ *    `src/telemetry` is a sink zone) — only the write surface is
+ *    callable from result-bearing code;
  *  - cross-thread writes to one shared path must commute: counter
  *    adds and gauge setMax() are order-free, so totals are exact
  *    and deterministic under any interleaving. Plain Gauge::set()
- *    is reserved for single-writer paths (per-machine state written
- *    by that machine's runner between pool barriers).
+ *    is reserved for single-writer paths (per-machine state under
+ *    `/machine/<i>/`, written by that machine's runner between pool
+ *    barriers);
+ *  - wall-clock measurements live under `/wall/`; everything else is
+ *    deterministic and byte-identical across thread counts.
  *
  * Handles returned by counter()/gauge()/histogram() are stable for
  * the registry's lifetime (metrics are never erased); hot paths
@@ -42,12 +45,6 @@
 namespace fastcap {
 namespace telemetry {
 
-/** Process-wide telemetry switch; off by default. */
-bool enabled();
-
-/** Flip the process-wide switch (CLI `--telemetry`, benches). */
-void setEnabled(bool on);
-
 /**
  * Monotonic event count. add() commutes, so concurrent writers on
  * one path still produce an exact, deterministic total.
@@ -58,23 +55,13 @@ class Counter
     void
     add(std::uint64_t n = 1)
     {
-        if (enabled())
-            _value.fetch_add(n, std::memory_order_relaxed);
+        _value.fetch_add(n, std::memory_order_relaxed);
     }
 
     std::uint64_t
     value() const
     {
         return _value.load(std::memory_order_relaxed);
-    }
-
-    void reset() { _value.store(0, std::memory_order_relaxed); }
-
-    /** Registry-merge add: bypasses the enabled() gate. */
-    void
-    mergeAdd(std::uint64_t n)
-    {
-        _value.fetch_add(n, std::memory_order_relaxed);
     }
 
   private:
@@ -88,12 +75,7 @@ class Counter
 class Gauge
 {
   public:
-    void
-    set(double v)
-    {
-        if (enabled())
-            _value.store(v, std::memory_order_relaxed);
-    }
+    void set(double v) { _value.store(v, std::memory_order_relaxed); }
 
     void setMax(double v);
 
@@ -102,11 +84,6 @@ class Gauge
     {
         return _value.load(std::memory_order_relaxed);
     }
-
-    void reset() { _value.store(0.0, std::memory_order_relaxed); }
-
-    /** Registry-merge max: bypasses the enabled() gate. */
-    void mergeMax(double v);
 
   private:
     std::atomic<double> _value{0.0};
@@ -130,11 +107,6 @@ class Histogram
     /** Bucket counts; size edges().size() + 1 (last = overflow). */
     std::vector<std::uint64_t> buckets() const;
 
-    void reset();
-
-    /** Registry-merge bucket sum: bypasses the enabled() gate. */
-    void mergeBuckets(const std::vector<std::uint64_t> &buckets);
-
   private:
     std::vector<double> _edges;
     std::unique_ptr<std::atomic<std::uint64_t>[]> _counts;
@@ -154,9 +126,6 @@ class Registry
     Registry(const Registry &) = delete;
     Registry &operator=(const Registry &) = delete;
 
-    /** The process-wide registry the CLIs expose. */
-    static Registry &global();
-
     /** Find-or-create; panics if the path exists with another kind. */
     Counter &counter(const std::string &path);
     Gauge &gauge(const std::string &path);
@@ -167,15 +136,6 @@ class Registry
     Histogram &histogram(const std::string &path,
                          std::vector<double> edges);
 
-    /**
-     * Fold another registry's metrics into this one, in the other's
-     * path order: counters and histogram buckets sum, gauges take
-     * the max. Folding any permutation of registries yields the
-     * same result — the fixed-order merge contract per-shard and
-     * per-machine instances rely on.
-     */
-    void mergeFrom(const Registry &other);
-
     /** All (path, rendered value) pairs in path order. */
     std::vector<std::pair<std::string, std::string>> snapshot() const;
 
@@ -185,9 +145,6 @@ class Registry
      */
     std::vector<std::pair<std::string, std::string>>
     query(const std::string &path) const;
-
-    /** Zero every registered metric (tests, benches). */
-    void resetAll();
 
   private:
     struct Metric

@@ -15,8 +15,9 @@ constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
 } // namespace
 
 TraceReplayer::TraceReplayer(std::unique_ptr<TraceSource> source,
-                             int num_cores, std::size_t max_pending)
-    : _src(std::move(source)), _numCores(num_cores),
+                             int num_cores, std::size_t max_pending,
+                             telemetry::Registry *registry)
+    : _src(std::move(source)), _registry(registry), _numCores(num_cores),
       _maxPending(max_pending != 0
                       ? max_pending
                       : 4 * static_cast<std::size_t>(
@@ -94,10 +95,8 @@ TraceReplayer::admit(Seconds t, const SwapFn &swap)
         // Load shedding keeps replay memory bounded by the machine,
         // not the trace: overload is recorded, not accumulated.
         ++_stats.dropped;
-        if (telemetry::enabled())
-            telemetry::Registry::global()
-                .counter("/trace/shed")
-                .add();
+        if (_registry != nullptr)
+            _registry->counter("/trace/shed").add();
     } else {
         _backlogCores += _next.cores;
         _pending.push_back(std::move(_next));
@@ -134,10 +133,9 @@ TraceReplayer::drainPending(Seconds t, const SwapFn &swap)
         }
         _running.push(std::move(job));
         ++_stats.placed;
-        if (telemetry::enabled()) {
-            telemetry::Registry &reg = telemetry::Registry::global();
-            reg.counter("/trace/placed").add();
-            reg.gauge("/trace/pending_hwm")
+        if (_registry != nullptr) {
+            _registry->counter("/trace/placed").add();
+            _registry->gauge("/trace/pending_hwm")
                 .setMax(static_cast<double>(_pending.size()));
         }
         _stats.peakRunning = std::max(

@@ -36,6 +36,10 @@
 
 namespace fastcap {
 
+namespace telemetry {
+class Registry;
+} // namespace telemetry
+
 /** Replay counters (cumulative over the run). */
 struct TraceReplayStats
 {
@@ -66,9 +70,11 @@ class TraceReplayer
      * @param num_cores   cores of the driven machine
      * @param max_pending pending-queue bound before shedding
      *                    (0 = 4 * num_cores)
+     * @param registry    where the /trace counters go (null = off)
      */
     TraceReplayer(std::unique_ptr<TraceSource> source, int num_cores,
-                  std::size_t max_pending = 0);
+                  std::size_t max_pending = 0,
+                  telemetry::Registry *registry = nullptr);
 
     /** Apply all departures and arrivals with time <= now. */
     void advanceTo(Seconds now, const SwapFn &swap);
@@ -112,6 +118,7 @@ class TraceReplayer
     void drainPending(Seconds t, const SwapFn &swap);
 
     std::unique_ptr<TraceSource> _src;
+    telemetry::Registry *_registry = nullptr;
     int _numCores = 0;
     std::size_t _maxPending = 0;
     TraceEvent _next;

@@ -235,14 +235,6 @@ fitPowerLaw(const std::vector<double> &xs, const std::vector<double> &ys)
     return fit;
 }
 
-double
-clampSafe(double v, double lo, double hi)
-{
-    if (lo > hi)
-        std::swap(lo, hi);
-    return std::clamp(v, lo, hi);
-}
-
 bool
 approxEqual(double a, double b, double tol)
 {

@@ -116,9 +116,6 @@ struct PowerLawFit
 PowerLawFit fitPowerLaw(const std::vector<double> &xs,
                         const std::vector<double> &ys);
 
-/** Clamp helper mirroring std::clamp but tolerant of lo > hi. */
-double clampSafe(double v, double lo, double hi);
-
 /** True if |a - b| <= tol * max(1, |a|, |b|). */
 bool approxEqual(double a, double b, double tol = 1e-9);
 

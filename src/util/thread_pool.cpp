@@ -28,8 +28,17 @@ ThreadPool::hardwareWorkers()
     return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
-ThreadPool::ThreadPool(std::size_t workers)
+ThreadPool::ThreadPool(std::size_t workers,
+                       telemetry::Registry *registry)
 {
+    if (registry != nullptr) {
+        _tasks = &registry->counter("/wall/pool/tasks");
+        _queueDepthHwm = &registry->gauge("/wall/pool/queue_depth_hwm");
+        _waitUs = &registry->histogram("/wall/pool/wait_us",
+                                       latencyEdgesUs());
+        _runUs = &registry->histogram("/wall/pool/run_us",
+                                      latencyEdgesUs());
+    }
     if (workers == 0)
         workers = hardwareWorkers();
     _workers.reserve(workers);
@@ -54,7 +63,7 @@ ThreadPool::submit(Job job)
     if (!job)
         panic("ThreadPool::submit: empty job");
     double now_s = 0.0;
-    if (telemetry::enabled()) {
+    if (_waitUs != nullptr) {
         // fastcap-lint: wall-clock(pool wait-time telemetry stamp, operator-facing metrics only, never serialized into results)
         now_s = wallSeconds();
     }
@@ -66,10 +75,8 @@ ThreadPool::submit(Job job)
         _jobs.push_back(Task{std::move(job), now_s});
         depth = _jobs.size();
     }
-    if (telemetry::enabled())
-        telemetry::Registry::global()
-            .gauge("/pool/queue_depth_hwm")
-            .setMax(static_cast<double>(depth));
+    if (_queueDepthHwm != nullptr)
+        _queueDepthHwm->setMax(static_cast<double>(depth));
     _wake.notify_one();
 }
 
@@ -103,13 +110,11 @@ ThreadPool::workerLoop() FASTCAP_NO_THREAD_SAFETY_ANALYSIS
         ++_active;
         lock.unlock();
         double run_t0 = 0.0;
-        if (telemetry::enabled()) {
+        if (_waitUs != nullptr) {
             // fastcap-lint: wall-clock(pool latency telemetry, operator-facing metrics only, never serialized into results)
             run_t0 = wallSeconds();
             if (task.enqueued_s > 0.0)
-                telemetry::Registry::global()
-                    .histogram("/pool/wait_us", latencyEdgesUs())
-                    .observe((run_t0 - task.enqueued_s) * 1e6);
+                _waitUs->observe((run_t0 - task.enqueued_s) * 1e6);
         }
         try {
             task.job();
@@ -122,13 +127,10 @@ ThreadPool::workerLoop() FASTCAP_NO_THREAD_SAFETY_ANALYSIS
                 _idle.notify_all();
             continue;
         }
-        if (telemetry::enabled() && run_t0 > 0.0) {
+        if (_runUs != nullptr && run_t0 > 0.0) {
             // fastcap-lint: wall-clock(pool run-time telemetry, operator-facing metrics only, never serialized into results)
-            const double run_t1 = wallSeconds();
-            telemetry::Registry &reg = telemetry::Registry::global();
-            reg.histogram("/pool/run_us", latencyEdgesUs())
-                .observe((run_t1 - run_t0) * 1e6);
-            reg.counter("/pool/tasks").add();
+            _runUs->observe((wallSeconds() - run_t0) * 1e6);
+            _tasks->add();
         }
         lock.lock();
         --_active;

@@ -24,6 +24,13 @@
 
 namespace fastcap {
 
+namespace telemetry {
+class Counter;
+class Gauge;
+class Histogram;
+class Registry;
+} // namespace telemetry
+
 /**
  * A fixed set of worker threads draining a FIFO job queue.
  *
@@ -41,8 +48,13 @@ class ThreadPool
   public:
     using Job = std::function<void()>;
 
-    /** @param workers worker count; 0 means hardwareWorkers(). */
-    explicit ThreadPool(std::size_t workers = 0);
+    /**
+     * @param workers  worker count; 0 means hardwareWorkers().
+     * @param registry where the pool publishes its wall-clock
+     *                 metrics, under /wall/pool; null = off.
+     */
+    explicit ThreadPool(std::size_t workers = 0,
+                        telemetry::Registry *registry = nullptr);
 
     /** Drains remaining jobs, then joins all workers. */
     ~ThreadPool();
@@ -68,8 +80,8 @@ class ThreadPool
   private:
     /**
      * Queue entry. `enqueued_s` is a wall-clock stamp taken only when
-     * telemetry is enabled (0 otherwise); it feeds the /pool/wait_us
-     * histogram and never influences scheduling.
+     * the pool has a registry (0 otherwise); it feeds the
+     * /wall/pool/wait_us histogram and never influences scheduling.
      */
     struct Task
     {
@@ -78,6 +90,12 @@ class ThreadPool
     };
 
     void workerLoop();
+
+    // Wall-clock metric handles, all null without a registry.
+    telemetry::Counter *_tasks = nullptr;
+    telemetry::Gauge *_queueDepthHwm = nullptr;
+    telemetry::Histogram *_waitUs = nullptr;
+    telemetry::Histogram *_runUs = nullptr;
 
     std::vector<std::thread> _workers;
     // _mu guards the queue and the wait() barrier state below; this

@@ -177,16 +177,6 @@ profile(const std::string &name)
 }
 
 std::vector<std::string>
-specNames()
-{
-    std::vector<std::string> names;
-    names.reserve(table().size());
-    for (const auto &kv : table())
-        names.push_back(kv.first);
-    return names;
-}
-
-std::vector<std::string>
 workloadNames()
 {
     std::vector<std::string> names;
@@ -252,18 +242,6 @@ mix(const std::string &workload, int cores)
     for (int i = 0; i < cores; ++i)
         out.push_back(spec(apps[static_cast<std::size_t>(i % 4)]));
     return out;
-}
-
-AppProfile
-powerVirus()
-{
-    Phase p;
-    p.instructions = 10e6;
-    p.cpiExec = 0.9;
-    p.mpki = 0.05;  // nearly no stalls: keeps the core busy
-    p.wpki = 0.01;
-    p.activity = 1.0;
-    return AppProfile("powervirus", p);
 }
 
 } // namespace workloads

@@ -43,9 +43,6 @@ const AppProfile &profile(const std::string &name);
 /** Like profile(), but nullptr instead of fatal() when unknown. */
 const AppProfile *findProfile(const std::string &name);
 
-/** All application names in the table. */
-std::vector<std::string> specNames();
-
 /** The 16 workload names of Table III (ILP1..MIX4). */
 std::vector<std::string> workloadNames();
 
@@ -67,12 +64,6 @@ std::vector<std::string> workloadsOfClass(const std::string &cls);
  * the trace instead of being pinned at t=0.
  */
 std::vector<AppProfile> mix(const std::string &workload, int cores);
-
-/**
- * A deliberately power-hungry profile (max activity, compute-bound)
- * used to measure peak power draw.
- */
-AppProfile powerVirus();
 
 } // namespace workloads
 } // namespace fastcap

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/fastcap_policy.hpp"
 #include "core/solver.hpp"
@@ -150,6 +151,30 @@ TEST(MapToLadders, SnapsToClosestRatios)
     EXPECT_EQ(dec.memFreqIdx, 4u);
     EXPECT_EQ(dec.evaluations, 7);
     EXPECT_DOUBLE_EQ(dec.predictedPower, 42.0);
+}
+
+TEST(MapToLadders, SnapsOutOfRangeRatiosToTheLadderEnds)
+{
+    // Core ladder 2.2..4.0 GHz in 0.2 GHz steps, as ratios of 4 GHz.
+    const PolicyInputs in = inputs(40.0);
+    InnerSolution sol;
+    sol.coreRatios = {4.0 / 4.0, 2.2 / 4.0, 2.29 / 4.0,
+                      2.31 / 4.0, 5.0 / 4.0, 1.0 / 4.0};
+    const PolicyDecision dec = mapToLadders(in, sol, 0, 0);
+    const std::vector<std::size_t> want{9, 0, 0, 1, 9, 0};
+    EXPECT_EQ(dec.coreFreqIdx, want);
+}
+
+TEST(MapToLadders, TiesSnapToTheHigherLevel)
+{
+    // Quarter steps: every midpoint is an exact binary tie.
+    PolicyInputs in = inputs(40.0);
+    in.coreRatios = {0.25, 0.5, 0.75, 1.0};
+    InnerSolution sol;
+    sol.coreRatios = {0.375, 0.625, 0.875, 0.25};
+    const PolicyDecision dec = mapToLadders(in, sol, 0, 0);
+    const std::vector<std::size_t> want{1, 2, 3, 0};
+    EXPECT_EQ(dec.coreFreqIdx, want);
 }
 
 /** The historical per-core ladder walk, as the regression oracle. */

@@ -191,25 +191,26 @@ TEST(ShardedSystem, WindowStatsBitIdenticalAcrossShardsAndThreads)
 TEST(ShardedSystem, ShardEventGaugesSumToEventsProcessed)
 {
     const SimConfig cfg = config(32);
-    telemetry::Registry &reg = telemetry::Registry::global();
-    telemetry::setEnabled(true);
     for (int shards : {1, 4, 32}) {
-        reg.resetAll();
-        ShardedSystem sys(cfg, workloads::mix("MIX2", 32), shards, 1);
+        telemetry::Registry reg;
+        ShardedSystem sys(cfg, workloads::mix("MIX2", 32), shards, 1,
+                          &reg, "/machine/3");
         sys.maxFrequencies();
         for (int w = 0; w < 3; ++w)
             sys.runWindow(cfg.profileWindow);
         double gauge_sum = 0.0;
         for (int s = 0; s < sys.numShards(); ++s)
-            gauge_sum += reg.gauge("/engine/shard/" + std::to_string(s) +
-                                   "/events")
+            gauge_sum += reg.gauge("/machine/3/engine/shard/" +
+                                   std::to_string(s) + "/events")
                              .value();
         EXPECT_GT(sys.eventsProcessed(), 0u);
         EXPECT_EQ(gauge_sum, static_cast<double>(sys.eventsProcessed()))
             << "shards=" << shards;
+        EXPECT_EQ(reg.counter("/machine/3/engine/windows").value(), 3u);
+        // Everything the engine publishes stays under its prefix.
+        EXPECT_EQ(reg.query("/machine/3/engine").size(),
+                  reg.snapshot().size());
     }
-    telemetry::setEnabled(false);
-    reg.resetAll();
 }
 
 TEST(ShardedSystem, SwapAppRebindsAcrossShardBoundaries)

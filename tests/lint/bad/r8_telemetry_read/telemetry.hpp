@@ -1,18 +1,14 @@
 // fastcap-lint corpus (bad unit r8_telemetry_read): a miniature
 // telemetry zone. Defining read accessors here is legal — the sink
-// rule constrains *callers*: result-zone code may write metrics but
-// never read them back (R8 fires in result.cpp).
+// rule constrains *callers*: result-zone code may write metrics into
+// the registry it was handed but never read them back (R8 fires in
+// result.cpp). global() models a process-wide registry, which is off
+// the write surface too.
 // Not compiled; consumed by `fastcap_lint --self-test`.
 // fastcap-lint-zone: src/telemetry/registry.hpp
 
 namespace fastcap {
 namespace telemetry {
-
-inline bool
-enabled()
-{
-    return true;
-}
 
 class Counter
 {
@@ -37,10 +33,21 @@ class Gauge
 class Registry
 {
   public:
-    static Registry &global();
     Counter &counter(const char *path);
     Gauge &gauge(const char *path);
+    unsigned long size() const { return _size; }
+
+  private:
+    unsigned long _size = 0;
 };
+
+extern Registry *g_registry;
+
+inline Registry &
+global()
+{
+    return *g_registry;
+}
 
 } // namespace telemetry
 } // namespace fastcap

@@ -1,17 +1,12 @@
 // fastcap-lint corpus (good unit r8_telemetry_write): the same
-// miniature telemetry zone as the bad unit; see result-zone callers
-// in use.cpp for the sanctioned write-only patterns.
+// miniature telemetry zone as the bad unit, minus the process-wide
+// accessor; see result-zone callers in use.cpp for the sanctioned
+// write-only patterns.
 // Not compiled; consumed by `fastcap_lint --self-test`.
 // fastcap-lint-zone: src/telemetry/registry.hpp
 
 namespace fastcap {
 namespace telemetry {
-
-inline bool
-enabled()
-{
-    return true;
-}
 
 class Counter
 {
@@ -26,7 +21,6 @@ class Counter
 class Registry
 {
   public:
-    static Registry &global();
     Counter &counter(const char *path);
 };
 

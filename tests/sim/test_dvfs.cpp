@@ -44,29 +44,6 @@ TEST(FrequencyLadder, SortsUnorderedInput)
     EXPECT_DOUBLE_EQ(l.at(2), 3e9);
 }
 
-TEST(FrequencyLadder, ClosestIndexSnapsCorrectly)
-{
-    const FrequencyLadder l = FrequencyLadder::coreDefault();
-    EXPECT_EQ(l.closestIndex(fromGHz(4.0)), 9u);
-    EXPECT_EQ(l.closestIndex(fromGHz(2.2)), 0u);
-    EXPECT_EQ(l.closestIndex(fromGHz(2.29)), 0u);
-    EXPECT_EQ(l.closestIndex(fromGHz(2.31)), 1u);
-    EXPECT_EQ(l.closestIndex(fromGHz(5.0)), 9u);
-    EXPECT_EQ(l.closestIndex(fromGHz(1.0)), 0u);
-}
-
-TEST(FrequencyLadder, ClosestToRatioIsLine16Mapping)
-{
-    const FrequencyLadder l = FrequencyLadder::coreDefault();
-    // ratio 1 -> max level; ratio 0.55 -> 2.2/4.0 -> level 0.
-    EXPECT_EQ(l.closestToRatio(1.0), 9u);
-    EXPECT_EQ(l.closestToRatio(0.55), 0u);
-    // Mid ratio lands mid-ladder.
-    const std::size_t mid = l.closestToRatio(0.775);
-    EXPECT_GE(mid, 3u);
-    EXPECT_LE(mid, 6u);
-}
-
 TEST(FrequencyLadder, RatiosAscendAndEndAtOne)
 {
     const FrequencyLadder l = FrequencyLadder::memoryDefault();

@@ -235,17 +235,6 @@ TEST(EventQueue, CallbackStateSurvivesExtraction)
     }
 }
 
-TEST(EventQueue, ClearDropsPending)
-{
-    EventQueue q;
-    Counter c;
-    q.schedule(1e-9, c);
-    q.clear();
-    q.runUntil(1e-6);
-    EXPECT_EQ(c.fired, 0);
-    EXPECT_TRUE(q.empty());
-}
-
 TEST(EventQueue, ProcessedCountsAcrossRuns)
 {
     EventQueue q;

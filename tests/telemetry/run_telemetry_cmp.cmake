@@ -1,6 +1,7 @@
 # Telemetry observe-only gate, process level: the sim and cluster
-# CLIs must print byte-identical result output with and without
-# --telemetry. Catches any instrumentation that leaks back into the
+# CLIs must print byte-identical result output with and without a
+# metrics registry and a tracer attached (--introspect / plus
+# --trace-out). Catches any instrumentation that leaks back into the
 # simulation — including reads the R8 lint heuristic cannot resolve
 # (chained temporaries).
 #
@@ -15,19 +16,32 @@ set(sim_common
 
 foreach(mode off on)
   if(mode STREQUAL "on")
-    set(extra --telemetry)
+    set(extra --introspect / --trace-out ${OUTDIR}/telemetry_sim.json)
   else()
     set(extra)
   endif()
   execute_process(
     COMMAND ${SIM} ${sim_common} ${extra}
     RESULT_VARIABLE rc
-    OUTPUT_FILE ${OUTDIR}/telemetry_sim_${mode}.txt
+    OUTPUT_VARIABLE out
     ERROR_VARIABLE err)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR
       "fastcap_sim (telemetry ${mode}) failed (${rc}):\n${err}")
   endif()
+  if(mode STREQUAL "on")
+    # The instrumented side must really have been instrumented...
+    if(NOT out MATCHES "\n/solver/solves [1-9]")
+      message(FATAL_ERROR
+        "fastcap_sim --introspect / printed no solver metrics:\n${out}")
+    endif()
+    if(NOT EXISTS ${OUTDIR}/telemetry_sim.json)
+      message(FATAL_ERROR "fastcap_sim --trace-out wrote no trace")
+    endif()
+    # ...and only the appended "/..." dump lines may differ.
+    string(REGEX REPLACE "\n/[^\n]*" "" out "${out}")
+  endif()
+  file(WRITE ${OUTDIR}/telemetry_sim_${mode}.txt "${out}")
 endforeach()
 
 execute_process(
@@ -36,11 +50,35 @@ execute_process(
   RESULT_VARIABLE cmp)
 if(NOT cmp EQUAL 0)
   message(FATAL_ERROR
-    "fastcap_sim output differs with --telemetry: the metrics layer "
-    "is perturbing results")
+    "fastcap_sim output differs with --introspect/--trace-out: the "
+    "metrics layer is perturbing results")
 endif()
 
-# Cluster: the telemetry-on side also steps machines in parallel, so
+# --compare's uncapped baseline runs without the registry: the dump
+# describes the capped run alone.
+foreach(mode plain compare)
+  if(mode STREQUAL "compare")
+    set(extra --compare)
+  else()
+    set(extra)
+  endif()
+  execute_process(
+    COMMAND ${SIM} ${sim_common} ${extra} --introspect /machine/0/epochs
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "fastcap_sim (${mode}) failed (${rc}):\n${err}")
+  endif()
+  string(REGEX MATCH "\n/machine/0/epochs [0-9]+" epochs_${mode} "${out}")
+endforeach()
+if(epochs_plain STREQUAL "" OR NOT epochs_plain STREQUAL epochs_compare)
+  message(FATAL_ERROR
+    "fastcap_sim --compare changed the dump: '${epochs_plain}' alone, "
+    "'${epochs_compare}' with the uncapped baseline")
+endif()
+
+# Cluster: the instrumented side also steps machines in parallel, so
 # one comparison covers both the observe-only and the thread
 # determinism contract.
 set(cluster_common
@@ -60,7 +98,8 @@ if(NOT rc EQUAL 0)
 endif()
 
 execute_process(
-  COMMAND ${CLUSTER} ${cluster_common} --machine-threads 4 --telemetry
+  COMMAND ${CLUSTER} ${cluster_common} --machine-threads 4
+    --introspect / --trace-out ${OUTDIR}/telemetry_cluster.json
     --csv ${OUTDIR}/telemetry_cluster_on.csv
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
@@ -68,6 +107,10 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR
     "fastcap_cluster (telemetry on) failed (${rc}):\n${out}\n${err}")
+endif()
+if(NOT out MATCHES "\n/cluster/arbiter/rounds 6")
+  message(FATAL_ERROR
+    "fastcap_cluster --introspect / printed no arbiter metrics:\n${out}")
 endif()
 
 execute_process(
@@ -77,6 +120,6 @@ execute_process(
   RESULT_VARIABLE cmp)
 if(NOT cmp EQUAL 0)
   message(FATAL_ERROR
-    "fastcap_cluster CSV differs with --telemetry: the metrics layer "
-    "is perturbing rack results")
+    "fastcap_cluster CSV differs with --introspect/--trace-out: the "
+    "metrics layer is perturbing rack results")
 endif()

@@ -1,12 +1,15 @@
 /**
  * @file
- * /proc-style introspection: after an instrumented run, the global
- * registry answers the paths the ISSUE's acceptance criteria name —
- * per-core frequency, arbiter grants, solver class counts.
+ * /proc-style introspection: after an instrumented run, the registry
+ * the run was handed answers the paths the CLI dumps — per-core
+ * frequency, engine and pool state, arbiter grants, solver class
+ * counts — and a run without one publishes nothing anywhere.
  */
 
 #include <cstdlib>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -19,11 +22,10 @@ using telemetry::Registry;
 
 namespace {
 
-/** Run a small single-machine experiment against the global registry. */
+/** Run a small single-machine experiment publishing into `reg`. */
 void
-runInstrumentedSim()
+runInstrumentedSim(Registry *reg)
 {
-    telemetry::setEnabled(true);
     ExperimentConfig ecfg;
     ecfg.budgetFraction = 0.6;
     ecfg.targetInstructions = 5e6;
@@ -31,31 +33,40 @@ runInstrumentedSim()
     // (8 cores would otherwise auto-select the monolithic engine).
     ecfg.shards = 2;
     ecfg.shardThreads = 2;
+    ecfg.registry = reg;
     const SimConfig scfg = SimConfig::defaultConfig(8);
     runWorkload("MIX1", "FastCap", ecfg, scfg);
-    telemetry::setEnabled(false);
 }
 
 void
-runInstrumentedCluster()
+runInstrumentedCluster(Registry *reg)
 {
-    telemetry::setEnabled(true);
     ClusterConfig cfg;
     cfg.machines = 2;
     cfg.machine = SimConfig::defaultConfig(8);
     cfg.maxEpochs = 3;
+    cfg.registry = reg;
     Cluster cluster(cfg);
     cluster.run();
-    telemetry::setEnabled(false);
+}
+
+/** The deterministic tree: every metric outside /wall/. */
+std::vector<std::pair<std::string, std::string>>
+deterministicTree(const Registry &reg)
+{
+    std::vector<std::pair<std::string, std::string>> out;
+    for (auto &kv : reg.snapshot())
+        if (kv.first.compare(0, 6, "/wall/") != 0)
+            out.push_back(std::move(kv));
+    return out;
 }
 
 } // namespace
 
 TEST(Introspect, SolverAndMachinePaths)
 {
-    Registry::global().resetAll();
-    runInstrumentedSim();
-    Registry &reg = Registry::global();
+    Registry reg;
+    runInstrumentedSim(&reg);
 
     // Solver subtree: non-empty, with a positive solve count.
     const auto solver = reg.query("/solver");
@@ -73,15 +84,38 @@ TEST(Introspect, SolverAndMachinePaths)
     const auto cores = reg.query("/machine/0/core");
     EXPECT_EQ(cores.size(), 8u);
 
-    // Engine and pool instrumentation fired.
-    EXPECT_FALSE(reg.query("/engine/windows").empty());
+    // Engine instrumentation fired under the machine's prefix, and
+    // the shard pool's wall-clock metrics under /wall/.
+    EXPECT_FALSE(reg.query("/machine/0/engine/windows").empty());
+    EXPECT_EQ(reg.query("/machine/0/engine/shard").size(), 2u);
+    EXPECT_TRUE(reg.query("/engine").empty());
+    EXPECT_FALSE(reg.query("/wall/pool/tasks").empty());
+    EXPECT_TRUE(reg.query("/pool").empty());
+}
+
+TEST(Introspect, RunsPublishOnlyIntoTheirOwnRegistry)
+{
+    // No process-wide state: a run without a registry publishes
+    // nothing anywhere, and two instrumented runs of the same
+    // configuration build the same deterministic tree.
+    Registry first;
+    runInstrumentedSim(&first);
+    const auto tree = deterministicTree(first);
+    ASSERT_FALSE(tree.empty());
+
+    runInstrumentedSim(nullptr);
+    EXPECT_EQ(deterministicTree(first), tree);
+
+    Registry second;
+    runInstrumentedSim(&second);
+    EXPECT_EQ(deterministicTree(second), tree);
+    EXPECT_EQ(deterministicTree(first), tree);
 }
 
 TEST(Introspect, ClusterArbiterPaths)
 {
-    Registry::global().resetAll();
-    runInstrumentedCluster();
-    Registry &reg = Registry::global();
+    Registry reg;
+    runInstrumentedCluster(&reg);
 
     const auto grants = reg.query("/cluster/arbiter/grants");
     ASSERT_EQ(grants.size(), 1u);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Metrics-registry semantics: the enabled() gate, commuting writes,
- * kind/path validation, order-invariant merging, and the query tree.
+ * Metrics-registry semantics: commuting writes, kind/path
+ * validation, and the query tree.
  */
 
 #include <string>
@@ -16,33 +16,8 @@
 using namespace fastcap;
 using telemetry::Registry;
 
-namespace {
-
-/** Flip telemetry on for one test body, restore on exit. */
-struct TelemetryOn
-{
-    TelemetryOn() { telemetry::setEnabled(true); }
-    ~TelemetryOn() { telemetry::setEnabled(false); }
-};
-
-} // namespace
-
-TEST(Registry, DisabledWritesAreDropped)
-{
-    ASSERT_FALSE(telemetry::enabled());
-    Registry reg;
-    reg.counter("/t/c").add(5);
-    reg.gauge("/t/g").set(3.0);
-    reg.gauge("/t/g").setMax(7.0);
-    reg.histogram("/t/h", {1.0, 10.0}).observe(4.0);
-    EXPECT_EQ(reg.counter("/t/c").value(), 0u);
-    EXPECT_EQ(reg.gauge("/t/g").value(), 0.0);
-    EXPECT_EQ(reg.histogram("/t/h", {1.0, 10.0}).count(), 0u);
-}
-
 TEST(Registry, CounterGaugeHistogramSemantics)
 {
-    TelemetryOn on;
     Registry reg;
 
     reg.counter("/t/c").add();
@@ -89,7 +64,6 @@ TEST(Registry, KindAndPathValidation)
 
 TEST(Registry, ThreadedCommutingWritesAreExact)
 {
-    TelemetryOn on;
     Registry reg;
     telemetry::Counter &c = reg.counter("/t/c");
     telemetry::Gauge &g = reg.gauge("/t/hwm");
@@ -113,43 +87,8 @@ TEST(Registry, ThreadedCommutingWritesAreExact)
     EXPECT_EQ(g.value(), static_cast<double>(kThreads * kAdds - 1));
 }
 
-TEST(Registry, MergeIsOrderInvariant)
-{
-    TelemetryOn on;
-    // Three "shard" registries with overlapping paths.
-    Registry a;
-    Registry b;
-    Registry c;
-    a.counter("/s/events").add(3);
-    b.counter("/s/events").add(5);
-    c.counter("/s/events").add(7);
-    a.gauge("/s/hwm").set(2.0);
-    b.gauge("/s/hwm").set(9.0);
-    c.gauge("/s/hwm").set(4.0);
-    a.histogram("/s/lat", {1.0, 10.0}).observe(0.5);
-    b.histogram("/s/lat", {1.0, 10.0}).observe(5.0);
-    c.histogram("/s/lat", {1.0, 10.0}).observe(500.0);
-    b.counter("/s/only_b").add(1);
-
-    Registry fwd;
-    fwd.mergeFrom(a);
-    fwd.mergeFrom(b);
-    fwd.mergeFrom(c);
-    Registry rev;
-    rev.mergeFrom(c);
-    rev.mergeFrom(b);
-    rev.mergeFrom(a);
-
-    EXPECT_EQ(fwd.snapshot(), rev.snapshot());
-    EXPECT_EQ(fwd.counter("/s/events").value(), 15u);
-    EXPECT_EQ(fwd.gauge("/s/hwm").value(), 9.0);
-    EXPECT_EQ(fwd.histogram("/s/lat", {1.0, 10.0}).count(), 3u);
-    EXPECT_EQ(fwd.counter("/s/only_b").value(), 1u);
-}
-
 TEST(Registry, QuerySelectsExactPathAndSubtree)
 {
-    TelemetryOn on;
     Registry reg;
     reg.counter("/a/b").add(1);
     reg.counter("/a/b/c").add(2);
@@ -169,7 +108,6 @@ TEST(Registry, QuerySelectsExactPathAndSubtree)
 
 TEST(Registry, SnapshotRendersDeterministically)
 {
-    TelemetryOn on;
     Registry reg;
     reg.counter("/t/c").add(42);
     reg.gauge("/t/g").set(0.1 + 0.2); // exercises %.9g rendering

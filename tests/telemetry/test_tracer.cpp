@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hpp"
+#include "telemetry/registry.hpp"
 #include "telemetry/tracer.hpp"
 #include "util/logging.hpp"
 
@@ -262,19 +263,21 @@ extractSpans(const std::string &doc)
     return out;
 }
 
-/** A small deterministic run with the tracer attached. */
+/**
+ * A small deterministic run with the tracer attached, and with the
+ * metrics registry `reg` too when one is given.
+ */
 std::string
-tracedRunJson()
+tracedRunJson(telemetry::Registry *reg = nullptr)
 {
-    telemetry::setEnabled(true);
     Tracer tracer;
     ExperimentConfig ecfg;
     ecfg.budgetFraction = 0.6;
     ecfg.targetInstructions = 5e6;
     ecfg.tracer = &tracer;
+    ecfg.registry = reg;
     const SimConfig scfg = SimConfig::defaultConfig(8);
     runWorkload("MIX1", "FastCap", ecfg, scfg);
-    telemetry::setEnabled(false);
     return tracer.json();
 }
 
@@ -315,6 +318,10 @@ TEST(Tracer, RunTraceIsWellFormedAndReproducible)
     const std::string doc1 = tracedRunJson();
     const std::string doc2 = tracedRunJson();
     EXPECT_EQ(doc1, doc2);
+    // The tracer needs no registry, and a registry does not change it.
+    telemetry::Registry reg;
+    EXPECT_EQ(tracedRunJson(&reg), doc1);
+    EXPECT_FALSE(reg.snapshot().empty());
     JsonChecker checker(doc1);
     EXPECT_TRUE(checker.valid())
         << "JSON invalid near offset " << checker.pos();

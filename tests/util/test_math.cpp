@@ -221,13 +221,6 @@ TEST(FitPowerLaw, InvalidWithOneUsablePoint)
     EXPECT_FALSE(fitPowerLaw(xs, ys).valid);
 }
 
-TEST(ClampSafe, HandlesReversedBounds)
-{
-    EXPECT_DOUBLE_EQ(clampSafe(5.0, 10.0, 0.0), 5.0);
-    EXPECT_DOUBLE_EQ(clampSafe(-1.0, 0.0, 10.0), 0.0);
-    EXPECT_DOUBLE_EQ(clampSafe(11.0, 0.0, 10.0), 10.0);
-}
-
 TEST(ApproxEqual, RelativeToleranceSemantics)
 {
     EXPECT_TRUE(approxEqual(1e9, 1e9 + 1.0, 1e-8));

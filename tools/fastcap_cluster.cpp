@@ -16,6 +16,7 @@
  */
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -100,16 +101,14 @@ main(int argc, char **argv)
     args.addUnsigned("seed", 0, "base seed (0 = default)");
     args.addString("csv", "",
                    "write the per-epoch rack CSV here ('-' = stdout)");
-    args.addFlag("telemetry",
-                 "enable the metrics registry (observe-only: result "
-                 "output is byte-identical either way)");
     args.addString("trace-out", "",
                    "write a Chrome trace_event JSON of the rack run "
-                   "here (implies --telemetry)");
+                   "here (observe-only: result output is unchanged)");
     args.addString("introspect", "",
-                   "after the run, print metrics under this path, "
-                   "e.g. /cluster/arbiter ('/' = everything; implies "
-                   "--telemetry)");
+                   "record the run in a metrics registry and print "
+                   "the metrics under this path after it, e.g. "
+                   "/cluster/arbiter ('/' = everything; observe-only: "
+                   "result output is unchanged)");
     args.addString("log-level", "",
                    "log spec LEVEL[,module=LEVEL]... with levels "
                    "silent|warn|inform|debug");
@@ -121,10 +120,10 @@ main(int argc, char **argv)
             Logger::global().configure(args.getString("log-level"));
         const std::string trace_out = args.getString("trace-out");
         const std::string introspect = args.getString("introspect");
-        telemetry::setEnabled(args.getFlag("telemetry") ||
-                              !trace_out.empty() ||
-                              !introspect.empty());
         telemetry::Tracer tracer;
+        std::unique_ptr<telemetry::Registry> registry;
+        if (!introspect.empty())
+            registry = std::make_unique<telemetry::Registry>();
 
         ClusterConfig cfg;
         cfg.machines = args.getInt("machines");
@@ -146,6 +145,7 @@ main(int argc, char **argv)
             cfg.seed = args.getUnsigned("seed");
         if (!trace_out.empty())
             cfg.tracer = &tracer;
+        cfg.registry = registry.get();
 
         Cluster cluster(cfg);
         const ClusterResult res = cluster.run();
@@ -182,10 +182,9 @@ main(int argc, char **argv)
 
         if (!trace_out.empty())
             tracer.writeJson(trace_out);
-        if (!introspect.empty())
+        if (registry)
             for (const auto &kv :
-                 telemetry::Registry::global().query(
-                     introspect == "/" ? "" : introspect))
+                 registry->query(introspect == "/" ? "" : introspect))
                 std::printf("%s %s\n", kv.first.c_str(),
                             kv.second.c_str());
         return 0;

@@ -16,8 +16,9 @@
  *       fastcap_sim --workload idle --trace - --max-epochs 50
  */
 
-#include <cstdio>
 #include <algorithm>
+#include <cstdio>
+#include <memory>
 
 #include "harness/experiment.hpp"
 #include "harness/metrics.hpp"
@@ -69,16 +70,15 @@ main(int argc, char **argv)
     args.addFlag("epoch-csv", "print per-epoch CSV rows");
     args.addFlag("compare", "also run the uncapped baseline and "
                             "report normalized CPI");
-    args.addFlag("telemetry",
-                 "enable the metrics registry (observe-only: result "
-                 "output is byte-identical either way)");
     args.addString("trace-out", "",
                    "write a Chrome trace_event JSON of the run here "
-                   "(implies --telemetry)");
+                   "(observe-only: result output is unchanged)");
     args.addString("introspect", "",
-                   "after the run, print metrics under this path, "
-                   "e.g. /solver or /machine/0/core/0/freq "
-                   "('/' = everything; implies --telemetry)");
+                   "record the run in a metrics registry and print "
+                   "the metrics under this path after it, e.g. "
+                   "/solver or /machine/0/core/0/freq ('/' = "
+                   "everything; observe-only: result output is "
+                   "unchanged)");
     args.addString("log-level", "",
                    "log spec LEVEL[,module=LEVEL]... with levels "
                    "silent|warn|inform|debug");
@@ -90,10 +90,10 @@ main(int argc, char **argv)
             Logger::global().configure(args.getString("log-level"));
         const std::string trace_out = args.getString("trace-out");
         const std::string introspect = args.getString("introspect");
-        telemetry::setEnabled(args.getFlag("telemetry") ||
-                              !trace_out.empty() ||
-                              !introspect.empty());
         telemetry::Tracer tracer;
+        std::unique_ptr<telemetry::Registry> registry;
+        if (!introspect.empty())
+            registry = std::make_unique<telemetry::Registry>();
 
         SimConfig scfg = SimConfig::defaultConfig(
             args.getInt("cores"));
@@ -131,6 +131,7 @@ main(int argc, char **argv)
             ecfg.scenario.trace = args.getString("trace");
         if (!trace_out.empty())
             ecfg.tracer = &tracer;
+        ecfg.registry = registry.get();
 
         const std::string workload = args.getString("workload");
         const std::string policy = args.getString("policy");
@@ -170,8 +171,12 @@ main(int argc, char **argv)
         }
 
         if (args.getFlag("compare") && policy != "Uncapped") {
+            // The dump and the trace describe the capped run only.
+            ExperimentConfig base_cfg = ecfg;
+            base_cfg.registry = nullptr;
+            base_cfg.tracer = nullptr;
             const ExperimentResult base =
-                runWorkload(workload, "Uncapped", ecfg, scfg);
+                runWorkload(workload, "Uncapped", base_cfg, scfg);
             const PerfComparison cmp = comparePerformance(res, base);
             std::printf("\nnormalized CPI vs uncapped: avg %.3f, "
                         "worst %.3f (worst/avg %.3f)\n",
@@ -186,10 +191,9 @@ main(int argc, char **argv)
 
         if (!trace_out.empty())
             tracer.writeJson(trace_out);
-        if (!introspect.empty())
+        if (registry)
             for (const auto &kv :
-                 telemetry::Registry::global().query(
-                     introspect == "/" ? "" : introspect))
+                 registry->query(introspect == "/" ? "" : introspect))
                 std::printf("%s %s\n", kv.first.c_str(),
                             kv.second.c_str());
         return 0;

@@ -45,7 +45,6 @@
 #include "harness/sweep.hpp"
 #include "policies/registry.hpp"
 #include "scenario/scenario.hpp"
-#include "telemetry/registry.hpp"
 #include "util/args.hpp"
 #include "util/logging.hpp"
 #include "util/strings.hpp"
@@ -197,9 +196,6 @@ main(int argc, char **argv)
     args.addString("csv", "", "write run CSV to this file "
                               "(default: stdout)");
     args.addString("json", "", "also write run JSON to this file");
-    args.addFlag("telemetry",
-                 "enable the metrics registry (observe-only: CSV/JSON "
-                 "output is byte-identical either way)");
     args.addString("log-level", "",
                    "log spec LEVEL[,module=LEVEL]... with levels "
                    "silent|warn|inform|debug (default inform, so the "
@@ -215,7 +211,6 @@ main(int argc, char **argv)
             Logger::global().level(LogLevel::Inform);
         else
             Logger::global().configure(args.getString("log-level"));
-        telemetry::setEnabled(args.getFlag("telemetry"));
         std::map<std::string, std::string> spec;
         if (!args.getString("spec").empty())
             spec = readSpecFile(args.getString("spec"));

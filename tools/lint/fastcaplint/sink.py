@@ -1,10 +1,10 @@
 """R8: the telemetry sink rule.
 
 ``src/telemetry`` is observe-only: result-affecting code may *write*
-metrics and trace events (and check the global ``enabled()`` gate),
+metrics and trace events into the registry and tracer it was handed,
 but a telemetry value flowing back into a result-zone expression
 would let instrumentation change simulation results — exactly what
-the telemetry-on-vs-off byte-identity gate forbids. A result-zone
+the instrumented-vs-uninstrumented byte-identity gates forbid. A result-zone
 call that resolves into ``src/telemetry`` and is not on the write
 surface below is a finding, waivable with ``telemetry-sink(reason)``
 on the call statement.
@@ -17,19 +17,15 @@ static rule cannot see.
 
 from .findings import Finding
 
-# The write surface of src/telemetry: registration, the enabled()
-# gate, commuting/merging writes, trace appends, and file output.
-# Everything else defined in the telemetry zone returns observed
-# state and must not be called from a result zone.
+# The write surface of src/telemetry: registration, commuting writes,
+# trace appends, and file output. Everything else defined in the
+# telemetry zone returns observed state and must not be called from a
+# result zone.
 _WRITE_SURFACE = frozenset((
-    # registry access + registration
-    "global", "counter", "gauge", "histogram",
-    "Registry", "Histogram",
-    # the process-wide switch
-    "enabled", "setEnabled",
-    # commuting writes and registry folds
-    "add", "mergeAdd", "set", "setMax", "mergeMax", "observe",
-    "mergeBuckets", "mergeFrom", "reset", "resetAll",
+    # registration
+    "counter", "gauge", "histogram", "Registry", "Histogram",
+    # commuting writes
+    "add", "set", "setMax", "observe",
     # tracer appends and output
     "Tracer", "track", "span", "instant", "counterEvent",
     "writeJson", "jsonString",
