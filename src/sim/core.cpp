@@ -78,8 +78,8 @@ Core::onEvent(std::uint32_t tag, double arg)
     _sink->submit(req);
 }
 
-void
-Core::scheduleThink(Seconds from, const Phase &phase)
+Seconds
+Core::drawThink(Seconds from, const Phase &phase)
 {
     if (_thinkPending)
         panic("Core %d: second think scheduled while one is pending",
@@ -90,24 +90,49 @@ Core::scheduleThink(Seconds from, const Phase &phase)
     _thinkTime = _thinkInstr * phase.cpiExec / _freq *
         _rng.jitter(_cfg.thinkJitterSigma);
     _thinkPending = true;
-    _queue.schedule(from + _thinkTime, *this, kThinkDone);
+    return from + _thinkTime;
+}
+
+void
+Core::scheduleThink(Seconds from, const Phase &phase)
+{
+    _queue.schedule(drawThink(from, phase), *this, kThinkDone);
 }
 
 void
 Core::onThinkDone()
 {
-    _thinkPending = false;
-    const Seconds now = _queue.now();
-    _instrRetired += _thinkInstr;
-    _counters.instructions += static_cast<std::uint64_t>(_thinkInstr);
-    _counters.busyTime += _thinkTime;
-    ++_counters.misses;
+    // A think resolved inline leaves its lane with nothing in flight,
+    // so if the next think ends within the horizon, its think-done is
+    // the lane's next event: run it here rather than through the heap.
+    for (;;) {
+        _thinkPending = false;
+        const Seconds now = _queue.now();
+        _instrRetired += _thinkInstr;
+        _counters.instructions += static_cast<std::uint64_t>(_thinkInstr);
+        _counters.busyTime += _thinkTime;
+        ++_counters.misses;
 
-    const Phase &phase = _app->phaseAt(_instrRetired);
-    const int writebacks = drawWritebacks(phase);
-    if (resolveInline(now, phase, writebacks))
-        return;
+        const Phase &phase = _app->phaseAt(_instrRetired);
+        const int writebacks = drawWritebacks(phase);
+        const std::optional<Seconds> done =
+            resolveInline(now, writebacks);
+        if (!done) {
+            submitThink(now, phase, writebacks);
+            return;
+        }
+        const Seconds end = drawThink(*done, phase);
+        if (!_queue.empty() || !(end <= _queue.horizon())) {
+            _queue.schedule(end, *this, kThinkDone);
+            return;
+        }
+        _queue.advanceInline(end);
+    }
+}
 
+void
+Core::submitThink(Seconds now, const Phase &phase, int writebacks)
+{
     // Writebacks are background traffic, submitted ahead of the read.
     for (int i = 0; i < writebacks; ++i) {
         Request wb;
@@ -133,25 +158,24 @@ Core::onThinkDone()
     }
 }
 
-bool
-Core::resolveInline(Seconds now, const Phase &phase, int writebacks)
+std::optional<Seconds>
+Core::resolveInline(Seconds now, int writebacks)
 {
     // An in-order core stalls on this read with nothing else
     // outstanding. If the controller is also empty, the lane queue
     // holds nothing but this think's requests and their whole paths
     // are fixed.
     if (!_inline || _cfg.execMode != ExecMode::InOrder || writebacks > 1)
-        return false;
+        return std::nullopt;
     const std::optional<Seconds> done = _inline->resolveThink(
         now, writebacks == 1, now + _cfg.l2Time, _queue.horizon());
-    if (!done)
-        return false;
-    // The event path's stall at `now` and data return at `done`.
-    ++_counters.stalls;
-    ++_counters.returns;
-    _counters.stallTime += *done - now;
-    scheduleThink(*done, phase);
-    return true;
+    if (done) {
+        // The event path's stall at `now` and data return at `done`.
+        ++_counters.stalls;
+        ++_counters.returns;
+        _counters.stallTime += *done - now;
+    }
+    return done;
 }
 
 int

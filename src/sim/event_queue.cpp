@@ -33,19 +33,26 @@ EventQueue::dispatchNext()
     ++_processed;
 }
 
+void
+EventQueue::badInlineAdvance(Seconds when) const
+{
+    panic("EventQueue::advanceInline: event time %g with %zu events "
+          "pending (now %g, horizon %g)",
+          when, _heap.size(), _now, _horizon);
+}
+
 std::uint64_t
 EventQueue::runUntil(Seconds t_end)
 {
-    std::uint64_t ran = 0;
+    // Handlers may count inline events too (advanceInline()).
+    const std::uint64_t before = _processed;
     _horizon = t_end;
-    while (!_heap.empty() && _heap.front().when <= t_end) {
+    while (!_heap.empty() && _heap.front().when <= t_end)
         dispatchNext();
-        ++ran;
-    }
     _horizon = -std::numeric_limits<Seconds>::infinity();
     if (t_end > _now)
         _now = t_end;
-    return ran;
+    return _processed - before;
 }
 
 bool

@@ -7,8 +7,10 @@
  * monolithic ManyCoreSystem runs every core through one queue, and
  * the sharded engine gives each core's lane a queue of its own
  * (sim/engine/sharded_system.hpp), so only whole lanes run in
- * parallel. Determinism (same seed, same event order, same results)
- * is a hard requirement for reproducing EXPERIMENTS.md.
+ * parallel. A lane whose queue is empty may also run its next event
+ * inline, without the heap (advanceInline()). Determinism (same seed,
+ * same event order, same results) is a hard requirement for
+ * reproducing EXPERIMENTS.md.
  */
 
 #ifndef FASTCAP_SIM_EVENT_QUEUE_HPP
@@ -75,6 +77,25 @@ class EventQueue
     void schedule(Seconds when, EventHandler &target,
                   std::uint32_t tag = 0, double arg = 0.0);
 
+    /**
+     * Run the caller's next event inline instead of through the heap:
+     * advance now() to `when` and count one processed event. Only the
+     * handler of an event runUntil() is dispatching may call it, and
+     * only when that next event is certain to be the queue's: nothing
+     * is pending and `when` is at or before horizon(), exactly the
+     * events runUntil() would dispatch. Anything else is a library bug
+     * and panics, as does a NaN or past `when`.
+     */
+    void
+    advanceInline(Seconds when)
+    {
+        // Negated so a NaN time panics.
+        if (!_heap.empty() || !(when >= _now) || !(when <= _horizon))
+            badInlineAdvance(when);
+        _now = when;
+        ++_processed;
+    }
+
     /** Schedule at now() + delay. */
     void
     scheduleAfter(Seconds delay, EventHandler &target,
@@ -121,6 +142,9 @@ class EventQueue
 
     /** Pop the earliest entry, advance now() to it and dispatch it. */
     void dispatchNext();
+
+    /** The panic of an advanceInline() that broke its contract. */
+    [[noreturn]] void badInlineAdvance(Seconds when) const;
 
     /**
      * Binary min-heap over (when, seq), managed with std::push_heap /

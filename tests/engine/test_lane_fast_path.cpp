@@ -1,10 +1,12 @@
 /**
  * @file
  * The sharded engine's lane fast path is invisible in results: one
- * lane built by hand twice, once with the inline controller wired and
- * once without, must report bit-identical core and controller
- * counters and retired instructions after every window, through
- * windows that cut miss chains, writeback-heavy phases, bus retuning
+ * lane built by hand three ways (all events; inline thinks whose next
+ * think goes through the heap; inline thinks run in the core's loop)
+ * must report bit-identical core and controller counters and retired
+ * instructions after every window, and the two inline lanes the same
+ * processed-event count, through windows that cut miss chains or end
+ * exactly on a think, writeback-heavy phases, core DVFS, bus retuning
  * and application swaps between windows, and out-of-order cores; on
  * the one-bank lane every 1024-core machine has and on a four-bank
  * one, where a read can overtake its think's writeback on the bus.
@@ -77,11 +79,29 @@ laneConfig(ExecMode mode, int banks = 4)
     return cfg;
 }
 
+/** How a hand-built lane runs a think. */
+enum class Path {
+    Events, //!< no inline controller: every request takes events
+    Heap,   //!< inline, but a parked event keeps the queue non-empty,
+            //!< so every next think goes through the heap
+    Loop,   //!< inline, next thinks run in Core::onThinkDone's loop
+};
+
+/** Never fires: parked past every window of these tests. */
+struct Parked final : EventHandler
+{
+    void
+    onEvent(std::uint32_t, double) override
+    {
+        ADD_FAILURE() << "parked event fired";
+    }
+};
+
 /** One core and its private controller on their own queue, wired as
- *  ShardedSystem wires a lane, with or without the inline path. */
+ *  ShardedSystem wires a lane, taking `path`. */
 struct HandLane
 {
-    HandLane(const SimConfig &cfg, AppProfile profile, bool fast)
+    HandLane(const SimConfig &cfg, AppProfile profile, Path path)
         : app(std::move(profile)),
           controller(0, cfg, queue, Rng(splitmix64(42, 1))),
           core(0, cfg, queue, Rng(splitmix64(42, 0)))
@@ -89,8 +109,10 @@ struct HandLane
         core.runApp(&app);
         core.requestSink(&controller);
         controller.deliverySink(&core);
-        if (fast)
+        if (path != Path::Events)
             core.inlineController(&controller);
+        if (path == Path::Heap)
+            queue.schedule(1e6, parked);
         core.start();
     }
 
@@ -106,6 +128,7 @@ struct HandLane
     }
 
     EventQueue queue;
+    Parked parked;
     AppProfile app;
     MemoryController controller;
     Core core;
@@ -141,7 +164,59 @@ expectSameController(const ControllerCounters &a,
     EXPECT_EQ(doubleBits(a.busBusyTime), doubleBits(b.busBusyTime));
 }
 
-/** What a run of paired windows saw. */
+/** Everything a lane reports after a window, against `ref`. */
+void
+expectSameLane(HandLane &lane, HandLane &ref)
+{
+    expectSameCore(lane.core.counters(), ref.core.counters());
+    expectSameController(lane.controller.counters(),
+                         ref.controller.counters());
+    EXPECT_EQ(doubleBits(lane.core.instructionsRetired()),
+              doubleBits(ref.core.instructionsRetired()));
+    EXPECT_EQ(lane.controller.inFlight(), ref.controller.inFlight());
+    EXPECT_EQ(lane.core.outstanding(), ref.core.outstanding());
+    EXPECT_EQ(lane.core.stalled(), ref.core.stalled());
+}
+
+/** The same lane down all three paths. */
+struct LaneTrio
+{
+    LaneTrio(const SimConfig &cfg, const AppProfile &app)
+        : events(cfg, app, Path::Events), heap(cfg, app, Path::Heap),
+          loop(cfg, app, Path::Loop)
+    {
+    }
+
+    template <class Fn>
+    void
+    each(Fn fn)
+    {
+        fn(events);
+        fn(heap);
+        fn(loop);
+    }
+
+    /** Run one window on all three and compare them bit for bit: the
+     *  loop counts each inline think-done as the heap dispatched it,
+     *  and leaves the same events pending, bar the parked one. */
+    void
+    runWindow(Seconds t_end)
+    {
+        each([&](HandLane &l) { l.runWindow(t_end); });
+        expectSameLane(heap, events);
+        expectSameLane(loop, events);
+        EXPECT_EQ(loop.queue.processed(), heap.queue.processed());
+        EXPECT_EQ(loop.queue.pending() + 1, heap.queue.pending());
+        EXPECT_EQ(doubleBits(loop.queue.now()),
+                  doubleBits(events.queue.now()));
+    }
+
+    HandLane events;
+    HandLane heap;
+    HandLane loop;
+};
+
+/** What a run of windows saw. */
 struct RunTally
 {
     int cutWindows = 0; //!< windows ending with a read in flight
@@ -150,14 +225,15 @@ struct RunTally
 };
 
 /**
- * Run the same windows through both lanes, applying the same knob
- * change between windows, and compare everything after each one.
- * Window lengths range from shorter than one miss to many misses, so
- * window ends fall inside miss chains.
+ * Run the same windows through all three lanes, applying the same
+ * knob change between windows, and compare everything after each
+ * one. Window lengths range from shorter than one miss to many misses
+ * (`scale` multiplies them all), so window ends fall inside miss
+ * chains.
  */
 RunTally
-runPaired(const SimConfig &cfg, HandLane &fast, HandLane &slow,
-          int windows)
+runWindows(const SimConfig &cfg, LaneTrio &lanes, int windows,
+           double scale = 1.0)
 {
     Rng pick(2024);
     RunTally tally;
@@ -168,58 +244,43 @@ runPaired(const SimConfig &cfg, HandLane &fast, HandLane &slow,
         switch (w % 5) {
         case 1: {
             const Hertz f = cfg.memLadder.at(pick.below(cfg.memLadder.size()));
-            fast.controller.busFrequency(f);
-            slow.controller.busFrequency(f);
+            lanes.each([&](HandLane &l) { l.controller.busFrequency(f); });
             break;
         }
         case 2: {
             const double cycles = 6.0 * (1.0 + 30.0 * pick.uniform());
-            fast.controller.busBurstCycles(cycles);
-            slow.controller.busBurstCycles(cycles);
+            lanes.each(
+                [&](HandLane &l) { l.controller.busBurstCycles(cycles); });
             break;
         }
         case 3: {
             const Hertz f =
                 cfg.coreLadder.at(pick.below(cfg.coreLadder.size()));
-            fast.core.frequency(f);
-            slow.core.frequency(f);
+            lanes.each([&](HandLane &l) { l.core.frequency(f); });
             break;
         }
         case 4:
-            if (w % 15 == 4) {
-                fast.app = lightApp();
-                slow.app = lightApp();
-            } else {
-                fast.app = phasedApp();
-                slow.app = phasedApp();
-            }
+            lanes.each([&](HandLane &l) {
+                l.app = w % 15 == 4 ? lightApp() : phasedApp();
+            });
             break;
         default:
             break;
         }
 
         // From shorter than one miss (~50 ns) to hundreds of misses.
-        const double scale = w % 3 == 0 ? 20e-9
-            : w % 3 == 1                ? 200e-9
-                                        : 10e-6;
-        t += scale * (0.5 + 10.0 * pick.uniform());
-        fast.runWindow(t);
-        slow.runWindow(t);
-
+        const double len = w % 3 == 0 ? 20e-9
+            : w % 3 == 1              ? 200e-9
+                                      : 10e-6;
+        t += scale * len * (0.5 + 10.0 * pick.uniform());
         SCOPED_TRACE("window " + std::to_string(w));
-        expectSameCore(fast.core.counters(), slow.core.counters());
-        expectSameController(fast.controller.counters(),
-                             slow.controller.counters());
-        EXPECT_EQ(doubleBits(fast.core.instructionsRetired()),
-                  doubleBits(slow.core.instructionsRetired()));
-        EXPECT_EQ(fast.controller.inFlight(), slow.controller.inFlight());
-        EXPECT_EQ(fast.core.outstanding(), slow.core.outstanding());
-        EXPECT_EQ(fast.core.stalled(), slow.core.stalled());
+        lanes.runWindow(t);
 
-        if (slow.controller.inFlight() != 0)
+        const HandLane &ref = lanes.events;
+        if (ref.controller.inFlight() != 0)
             ++tally.cutWindows;
-        tally.misses += slow.core.counters().misses;
-        tally.writebacks += slow.core.counters().writebacks;
+        tally.misses += ref.core.counters().misses;
+        tally.writebacks += ref.core.counters().writebacks;
     }
     return tally;
 }
@@ -241,19 +302,19 @@ TEST(LaneFastPath, InOrderLaneMatchesEventPathBitForBit)
     };
     for (const auto &[name, cfg] : lanes) {
         SCOPED_TRACE(name);
-        HandLane fast(cfg, phasedApp(), true);
-        HandLane slow(cfg, phasedApp(), false);
-        const RunTally tally = runPaired(cfg, fast, slow, 300);
+        LaneTrio trio(cfg, phasedApp());
+        const RunTally tally = runWindows(cfg, trio, 300);
 
         // The run covered what it claims to: chains cut by a window
         // end, writeback-heavy stretches, and plenty of misses.
         EXPECT_GT(tally.cutWindows, 10);
         EXPECT_GT(tally.writebacks, 1000u);
         EXPECT_GT(tally.misses, 5000u);
-        // The inline path fired: fewer dispatched events for the same
+        // The inline path fired: fewer processed events for the same
         // misses.
-        EXPECT_LT(fast.queue.processed(), slow.queue.processed());
-        EXPECT_LT(fast.queue.processed(), 3 * tally.misses);
+        EXPECT_LT(trio.loop.queue.processed(),
+                  trio.events.queue.processed());
+        EXPECT_LT(trio.loop.queue.processed(), 3 * tally.misses);
     }
 }
 
@@ -263,25 +324,90 @@ TEST(LaneFastPath, OneBankLaneTakesAboutOneEventPerMiss)
     // almost every think, with or without its writeback, resolves
     // inline; only chains crossing a window end take events.
     const SimConfig cfg = laneConfig(ExecMode::InOrder, 1);
-    const AppProfile applu("applu", appluPhase(1e9));
-    HandLane fast(cfg, applu, true);
-    HandLane slow(cfg, applu, false);
+    LaneTrio trio(cfg, AppProfile("applu", appluPhase(1e9)));
     std::uint64_t misses = 0;
     std::uint64_t writebacks = 0;
     for (int w = 1; w <= 20; ++w) {
-        fast.runWindow(w * 0.5e-3);
-        slow.runWindow(w * 0.5e-3);
         SCOPED_TRACE("window " + std::to_string(w));
-        expectSameCore(fast.core.counters(), slow.core.counters());
-        expectSameController(fast.controller.counters(),
-                             slow.controller.counters());
-        misses += fast.core.counters().misses;
-        writebacks += fast.core.counters().writebacks;
+        trio.runWindow(w * 0.5e-3);
+        misses += trio.loop.core.counters().misses;
+        writebacks += trio.loop.core.counters().writebacks;
     }
     EXPECT_GT(misses, 10000u);
     EXPECT_GT(writebacks, misses / 3);
-    EXPECT_LT(static_cast<double>(fast.queue.processed()),
+    EXPECT_LT(static_cast<double>(trio.loop.queue.processed()),
               1.1 * static_cast<double>(misses));
+}
+
+TEST(LaneFastPath, ThinkEndingExactlyAtTheWindowEndRunsInIt)
+{
+    // A think ending exactly at the window end belongs to that window:
+    // runUntil() dispatches an event at t_end, and the loop's `<=`
+    // test runs one there inline. Find think-done times on the event
+    // path (outside runUntil() nothing resolves inline, and the times
+    // do not depend on windows), then end windows exactly on them.
+    const SimConfig cfg = laneConfig(ExecMode::InOrder, 1);
+    const AppProfile applu("applu", appluPhase(1e9));
+    std::vector<Seconds> think_done;
+    {
+        HandLane probe(cfg, applu, Path::Events);
+        while (think_done.size() < 400) {
+            const std::uint64_t before = probe.core.counters().misses;
+            ASSERT_TRUE(probe.queue.step());
+            if (probe.core.counters().misses != before)
+                think_done.push_back(probe.queue.now());
+        }
+    }
+    for (const std::size_t k : {2u, 17u, 150u, 399u}) {
+        SCOPED_TRACE("think " + std::to_string(k));
+        LaneTrio trio(cfg, applu);
+        trio.runWindow(think_done[k - 1]);
+        EXPECT_EQ(trio.loop.core.counters().misses, k);
+        EXPECT_EQ(doubleBits(trio.loop.queue.now()),
+                  doubleBits(think_done[k - 1]));
+        // The next window starts with that think's read in flight.
+        EXPECT_EQ(trio.loop.core.outstanding(), 1);
+        trio.runWindow(think_done.back() + 1e-6);
+    }
+}
+
+TEST(LaneFastPath, TwoWritebackThinkMidChainFallsBackToEvents)
+{
+    // 1.3 writebacks per miss: every think writes back one line, and
+    // about three in ten two, which cannot resolve inline. Chains of
+    // inline thinks meet such a think mid-window, take events for it
+    // and resume the loop once the lane drains.
+    const SimConfig cfg = laneConfig(ExecMode::InOrder, 1);
+    const AppProfile writer("writer", phase(1e9, 10.0, 13.0, 1.0));
+    LaneTrio trio(cfg, writer);
+    std::uint64_t misses = 0;
+    std::uint64_t writebacks = 0;
+    for (int w = 1; w <= 10; ++w) {
+        SCOPED_TRACE("window " + std::to_string(w));
+        trio.runWindow(w * 50e-6);
+        misses += trio.events.core.counters().misses;
+        writebacks += trio.events.core.counters().writebacks;
+    }
+    EXPECT_GT(misses, 2000u);
+    EXPECT_GT(writebacks, misses + misses / 5);
+    EXPECT_LT(writebacks, misses + misses / 2);
+    // Both paths ran: fewer events than all-events, more than one per
+    // miss.
+    EXPECT_LT(trio.loop.queue.processed(),
+              trio.events.queue.processed());
+    EXPECT_GT(trio.loop.queue.processed(), misses + misses / 5);
+}
+
+TEST(LaneFastPath, LoopSpansKnobChangesBetweenWindows)
+{
+    // Long windows on a 1024-core lane shape, so the loop runs long
+    // chains on both sides of every core DVFS change, bus retune and
+    // application swap between them.
+    const SimConfig cfg = laneConfig(ExecMode::InOrder, 1);
+    LaneTrio trio(cfg, phasedApp());
+    const RunTally tally = runWindows(cfg, trio, 60, 10.0);
+    EXPECT_GT(tally.misses, 10000u);
+    EXPECT_LT(trio.loop.queue.processed(), 2 * tally.misses);
 }
 
 /** Records the delivery times of completed reads. */
@@ -363,11 +489,10 @@ TEST(LaneFastPath, ReadOvertakingItsWritebackTakesEvents)
 TEST(LaneFastPath, OutOfOrderLaneKeepsEveryEvent)
 {
     const SimConfig cfg = laneConfig(ExecMode::OutOfOrder);
-    HandLane fast(cfg, phasedApp(), true);
-    HandLane slow(cfg, phasedApp(), false);
-    const RunTally tally = runPaired(cfg, fast, slow, 150);
+    LaneTrio trio(cfg, phasedApp());
+    const RunTally tally = runWindows(cfg, trio, 150);
     EXPECT_GT(tally.misses, 1000u);
-    EXPECT_EQ(fast.queue.processed(), slow.queue.processed());
+    EXPECT_EQ(trio.loop.queue.processed(), trio.events.queue.processed());
 }
 
 TEST(LaneFastPath, StepOutsideRunUntilNeverResolvesInline)
@@ -376,8 +501,8 @@ TEST(LaneFastPath, StepOutsideRunUntilNeverResolvesInline)
     // certain to be dispatched and every miss takes the event path:
     // the two lanes stay in lockstep event for event.
     const SimConfig cfg = laneConfig(ExecMode::InOrder);
-    HandLane fast(cfg, phasedApp(), true);
-    HandLane slow(cfg, phasedApp(), false);
+    HandLane fast(cfg, phasedApp(), Path::Loop);
+    HandLane slow(cfg, phasedApp(), Path::Events);
     EXPECT_EQ(fast.queue.horizon(),
               -std::numeric_limits<Seconds>::infinity());
     for (int i = 0; i < 400; ++i) {
@@ -387,9 +512,7 @@ TEST(LaneFastPath, StepOutsideRunUntilNeverResolvesInline)
                   doubleBits(slow.queue.now()));
     }
     EXPECT_GT(fast.core.counters().misses, 50u);
-    expectSameCore(fast.core.counters(), slow.core.counters());
-    expectSameController(fast.controller.counters(),
-                         slow.controller.counters());
+    expectSameLane(fast, slow);
 }
 
 } // namespace

@@ -36,12 +36,19 @@ lastFreq(telemetry::Registry &registry)
     return freq.value(); // EXPECT: R8
 }
 
-// Nor is the size of the tree.
+// Nor is the size of the tree, through a local alias or straight
+// through the parameter.
 unsigned long
 metricCount(telemetry::Registry &registry)
 {
     const telemetry::Registry &tree = registry;
     return tree.size(); // EXPECT: R8
+}
+
+unsigned long
+metricCountDirect(const telemetry::Registry &registry)
+{
+    return registry.size(); // EXPECT: R8
 }
 
 // A process-wide registry is not on the write surface: reaching for
@@ -50,6 +57,15 @@ void
 countGlobally()
 {
     telemetry::Registry &registry = telemetry::global(); // EXPECT: R8
+    registry.counter("/solver/solves").add(1);
+}
+
+// Nor is a static accessor on the registry class.
+void
+countThroughStatic()
+{
+    telemetry::Registry &registry =
+        telemetry::Registry::global(); // EXPECT: R8
     registry.counter("/solver/solves").add(1);
 }
 

@@ -2,8 +2,8 @@
 // telemetry zone. Defining read accessors here is legal — the sink
 // rule constrains *callers*: result-zone code may write metrics into
 // the registry it was handed but never read them back (R8 fires in
-// result.cpp). global() models a process-wide registry, which is off
-// the write surface too.
+// result.cpp). global() and Registry::global() model a process-wide
+// registry, which is off the write surface too.
 // Not compiled; consumed by `fastcap_lint --self-test`.
 // fastcap-lint-zone: src/telemetry/registry.hpp
 
@@ -30,9 +30,13 @@ class Gauge
     double _value = 0.0;
 };
 
+class Registry;
+extern Registry *g_registry;
+
 class Registry
 {
   public:
+    static Registry &global() { return *g_registry; }
     Counter &counter(const char *path);
     Gauge &gauge(const char *path);
     unsigned long size() const { return _size; }
@@ -40,8 +44,6 @@ class Registry
   private:
     unsigned long _size = 0;
 };
-
-extern Registry *g_registry;
 
 inline Registry &
 global()

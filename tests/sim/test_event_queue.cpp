@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the discrete-event engine: ordering, tie-breaking, time
- * advancement, error handling, and a seeded property test of the
- * (when, seq) pop order against a reference sort.
+ * advancement, inline events, error handling, and a seeded property
+ * test of the (when, seq) pop order against a reference sort.
  */
 
 #include <gtest/gtest.h>
@@ -244,6 +244,125 @@ TEST(EventQueue, ProcessedCountsAcrossRuns)
     q.runUntil(3e-9);
     q.runUntil(10e-9);
     EXPECT_EQ(q.processed(), 7u);
+}
+
+/**
+ * A chain like Chain that runs each next event inline, as a
+ * sharded-engine core does: while nothing else is pending and the
+ * next event is within the horizon, advanceInline() instead of
+ * scheduling it.
+ */
+struct InlineChain : EventHandler
+{
+    InlineChain(EventQueue &q, Seconds gap) : queue(q), gap(gap) {}
+
+    void
+    onEvent(std::uint32_t, double) override
+    {
+        for (;;) {
+            ++count;
+            const Seconds next = queue.now() + gap;
+            if (!queue.empty() || !(next <= queue.horizon())) {
+                queue.schedule(next, *this);
+                return;
+            }
+            queue.advanceInline(next);
+        }
+    }
+
+    EventQueue &queue;
+    Seconds gap;
+    int count = 0;
+};
+
+TEST(EventQueue, InlineEventsCountAsProcessed)
+{
+    // The same chain through the heap and inline: the same events
+    // run in each window, including the one exactly at its end, and
+    // each counts once in processed() and in runUntil()'s return.
+    EventQueue heap_q;
+    Chain heap(heap_q, 10e-9, -1);
+    heap_q.schedule(0.0, heap);
+    EventQueue inline_q;
+    InlineChain inl(inline_q, 10e-9);
+    inline_q.schedule(0.0, inl);
+    for (const Seconds t_end : {95e-9, 100e-9, 100e-9, 345e-9}) {
+        const std::uint64_t ran = heap_q.runUntil(t_end);
+        EXPECT_EQ(inline_q.runUntil(t_end), ran);
+        EXPECT_EQ(inl.count, heap.count);
+        EXPECT_EQ(inline_q.processed(), heap_q.processed());
+        EXPECT_EQ(inline_q.now(), heap_q.now());
+        EXPECT_EQ(inline_q.pending(), 1u);
+    }
+    EXPECT_EQ(inl.count, 35); // t = 0, 10, ..., 340 ns
+}
+
+/** On its event, advanceInline() to `when(queue)`. */
+struct InlineAdvancer : EventHandler
+{
+    using When = Seconds (*)(const EventQueue &);
+
+    InlineAdvancer(EventQueue &q, When w) : queue(q), when(w) {}
+
+    void
+    onEvent(std::uint32_t, double) override
+    {
+        queue.advanceInline(when(queue));
+    }
+
+    EventQueue &queue;
+    When when;
+};
+
+TEST(EventQueue, AdvanceInlineWithEventsPendingPanics)
+{
+    EventQueue q;
+    InlineAdvancer a(q, [](const EventQueue &eq) { return eq.now(); });
+    Counter c;
+    q.schedule(1e-9, a);
+    q.schedule(2e-9, c);
+    EXPECT_THROW(q.runUntil(1e-6), PanicError);
+    EXPECT_EQ(c.fired, 0);
+}
+
+TEST(EventQueue, AdvanceInlineIntoThePastPanics)
+{
+    EventQueue q;
+    InlineAdvancer a(
+        q, [](const EventQueue &eq) { return eq.now() - 1e-9; });
+    q.schedule(5e-9, a);
+    EXPECT_THROW(q.runUntil(1e-6), PanicError);
+}
+
+TEST(EventQueue, AdvanceInlineToNanPanics)
+{
+    EventQueue q;
+    InlineAdvancer a(q, [](const EventQueue &) { return std::nan(""); });
+    q.schedule(5e-9, a);
+    EXPECT_THROW(q.runUntil(1e-6), PanicError);
+}
+
+TEST(EventQueue, AdvanceInlinePastTheHorizonPanics)
+{
+    EventQueue q;
+    InlineAdvancer a(
+        q, [](const EventQueue &eq) { return eq.horizon() + 1e-9; });
+    q.schedule(5e-9, a);
+    EXPECT_THROW(q.runUntil(1e-6), PanicError);
+}
+
+TEST(EventQueue, AdvanceInlineOutsideRunUntilPanics)
+{
+    // No horizon outside runUntil(): before any run, after one, and
+    // from a handler step() dispatches.
+    EventQueue q;
+    EXPECT_THROW(q.advanceInline(0.0), PanicError);
+    q.runUntil(10e-9);
+    EXPECT_THROW(q.advanceInline(10e-9), PanicError);
+    InlineAdvancer a(q, [](const EventQueue &eq) { return eq.now(); });
+    q.schedule(20e-9, a);
+    EXPECT_THROW(q.step(), PanicError);
+    EXPECT_EQ(q.processed(), 0u);
 }
 
 /**

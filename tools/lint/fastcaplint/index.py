@@ -76,8 +76,9 @@ class Acquisition:
 
 class FunctionDef:
     __slots__ = ("qname", "name", "cls", "relpath", "zone", "line",
-                 "start_line", "end_line", "body_range", "locals",
-                 "local_mutexes", "calls", "acquisitions", "facts")
+                 "start_line", "end_line", "body_range", "params",
+                 "locals", "local_mutexes", "calls", "acquisitions",
+                 "facts")
 
     def __init__(self, qname, name, cls, relpath, zone, line):
         self.qname = qname
@@ -89,6 +90,7 @@ class FunctionDef:
         self.start_line = line
         self.end_line = line
         self.body_range = (0, 0)        # token index range of the body
+        self.params = []                # [(type last, name)]
         self.locals = {}                # var -> type (last component)
         self.local_mutexes = set()      # vars declared `Mutex x` here
         self.calls = []
@@ -166,8 +168,19 @@ def _paren_depth_at(head, idx):
     return depth
 
 
+def _strip_access(head):
+    """``head`` without its leading access specifiers (``public:``)."""
+    pos = 0
+    while pos + 1 < len(head) and head[pos].kind == "id" and \
+            head[pos].text in ("public", "private", "protected") and \
+            head[pos + 1].text == ":":
+        pos += 2
+    return head[pos:]
+
+
 def _function_head_name(head):
-    """(name, line, col) of the function a brace-opening head defines.
+    """(name, line, col, params) of the function a brace-opening head
+    defines; ``params`` are the tokens inside its parameter list.
 
     None when the head does not look like a function definition.
     Forward scan for the first ``idchain (`` at paren depth 0,
@@ -215,19 +228,51 @@ def _function_head_name(head):
                     q -= 2
                 name = _qname_join(["::".join(prefix), "~" + name]) \
                     if prefix else "~" + name
-            return (name, t.line, t.col)
+            return (name, t.line, t.col, _paren_body(head, after))
         pos = after if after > pos else pos + 1
     return None
 
 
+def _paren_body(tokens, open_idx):
+    """The tokens between tokens[open_idx] == '(' and its match."""
+    depth = 0
+    for k in range(open_idx, len(tokens)):
+        if tokens[k].text == "(":
+            depth += 1
+        elif tokens[k].text == ")":
+            depth -= 1
+            if depth == 0:
+                return tokens[open_idx + 1:k]
+    return tokens[open_idx + 1:]
+
+
+def _parameter_decls(params):
+    """[(type last component, name)] of the named parameters in a
+    parameter list's tokens; unnamed ones are skipped."""
+    decls = []
+    chunk = []
+    depth = 0
+    for t in params + [None]:
+        if t is None or (t.text == "," and depth == 0):
+            decl = _parse_member_decl(chunk)
+            if decl is not None:
+                decls.append(decl)
+            chunk = []
+            continue
+        if t.text in ("(", "[", "{", "<"):
+            depth += 1
+        elif t.text in (")", "]", "}", ">"):
+            depth -= 1
+        elif t.text == ">>":
+            depth -= 2
+        chunk.append(t)
+    return decls
+
+
 def _parse_member_decl(head):
     """(type last component, member name) from a class-scope decl."""
+    head = _strip_access(head)
     pos = 0
-    # Access specifiers (`public:`) and leading qualifiers.
-    while pos + 1 < len(head) and head[pos].kind == "id" and \
-            head[pos].text in ("public", "private", "protected") and \
-            head[pos + 1].text == ":":
-        pos += 2
     while pos < len(head) and head[pos].kind == "id" and \
             head[pos].text in DECL_QUALIFIERS:
         pos += 1
@@ -286,7 +331,7 @@ def scan_file_structure(relpath, zone, tokens):
             i += 1
             continue
         if t.text == "{":
-            kind, name = _classify_brace(head, scopes)
+            kind, name, params = _classify_brace(head, scopes)
             if kind == "fn" and not open_fns:
                 cls = None
                 qparts = ns_prefix()
@@ -299,6 +344,7 @@ def scan_file_structure(relpath, zone, tokens):
                 fn = FunctionDef(fq, name.split("::")[-1], cls,
                                  relpath, zone, head_line(head, t))
                 fn.start_line = t.line
+                fn.params = _parameter_decls(params)
                 open_fns.append((fn, i + 1, depth))
                 fidx.functions.append(fn)
             scopes.append(_Scope(kind, name, depth))
@@ -347,32 +393,32 @@ def head_line(head, brace_tok):
 
 
 def _classify_brace(head, scopes):
-    """What scope does this '{' open?"""
-    if not head:
-        return ("block", None)
-    h = head
+    """What scope does this '{' open? (kind, name, parameter tokens)"""
+    h = _strip_access(head)
+    if not h:
+        return ("block", None, [])
     if h[0].text == "namespace":
         parts = [t.text for t in h[1:] if t.kind == "id"]
-        return ("ns", "::".join(parts) if parts else "")
+        return ("ns", "::".join(parts) if parts else "", [])
     if h[0].text in ("enum",):
-        return ("enum", None)
+        return ("enum", None, [])
     cname = _class_head_name(h)
     if cname is not None:
-        return ("class", cname)
+        return ("class", cname, [])
     if h[0].text in CONTROL_HEAD:
-        return ("block", None)
+        return ("block", None, [])
     # enum after qualifiers (`enum class E : int {`) — anywhere at
     # depth 0 counts.
     for k, t in enumerate(h):
         if t.text == "enum" and _paren_depth_at(h, k) == 0:
-            return ("enum", None)
-    fname = _function_head_name(h)
-    if fname is not None:
+            return ("enum", None, [])
+    fhead = _function_head_name(h)
+    if fhead is not None:
         # Only namespace/class scope hosts function definitions we
         # track; inside a function everything is a block (lambdas).
         if not scopes or scopes[-1].kind in ("ns", "class"):
-            return ("fn", fname[0])
-    return ("block", None)
+            return ("fn", fhead[0], fhead[3])
+    return ("block", None, [])
 
 
 # ---------------------------------------------------------------------
@@ -421,6 +467,10 @@ def scan_function_body(fn, tokens, class_names):
     """Pass B. ``class_names`` is the set of indexed class last-name
     components, used to keep local-variable type tracking precise."""
     start, end = fn.body_range
+    # Parameters are typed like declared locals.
+    for tname, var in fn.params:
+        if tname in class_names:
+            fn.locals[var] = tname
     depth = 0
     guards = {}       # var -> _Hold (+ mutex expr via .expr)
     holds = []        # list of _Hold (guards and manual locks)
