@@ -30,17 +30,18 @@ FastCapSolver::FastCapSolver(const PolicyInputs &inputs,
                   socket.firstCore + socket.numCores);
     }
 
-    _minTurnaround.reserve(_in.cores.size());
-    for (std::size_t i = 0; i < _in.cores.size(); ++i)
-        _minTurnaround.push_back(_queuing.minTurnaround(i));
-
     // Same summation order as PolicyInputs::staticPower(), so the
     // hoisted constant is bit-identical to a fresh evaluation.
     _staticPower = _in.staticPower();
     _minCoreRatio = _in.minCoreRatio();
 
-    if (!_opts.referenceImpl)
+    if (_opts.referenceImpl) {
+        _minTurnaround.reserve(_in.cores.size());
+        for (std::size_t i = 0; i < _in.cores.size(); ++i)
+            _minTurnaround.push_back(_queuing.minTurnaround(i));
+    } else {
         buildClasses();
+    }
 }
 
 void
@@ -62,14 +63,16 @@ FastCapSolver::buildClasses()
             doubleBits(c.zbar), doubleBits(c.cache), doubleBits(c.pi),
             doubleBits(c.alpha), doubleBits(c.pStatic)};
     };
-    const auto same_key = [&](std::size_t i, std::size_t j) {
+    const auto same_row = [&](std::size_t i, std::size_t j) {
         const std::vector<double> &a = _in.accessProbs[i];
         const std::vector<double> &b = _in.accessProbs[j];
-        return fields(i) == fields(j) &&
-            std::equal(a.begin(), a.end(), b.begin(), b.end(),
-                       [](double x, double y) {
-                           return doubleBits(x) == doubleBits(y);
-                       });
+        return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                          [](double x, double y) {
+                              return doubleBits(x) == doubleBits(y);
+                          });
+    };
+    const auto same_key = [&](std::size_t i, std::size_t j) {
+        return fields(i) == fields(j) && same_row(i, j);
     };
     std::size_t table_size = 1;
     while (table_size < 2 * n)
@@ -77,22 +80,41 @@ FastCapSolver::buildClasses()
     const std::size_t mask = table_size - 1;
     constexpr std::uint32_t kFree = ~std::uint32_t{0};
     std::vector<std::uint32_t> slots(table_size, kFree);
+    // Access rows get ids the same way, but only a new class looks
+    // its row up, so the queuing model runs once per distinct row.
+    std::vector<std::uint32_t> row_slots(table_size, kFree);
     _classRep.reserve(n);
+    _classRow.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t h = 0;
+        std::uint64_t row_h = 0;
+        for (double p : _in.accessProbs[i])
+            row_h = (row_h ^ doubleBits(p)) * 0x9e3779b97f4a7c15ULL;
+        std::uint64_t h = row_h;
         for (std::uint64_t w : fields(i))
             h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
-        for (double p : _in.accessProbs[i])
-            h = (h ^ doubleBits(p)) * 0x9e3779b97f4a7c15ULL;
         std::size_t s = splitmix64Mix(h) & mask;
         while (slots[s] != kFree && !same_key(i, _classRep[slots[s]]))
             s = (s + 1) & mask;
         if (slots[s] == kFree) {
             slots[s] = static_cast<std::uint32_t>(_classRep.size());
             _classRep.push_back(i);
+            std::size_t r = splitmix64Mix(row_h) & mask;
+            while (row_slots[r] != kFree &&
+                   !same_row(i, _rowRep[row_slots[r]]))
+                r = (r + 1) & mask;
+            if (row_slots[r] == kFree) {
+                row_slots[r] = static_cast<std::uint32_t>(_rowRep.size());
+                _rowRep.push_back(i);
+            }
+            _classRow.push_back(row_slots[r]);
         }
         _classOf[i] = slots[s];
     }
+    // R(1) per row for T̄ = z̄ + c + R(1), summed as
+    // QueuingModel::minTurnaround does; every solve overwrites _rowR.
+    _rowR.resize(_rowRep.size());
+    for (std::size_t r = 0; r < _rowRep.size(); ++r)
+        _rowR[r] = _queuing.minResponseTime(_rowRep[r]);
 
     const std::size_t k = _classRep.size();
     for (std::vector<double> *v :
@@ -103,7 +125,7 @@ FastCapSolver::buildClasses()
     for (std::size_t c = 0; c < k; ++c) {
         const std::size_t i = _classRep[c];
         const CoreModel &m = _in.cores[i];
-        _classMinT[c] = _minTurnaround[i];
+        _classMinT[c] = m.zbar + m.cache + _rowR[_classRow[c]];
         _classCache[c] = m.cache;
         _classZbar[c] = m.zbar;
         _classPi[c] = m.pi;
@@ -197,10 +219,12 @@ FastCapSolver::socketPowerAtD(const SocketBudget &socket, double d,
 void
 FastCapSolver::classResponseTimes(double x_b)
 {
-    // One queuing evaluation per class: cores of a class share their
-    // access-probability row, so R_i(x_b) is the same arithmetic.
+    // One queuing evaluation per distinct access-probability row:
+    // R_i(x_b) depends on core i only through its row.
+    for (std::size_t r = 0; r < _rowRep.size(); ++r)
+        _rowR[r] = _queuing.responseTime(_rowRep[r], x_b);
     for (std::size_t c = 0; c < _classRep.size(); ++c)
-        _classR[c] = _queuing.responseTime(_classRep[c], x_b);
+        _classR[c] = _rowR[_classRow[c]];
     _termsD = std::numeric_limits<double>::quiet_NaN();
 }
 
@@ -356,7 +380,9 @@ FastCapSolver::referenceSolveAtMemRatio(double x_b)
 
     const RootResult root = solveMonotone(
         residual, d_lo, d_hi, d_hi * _opts.dTolerance,
-        _in.budget * 1e-9, 200);
+        _in.budget * 1e-9, 200, _rootSeed);
+    if (!root.saturated)
+        _rootSeed = {root.x, root.slope};
 
     // Per-processor constraints (6'): each socket's own monotone
     // solve bounds D as well; the system runs at the tightest one so
@@ -404,7 +430,9 @@ FastCapSolver::classSolveAtMemRatio(double x_b)
 
     const RootResult root = solveMonotone(
         residual, d_lo, d_hi, d_hi * _opts.dTolerance,
-        _in.budget * 1e-9, 200);
+        _in.budget * 1e-9, 200, _rootSeed);
+    if (!root.saturated)
+        _rootSeed = {root.x, root.slope};
 
     InnerSolution sol;
     sol.d = root.x;

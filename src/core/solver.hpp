@@ -51,6 +51,7 @@
 
 #include "core/inputs.hpp"
 #include "core/queuing_model.hpp"
+#include "util/math.hpp"
 #include "util/units.hpp"
 
 namespace fastcap {
@@ -240,7 +241,7 @@ class FastCapSolver
     /** Group cores into classes; fill the SoA scratch. */
     void buildClasses();
 
-    /** Per-class R(x_b); one queuing evaluation per class. */
+    /** Per-class R(x_b); one queuing evaluation per access row. */
     void classResponseTimes(double x_b);
 
     /**
@@ -285,8 +286,15 @@ class FastCapSolver
     const PolicyInputs &_in;
     SolverOptions _opts;
     QueuingModel _queuing;
-    std::vector<Seconds> _minTurnaround; //!< T̄_i cache (per core)
+    std::vector<Seconds> _minTurnaround; //!< T̄_i per core (reference)
     int _evaluations = 0;
+    /**
+     * Root and slope of the last unsaturated system-wide D solve.
+     * Seeds the next one: the levels a search solves are neighbours
+     * with nearby roots. Changes only the call count, never a bit of
+     * a solution.
+     */
+    RootSeed _rootSeed;
 
     // Constants hoisted out of the per-probe loops.
     Watts _staticPower = 0.0;
@@ -301,8 +309,11 @@ class FastCapSolver
     std::vector<double> _classPi;          //!< P_i per class
     std::vector<double> _classAlpha;       //!< alpha per class
     std::vector<double> _classPStatic;     //!< P_static per class
+    std::vector<std::uint32_t> _classRow;  //!< class -> access-row id
+    std::vector<std::size_t> _rowRep;      //!< representative core per row
     std::vector<double> _classFloorTerm;   //!< P_i x_min^alpha per class
     // Per-probe state, reused across solves (no allocation).
+    std::vector<double> _rowR;             //!< R(x_b) per access row
     std::vector<double> _classR;           //!< R(x_b) per class
     mutable std::vector<double> _classRatio;   //!< x(D) per class
     mutable std::vector<double> _classPowTerm; //!< P_i x^alpha per class

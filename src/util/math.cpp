@@ -11,72 +11,104 @@ namespace {
 constexpr int kMaxSecantSteps = 16;
 
 /**
+ * solveMonotone's pre-phase state: the bracket [a, b] it certifies
+ * and the last two points its secant runs through. b starts at hi,
+ * whose residual a seeded solve may never evaluate.
+ */
+struct Prephase
+{
+    double a, fa;
+    double b, fb;
+    bool fbKnown; //!< fb holds f(b): f(hi) was called or b moved
+    double x0, f0, x1, f1;
+    int steps;
+};
+
+/** How a pre-phase run ended. */
+enum class Certify { kDone, kNeedsHi, kNonFinite };
+
+/**
  * solveMonotone's pre-phase: safeguarded secant steps through the
- * last two evaluated points shrink [a, b] around the root. Only a
- * value with |f| > 2 tol_f moves a bound, so a bisection midpoint at
- * or beyond a moved bound has that bound's residual sign and is no
- * root, by monotonicity up to rounding below tol_f. Adds its calls
- * to `calls`; returns false if f returned a non-finite value, when
+ * last two evaluated points shrink [a, b] around the root. A seed
+ * inside [a, b] is evaluated first, and the step from it follows the
+ * seed's slope when that is positive and finite. Only a value with
+ * |f| > 2 tol_f moves a bound, so a bisection midpoint at or beyond a
+ * moved bound has that bound's residual sign and is no root, by
+ * monotonicity up to rounding below tol_f. Adds its calls to
+ * `calls`. Returns kNeedsHi when a step leaves [a, b] while f(b) is
+ * unknown, and kNonFinite if f returned a non-finite value, when
  * nothing is certified.
  */
-bool
-certifyBracket(const std::function<double(double)> &f, double &a,
-               double &fa, double &b, double &fb, double tol_x,
-               double tol_f, int &calls)
+Certify
+certifyBracket(const std::function<double(double)> &f, Prephase &p,
+               const RootSeed &seed, double tol_x, double tol_f,
+               int &calls)
 {
     // Evaluates x and moves a bound to it if the residual allows.
     const auto probe = [&](double x) {
         const double fx = f(x);
         ++calls;
         if (fx < -2.0 * tol_f) {
-            a = x;
-            fa = fx;
+            p.a = x;
+            p.fa = fx;
         } else if (fx > 2.0 * tol_f) {
-            b = x;
-            fb = fx;
+            p.b = x;
+            p.fb = fx;
+            p.fbKnown = true;
         }
         return fx;
     };
-    double x0 = a, f0 = fa, x1 = b, f1 = fb;
-    for (int step = 0; step < kMaxSecantSteps; ++step) {
-        double x = x1 - f1 * (x1 - x0) / (f1 - f0);
+    const bool seeded = seed.x > p.a && seed.x < p.b;
+    const bool sloped =
+        seeded && seed.slope > 0.0 && std::isfinite(seed.slope);
+    for (; p.steps < kMaxSecantSteps; ++p.steps) {
+        double x = seed.x;
         bool converged = false;
-        if (!(x > a && x < b)) {
-            x = 0.5 * (a + b);
-        } else if (std::abs(x - x1) < 4.0 * tol_x) {
-            // The estimate has converged: one point just past it, on
-            // the far side from x1, closes the bracket around it.
-            x += std::copysign(0.1 * tol_x, x - x1);
-            converged = true;
-            if (!(x > a && x < b))
-                return true;
+        if (!seeded || p.steps > 0) {
+            x = sloped && p.steps == 1
+                ? p.x1 - p.f1 / seed.slope
+                : p.x1 - p.f1 * (p.x1 - p.x0) / (p.f1 - p.f0);
+            if (!(x > p.a && x < p.b)) {
+                if (!p.fbKnown)
+                    return Certify::kNeedsHi;
+                x = 0.5 * (p.a + p.b);
+            } else if (std::abs(x - p.x1) < 4.0 * tol_x) {
+                // The estimate has converged: one point just past it,
+                // on the far side from x1, closes the bracket around
+                // it.
+                x += std::copysign(0.1 * tol_x, x - p.x1);
+                converged = true;
+                if (!(x > p.a && x < p.b))
+                    return Certify::kDone;
+            }
         }
         const double fx = probe(x);
         if (!std::isfinite(fx))
-            return false;
+            return Certify::kNonFinite;
         if (std::abs(fx) <= 2.0 * tol_f) {
             // At the root: points a tenth of tol_x either side of it
             // bound it instead.
-            for (const double p : {x - 0.1 * tol_x, x + 0.1 * tol_x})
-                if (p > a && p < b && !std::isfinite(probe(p)))
-                    return false;
-            return true;
+            for (const double q : {x - 0.1 * tol_x, x + 0.1 * tol_x})
+                if (q > p.a && q < p.b && !std::isfinite(probe(q)))
+                    return Certify::kNonFinite;
+            return Certify::kDone;
         }
         if (converged)
-            return true;
-        x0 = x1;
-        f0 = f1;
-        x1 = x;
-        f1 = fx;
+            return Certify::kDone;
+        p.x0 = p.x1;
+        p.f0 = p.f1;
+        p.x1 = x;
+        p.f1 = fx;
     }
-    return true;
+    return Certify::kDone;
 }
 
 } // namespace
 
 RootResult
 solveMonotone(const std::function<double(double)> &f, double lo, double hi,
-              double tol_x, double tol_f, int max_iter)
+              double tol_x, double tol_f, int max_iter,
+              const RootSeed &seed)
 {
     RootResult res;
     if (lo > hi)
@@ -94,28 +126,6 @@ solveMonotone(const std::function<double(double)> &f, double lo, double hi,
         res.saturated = std::abs(flo) > tol_f;
         return res;
     }
-    double fhi = f(hi);
-    res.iterations = 2;
-    if (fhi <= 0.0) {
-        // Even the highest x undershoots: saturate high.
-        res.x = hi;
-        res.fx = fhi;
-        res.converged = true;
-        res.saturated = std::abs(fhi) > tol_f;
-        return res;
-    }
-    if (std::abs(flo) <= tol_f) {
-        res.x = lo;
-        res.fx = flo;
-        res.converged = true;
-        return res;
-    }
-    if (std::abs(fhi) <= tol_f) {
-        res.x = hi;
-        res.fx = fhi;
-        res.converged = true;
-        return res;
-    }
 
     // Certified bracket [a, b]: a bisection midpoint at or below a
     // (at or above b) takes the branch f(a) (f(b)) gives it without
@@ -126,11 +136,66 @@ solveMonotone(const std::function<double(double)> &f, double lo, double hi,
     // below visits the historical midpoints and returns the
     // historical bits. The final midpoint is always evaluated; a
     // non-finite value turns skipping off.
-    double a = lo, fa = flo, b = hi, fb = fhi;
-    bool skip = std::isfinite(flo) && std::isfinite(fhi) &&
-                tol_f > 0.0 && tol_f * tol_f > 0.0 && max_iter > 0 &&
-                certifyBracket(f, a, fa, b, fb, tol_x, tol_f,
-                               res.iterations);
+    // [a, b] = [lo, hi]; the secant's last point is lo until a seed
+    // or hi is evaluated.
+    Prephase p{lo, flo, hi, 0.0, false, lo, flo, lo, flo, 0};
+    bool skip = std::isfinite(flo) && tol_f > 0.0 &&
+                tol_f * tol_f > 0.0 && max_iter > 0;
+    Certify pre = Certify::kNeedsHi;
+    if (skip && std::abs(flo) > tol_f && seed.x > lo && seed.x < hi) {
+        pre = certifyBracket(f, p, seed, tol_x, tol_f, res.iterations);
+        skip = pre != Certify::kNonFinite;
+    }
+    // A moved b has f(b) > 2 tol_f, so f(hi) > tol_f: none of the
+    // endpoint branches below can be taken, and the replay never
+    // reads f(hi). Only without one is the probe needed.
+    if (!(skip && p.fbKnown)) {
+        const double fhi = f(hi);
+        ++res.iterations;
+        if (fhi <= 0.0) {
+            // Even the highest x undershoots: saturate high.
+            res.x = hi;
+            res.fx = fhi;
+            res.converged = true;
+            res.saturated = std::abs(fhi) > tol_f;
+            return res;
+        }
+        if (std::abs(flo) <= tol_f) {
+            res.x = lo;
+            res.fx = flo;
+            res.converged = true;
+            return res;
+        }
+        if (std::abs(fhi) <= tol_f) {
+            res.x = hi;
+            res.fx = fhi;
+            res.converged = true;
+            return res;
+        }
+        if (max_iter <= 0) {
+            // No midpoint to evaluate: report the bracketing endpoint
+            // with the smaller residual.
+            const bool at_lo = std::abs(flo) < std::abs(fhi);
+            res.x = at_lo ? lo : hi;
+            res.fx = at_lo ? flo : fhi;
+            return res;
+        }
+        p.fb = fhi;
+        p.fbKnown = true;
+        skip = skip && std::isfinite(fhi);
+        if (skip && pre == Certify::kNeedsHi) {
+            // Unseeded, or a seeded run stopped short of hi: the
+            // secant goes on through its last point and hi.
+            p.x0 = p.x1;
+            p.f0 = p.f1;
+            p.x1 = hi;
+            p.f1 = fhi;
+            skip = certifyBracket(f, p, RootSeed{}, tol_x, tol_f,
+                                  res.iterations) != Certify::kNonFinite;
+        }
+    }
+    if (skip)
+        res.slope = (p.fb - p.fa) / (p.b - p.a);
 
     double mid = 0.5 * (lo + hi);
     double fmid = flo;
@@ -138,10 +203,10 @@ solveMonotone(const std::function<double(double)> &f, double lo, double hi,
         mid = 0.5 * (lo + hi);
         const bool narrow = (hi - lo) * 0.5 <= tol_x;
         const bool last = narrow || it + 1 == max_iter;
-        if (skip && !last && mid <= a) {
-            fmid = fa;
-        } else if (skip && !last && mid >= b) {
-            fmid = fb;
+        if (skip && !last && mid <= p.a) {
+            fmid = p.fa;
+        } else if (skip && !last && mid >= p.b) {
+            fmid = p.fb;
         } else {
             fmid = f(mid);
             ++res.iterations;
@@ -155,23 +220,15 @@ solveMonotone(const std::function<double(double)> &f, double lo, double hi,
         }
         if (flo * fmid < 0.0) {
             hi = mid;
-            fhi = fmid;
         } else {
             lo = mid;
             flo = fmid;
         }
     }
-    // Iteration budget exhausted: report the last midpoint actually
-    // evaluated (not a fresh one the loop never examined). A
-    // non-positive max_iter never evaluates a midpoint; report the
-    // bracketing endpoint with the smaller residual instead.
-    if (max_iter <= 0) {
-        res.x = std::abs(flo) < std::abs(fhi) ? lo : hi;
-        res.fx = std::abs(flo) < std::abs(fhi) ? flo : fhi;
-    } else {
-        res.x = mid;
-        res.fx = fmid;
-    }
+    // Iteration budget exhausted: report the last midpoint evaluated
+    // (not a fresh one the loop never examined).
+    res.x = mid;
+    res.fx = fmid;
     return res;
 }
 

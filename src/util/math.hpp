@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -49,6 +50,23 @@ struct RootResult
      * power budget below the platform's floor power.
      */
     bool saturated = false;
+    /**
+     * f's slope across the bracket the bisection skipped against,
+     * (f(b) - f(a)) / (b - a); NaN when the solve certified none.
+     * With x, it seeds a neighbouring solve.
+     */
+    double slope = std::numeric_limits<double>::quiet_NaN();
+};
+
+/**
+ * Where a seeded solve starts: a point near the root, such as the
+ * root of a neighbouring problem, and f's slope there. The default
+ * seeds nothing.
+ */
+struct RootSeed
+{
+    double x = std::numeric_limits<double>::quiet_NaN();
+    double slope = std::numeric_limits<double>::quiet_NaN();
 };
 
 /**
@@ -68,6 +86,20 @@ struct RootResult
  * branch is already known; x, fx and the flags keep the same bits,
  * only `iterations` — the calls actually made — drops.
  *
+ * A `seed` strictly inside (lo, hi) starts the pre-phase there, after
+ * f(lo): it evaluates seed.x first, and its first step follows
+ * seed.slope when that is positive and finite (the secant through lo
+ * otherwise). Once the pre-phase has certified an upper bound (a
+ * point with f > 2 tol_f), f(hi) is not called at all: by
+ * monotonicity f(hi) > tol_f, so neither endpoint branch applies, and
+ * the bisection never reads it. f(lo) is always called: a seed is
+ * used only when f(lo) is finite and below -tol_f (a NaN would flip
+ * the bisection's first branch; a root at lo needs f(hi) to tell),
+ * with tol_f > 0 and max_iter > 0. A seed at or beyond an endpoint,
+ * or NaN, seeds nothing. The seed only moves where the pre-phase looks,
+ * so every result bit is the unseeded one; `iterations` depends on
+ * the seed, and so on the order a caller runs related solves in.
+ *
  * This is the shape of FastCap's inner solve: total power is
  * increasing in the performance factor D, and budgets above/below the
  * achievable range saturate at the frequency-ladder ends.
@@ -75,7 +107,7 @@ struct RootResult
 RootResult solveMonotone(const std::function<double(double)> &f,
                          double lo, double hi,
                          double tol_x = 1e-12, double tol_f = 1e-9,
-                         int max_iter = 200);
+                         int max_iter = 200, const RootSeed &seed = {});
 
 /** Slope/intercept pair from a linear least-squares fit. */
 struct LinearFit

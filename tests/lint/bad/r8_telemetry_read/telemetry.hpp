@@ -3,7 +3,8 @@
 // rule constrains *callers*: result-zone code may write metrics into
 // the registry it was handed but never read them back (R8 fires in
 // result.cpp). global() and Registry::global() model a process-wide
-// registry, which is off the write surface too.
+// registry, which is off the write surface too. The EXPECT-MEMBER
+// markers pin the index's reading of multi-word builtin types.
 // Not compiled; consumed by `fastcap_lint --self-test`.
 // fastcap-lint-zone: src/telemetry/registry.hpp
 
@@ -17,7 +18,7 @@ class Counter
     unsigned long value() const { return _value; }
 
   private:
-    unsigned long _value = 0;
+    unsigned long _value = 0; // EXPECT-MEMBER: _value unsigned long
 };
 
 class Gauge
@@ -42,7 +43,9 @@ class Registry
     unsigned long size() const { return _size; }
 
   private:
-    unsigned long _size = 0;
+    unsigned long _size = 0; // EXPECT-MEMBER: _size unsigned long
+    long double _scale = 1.0; // EXPECT-MEMBER: _scale long double
+    const unsigned char *_name = nullptr; // EXPECT-MEMBER: _name unsigned char
 };
 
 inline Registry &

@@ -25,10 +25,14 @@ from .tokens import TokenCache
 from .waivers import stale_waiver_findings
 
 EXPECT_RE = re.compile(r"EXPECT:\s*((?:[RW]\d+\s*)+)")
+# `// EXPECT-MEMBER: name type words` pins the symbol index itself:
+# some class of the unit must record member `name` with that type.
+EXPECT_MEMBER_RE = re.compile(r"EXPECT-MEMBER:\s*(\w+)\s+(\w+(?: \w+)*)")
 
 
 def analyze(targets, cache, enable_w1):
-    """All findings over ``targets`` ([(path, relpath)]), sorted."""
+    """(all findings over ``targets`` ([(path, relpath)]), sorted;
+    the symbol index built over them)."""
     findings = []
     entries = []
     waiver_map = {}
@@ -57,7 +61,7 @@ def analyze(targets, cache, enable_w1):
                                  "telemetry"):
                 findings.extend(stale_waiver_findings(ws))
     findings.sort(key=sort_key)
-    return findings
+    return findings, index
 
 
 def tree_files(root):
@@ -93,6 +97,7 @@ def run_self_test(corpus_dir, root, cache):
 
     bad/ units carry `// EXPECT: R1 [R6 ...]` markers on each line
     that must fire exactly those rules; good/ units must be clean.
+    `// EXPECT-MEMBER:` markers, in either, check the symbol index.
     W1 runs here, so every waiver in the corpus must earn its keep.
     """
     failures = []
@@ -105,7 +110,7 @@ def run_self_test(corpus_dir, root, cache):
         for files in _corpus_units(d):
             targets = [(p, os.path.relpath(p, root)) for p in files]
             checked += len(files)
-            findings = analyze(targets, cache, enable_w1=True)
+            findings, index = analyze(targets, cache, enable_w1=True)
             got = {}
             for fd in findings:
                 got.setdefault((fd.path, fd.line),
@@ -118,6 +123,13 @@ def run_self_test(corpus_dir, root, cache):
                     if m:
                         want[(rel, lineno)] = \
                             sorted(m.group(1).split())
+                    m = EXPECT_MEMBER_RE.search(line)
+                    if m and not any(
+                            members.get(m.group(1)) == m.group(2)
+                            for members in index.classes.values()):
+                        failures.append(
+                            "%s:%d: no class member %s of type %s" %
+                            (rel, lineno, m.group(1), m.group(2)))
             unit_rel = os.path.relpath(files[0], root)
             if not expect_findings and want:
                 failures.append("%s: good/ unit has EXPECT markers"
@@ -189,7 +201,7 @@ def main(argv=None):
         targets = tree_files(root)
         enable_w1 = True
 
-    all_findings = analyze(targets, cache, enable_w1)
+    all_findings, _index = analyze(targets, cache, enable_w1)
     for f in all_findings:
         print(f.render_jsonl() if args.format == "jsonl"
               else f.render())

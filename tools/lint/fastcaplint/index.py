@@ -45,6 +45,11 @@ DECL_QUALIFIERS = frozenset({
     "constexpr", "inline", "volatile", "friend", "explicit",
     "virtual", "extern", "thread_local", "register", "typename",
 })
+# Builtin type words that combine into one type (`unsigned long`,
+# `long long`, `long double`, `signed char`).
+BUILTIN_TYPE_WORDS = frozenset({
+    "unsigned", "signed", "short", "long", "int", "char", "double",
+})
 GUARD_TYPES = frozenset({"LockGuard", "UniqueLock"})
 MUTEX_TYPE = "Mutex"
 
@@ -281,9 +286,16 @@ def _parse_member_decl(head):
     if head[pos].text in ("class", "struct", "union", "enum", "using",
                           "typedef", "namespace"):
         return None
-    tname, after = qualified_name_at(head, pos)
-    if after < len(head) and head[after].text == "<":
-        after = skip_template_args(head, after)
+    if head[pos].text in BUILTIN_TYPE_WORDS:
+        after = pos
+        while after < len(head) and head[after].kind == "id" and \
+                head[after].text in BUILTIN_TYPE_WORDS:
+            after += 1
+        tname = " ".join(t.text for t in head[pos:after])
+    else:
+        tname, after = qualified_name_at(head, pos)
+        if after < len(head) and head[after].text == "<":
+            after = skip_template_args(head, after)
     while after < len(head) and head[after].text in ("&", "*",
                                                      "const"):
         after += 1
