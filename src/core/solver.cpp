@@ -540,9 +540,8 @@ FastCapSolver::solve()
         return result;
     }
 
-    // Algorithm 1: binary search over the (unimodal, by convexity of
-    // the underlying problem) D(m) curve. Memoize evaluations so
-    // neighbour probes are not repeated.
+    // Algorithm 1 over memoized inner solves: a level the search
+    // compares twice is solved once.
     std::vector<InnerSolution> memo(m);
     std::vector<bool> have(m, false);
     const auto eval = [&](std::size_t idx) -> const InnerSolution & {
@@ -553,58 +552,51 @@ FastCapSolver::solve()
         }
         return memo[idx];
     };
+    const std::size_t idx = searchMemLevels(
+        floor_idx, m, _opts.warmStart,
+        [&](std::size_t level) { return eval(level).d; });
+    result.best = eval(idx);
+    result.memIndex = idx;
+    result.evaluations = _evaluations;
+    return result;
+}
+
+std::size_t
+searchMemLevels(std::size_t floor_idx, std::size_t m,
+                const WarmStart &warm,
+                const std::function<double(std::size_t)> &eval)
+{
+    constexpr double kNone = -std::numeric_limits<double>::infinity();
 
     // Warm start: probe the previous epoch's level and its
-    // neighbours first. Confirming a local optimum there picks the
-    // same level as the cold search (the D(m) curve is unimodal and
-    // the inner solve at a level does not depend on the search
-    // trajectory), at 2-3 inner solves instead of ~2 log2 M.
-    if (_opts.warmStart.valid) {
-        const std::size_t h = std::clamp(_opts.warmStart.memIndex,
-                                         floor_idx, m - 1);
-        const double d_h = eval(h).d;
-        const double d_up =
-            (h + 1 <= m - 1) ? eval(h + 1).d
-                             : -std::numeric_limits<double>::infinity();
-        const double d_down =
-            (h >= floor_idx + 1)
-                ? eval(h - 1).d
-                : -std::numeric_limits<double>::infinity();
-        if (d_h >= d_up && d_h >= d_down) {
-            result.best = eval(h);
-            result.memIndex = h;
-            result.evaluations = _evaluations;
-            return result;
-        }
+    // neighbours first (the lower one, as in the search below, only
+    // once the upper one has not won). Confirming a local optimum
+    // there picks the same level as the cold search (the D(m) curve
+    // is unimodal and the inner solve at a level does not depend on
+    // the search trajectory), at 2-3 inner solves instead of
+    // ~2 log2 M.
+    if (warm.valid) {
+        const std::size_t h = std::clamp(warm.memIndex, floor_idx, m - 1);
+        const double d_h = eval(h);
+        const double d_up = h + 1 <= m - 1 ? eval(h + 1) : kNone;
+        if (d_h >= d_up &&
+            d_h >= (h >= floor_idx + 1 ? eval(h - 1) : kNone))
+            return h;
     }
 
     std::size_t lo = floor_idx;
     std::size_t hi = m - 1;
-    std::size_t mid = (lo + hi) / 2;
     while (lo < hi) {
-        mid = (lo + hi) / 2;
-        const double d_mid = eval(mid).d;
-        const double d_up =
-            (mid + 1 <= hi) ? eval(mid + 1).d
-                            : -std::numeric_limits<double>::infinity();
-        const double d_down =
-            (mid >= lo + 1) ? eval(mid - 1).d
-                            : -std::numeric_limits<double>::infinity();
-
-        if (d_up > d_mid) {
+        const std::size_t mid = (lo + hi) / 2;
+        const double d_mid = eval(mid);
+        if ((mid + 1 <= hi ? eval(mid + 1) : kNone) > d_mid)
             lo = mid + 1;       // ascending to the right
-        } else if (d_down > d_mid) {
+        else if ((mid >= lo + 1 ? eval(mid - 1) : kNone) > d_mid)
             hi = mid - 1;       // ascending to the left
-        } else {
+        else
             lo = hi = mid;      // local (= global, unimodal) optimum
-        }
     }
-    mid = lo;
-
-    result.best = eval(mid);
-    result.memIndex = mid;
-    result.evaluations = _evaluations;
-    return result;
+    return lo;
 }
 
 } // namespace fastcap

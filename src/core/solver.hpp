@@ -46,6 +46,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -164,6 +165,24 @@ struct SolverOptions
      */
     std::vector<SocketBudget> socketBudgets;
 };
+
+/**
+ * Algorithm 1's binary search over the memory levels [floor_idx, m),
+ * on a D(m) curve that is unimodal by convexity of the underlying
+ * problem. `eval(idx)` returns D at level idx; it may be asked for
+ * the same level more than once, so a caller whose levels are costly
+ * memoizes. With `warm.valid`, the hinted level and its neighbours
+ * are probed first, and a local optimum there ends the search.
+ *
+ * Neighbour probes are lazy: the level below is evaluated only once
+ * the level above has failed to beat the probed one, so no D the
+ * comparisons never read is computed. The comparisons run in a fixed
+ * order on the same values either way, so the chosen level is the one
+ * an eager search (both neighbours first) chooses. Returns it.
+ */
+std::size_t searchMemLevels(std::size_t floor_idx, std::size_t m,
+                            const WarmStart &warm,
+                            const std::function<double(std::size_t)> &eval);
 
 /**
  * Implements the inner Theorem-1 solve and Algorithm 1's binary

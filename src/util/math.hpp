@@ -81,10 +81,16 @@ struct RootSeed
  * Otherwise the result is the bisection's: midpoints of [lo, hi]
  * until |f(mid)| <= tol_f or the half-width is <= tol_x (converged),
  * or until max_iter midpoints (not converged, last midpoint). A short
- * secant pre-phase first certifies a bracket around the root, and the
- * bisection then skips the call at every midpoint outside it, whose
- * branch is already known; x, fx and the flags keep the same bits,
- * only `iterations` — the calls actually made — drops.
+ * secant pre-phase first certifies a bracket around the root, probing
+ * the bisection's own midpoints, and the bisection then skips the
+ * call at every midpoint outside the bracket, whose branch is already
+ * known, and at every midpoint the pre-phase evaluated, whose value
+ * it takes over; x, fx and the flags keep the same bits, only
+ * `iterations` — the calls actually made — drops.
+ *
+ * An unseeded solve calls f(hi) first: a value below -2 tol_f proves
+ * f(lo) < 0 by monotonicity (a NaN f(lo) would take the same path),
+ * so it returns saturated at hi after that one call.
  *
  * A `seed` strictly inside (lo, hi) starts the pre-phase there, after
  * f(lo): it evaluates seed.x first, and its first step follows

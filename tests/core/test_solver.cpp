@@ -2,16 +2,23 @@
  * @file
  * Tests for the FastCap solver: Theorem 1 (tight constraints at the
  * optimum), Eq. 8 consistency, fairness of the inner solution, ladder
- * clamping, Algorithm 1 vs exhaustive search, and budget monotonicity
- * properties.
+ * clamping, Algorithm 1 vs exhaustive search and vs the eager search
+ * it replaced, and budget monotonicity properties.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "core/solver.hpp"
 #include "util/logging.hpp"
+#include "util/math.hpp"
+#include "util/rng.hpp"
 
 namespace fastcap {
 namespace {
@@ -309,6 +316,235 @@ TEST(Solver, RejectsDegenerateInputs)
     PolicyInputs in3 = scenario(50.0);
     in3.budget = -1.0;
     EXPECT_THROW(FastCapSolver s3(in3), FatalError);
+}
+
+// --- Algorithm 1's search: lazy neighbour probes -------------------
+
+using LevelEval = std::function<double(std::size_t)>;
+
+/**
+ * The memory-level search as it was before its neighbour probes went
+ * lazy, kept as the oracle (returning the level instead of filling a
+ * SolveResult): every probed level's upper and lower neighbours are
+ * evaluated before either is compared.
+ */
+std::size_t
+eagerSearchMemLevels(std::size_t floor_idx, std::size_t m,
+                     const WarmStart &warm, const LevelEval &eval)
+{
+    if (warm.valid) {
+        const std::size_t h = std::clamp(warm.memIndex, floor_idx, m - 1);
+        const double d_h = eval(h);
+        const double d_up =
+            (h + 1 <= m - 1) ? eval(h + 1)
+                             : -std::numeric_limits<double>::infinity();
+        const double d_down =
+            (h >= floor_idx + 1)
+                ? eval(h - 1)
+                : -std::numeric_limits<double>::infinity();
+        if (d_h >= d_up && d_h >= d_down)
+            return h;
+    }
+
+    std::size_t lo = floor_idx;
+    std::size_t hi = m - 1;
+    std::size_t mid = (lo + hi) / 2;
+    while (lo < hi) {
+        mid = (lo + hi) / 2;
+        const double d_mid = eval(mid);
+        const double d_up =
+            (mid + 1 <= hi) ? eval(mid + 1)
+                            : -std::numeric_limits<double>::infinity();
+        const double d_down =
+            (mid >= lo + 1) ? eval(mid - 1)
+                            : -std::numeric_limits<double>::infinity();
+
+        if (d_up > d_mid) {
+            lo = mid + 1;       // ascending to the right
+        } else if (d_down > d_mid) {
+            hi = mid - 1;       // ascending to the left
+        } else {
+            lo = hi = mid;      // local (= global, unimodal) optimum
+        }
+    }
+    return lo;
+}
+
+/** A search's chosen level and the distinct levels it evaluated. */
+struct SearchRun
+{
+    std::size_t idx = 0;
+    int evaluated = 0;
+};
+
+SearchRun
+runSearch(const std::function<std::size_t(const LevelEval &)> &search,
+          const std::vector<double> &d)
+{
+    std::vector<bool> seen(d.size(), false);
+    SearchRun run;
+    run.idx = search([&](std::size_t idx) {
+        if (!seen.at(idx)) {
+            seen[idx] = true;
+            ++run.evaluated;
+        }
+        return d[idx];
+    });
+    return run;
+}
+
+/** Synthetic D(m) curves of every shape the search may meet. */
+std::vector<double>
+syntheticCurve(Rng &rng, std::size_t m, int shape)
+{
+    std::vector<double> d(m);
+    const std::size_t peak = rng.below(m);
+    switch (shape) {
+      case 0: // unimodal, strict
+        for (std::size_t i = 0; i < m; ++i)
+            d[i] = 1.0 - 0.05 * std::abs(static_cast<double>(i) -
+                                         static_cast<double>(peak)) -
+                rng.uniform(0.0, 0.01);
+        d[peak] = 1.0;
+        break;
+      case 1: // unimodal on a coarse grid: plateaus and exact ties
+        for (std::size_t i = 0; i < m; ++i)
+            d[i] = 0.5 - 0.1 * static_cast<double>(
+                (i > peak ? i - peak : peak - i) / (1 + rng.below(3)));
+        break;
+      case 2: { // infeasible levels below a feasible unimodal tail
+        const std::size_t feasible = rng.below(m);
+        for (std::size_t i = 0; i < m; ++i)
+            d[i] = i < feasible
+                ? -0.1 * static_cast<double>(feasible - i) // penalty
+                : 0.9 - 0.03 * std::abs(static_cast<double>(i) -
+                                        static_cast<double>(
+                                            std::max(peak, feasible)));
+        break;
+      }
+      case 3: // every level infeasible
+        for (std::size_t i = 0; i < m; ++i)
+            d[i] = -0.01 * static_cast<double>(m - i) -
+                rng.uniform(0.0, 0.001);
+        break;
+      case 4: // flat
+        std::fill(d.begin(), d.end(), 0.75);
+        break;
+      default: // not unimodal: a few values, many ties
+        for (double &v : d)
+            v = 0.1 * static_cast<double>(rng.below(4));
+        break;
+    }
+    return d;
+}
+
+TEST(SolverSearch, LazyNeighboursChooseTheEagerLevel)
+{
+    // searchMemLevels evaluates a probed level's lower neighbour only
+    // when the upper one has not beaten it. On every curve, from every
+    // floor and with every warm-start hint (none, each level, and out
+    // of range), it must choose the level the eager search chooses,
+    // evaluating no level that search did not, and fewer on some.
+    Rng rng(24);
+    int runs = 0;
+    int fewer = 0;
+    for (std::size_t m = 1; m <= 16; ++m) {
+        for (int shape = 0; shape < 6; ++shape) {
+            for (int rep = 0; rep < 4; ++rep) {
+                const std::vector<double> d = syntheticCurve(rng, m, shape);
+                for (std::size_t floor_idx = 0; floor_idx < m;
+                     ++floor_idx) {
+                    std::vector<WarmStart> hints = {WarmStart{}};
+                    for (std::size_t h = 0; h <= m + 1; ++h)
+                        hints.push_back(WarmStart{true, h});
+                    for (const WarmStart &warm : hints) {
+                        const SearchRun lazy = runSearch(
+                            [&](const LevelEval &eval) {
+                                return searchMemLevels(floor_idx, m, warm,
+                                                       eval);
+                            },
+                            d);
+                        const SearchRun eager = runSearch(
+                            [&](const LevelEval &eval) {
+                                return eagerSearchMemLevels(floor_idx, m,
+                                                            warm, eval);
+                            },
+                            d);
+                        const std::string what = "m " + std::to_string(m) +
+                            " shape " + std::to_string(shape) + " floor " +
+                            std::to_string(floor_idx) + " hint " +
+                            (warm.valid ? std::to_string(warm.memIndex)
+                                        : std::string("none"));
+                        ASSERT_EQ(lazy.idx, eager.idx) << what;
+                        ASSERT_LE(lazy.evaluated, eager.evaluated) << what;
+                        ++runs;
+                        fewer += lazy.evaluated < eager.evaluated;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(fewer, runs / 10) << "of " << runs << " searches";
+}
+
+TEST(SolverSearch, LazySolveMatchesEagerSearchBitForBit)
+{
+    // End to end, with per-socket budgets in play: FastCapSolver's
+    // solve() returns, bit for bit, the inner solution at the level
+    // the eager search picks over the same inner solves, and runs no
+    // more of them.
+    for (double frac : {0.55, 0.65, 0.75, 0.9}) {
+        for (const double socket_frac : {0.8, 1.0, 1.3}) {
+            PolicyInputs in = scenario(0.0);
+            in.budget = frac * scenarioMaxPower(in);
+            SolverOptions opts;
+            const double half = socket_frac * in.budget / 2.0;
+            opts.socketBudgets = {{0, 2, half}, {2, 2, half}};
+            const std::size_t m = in.memRatios.size();
+            const std::size_t floor_idx =
+                minMemIndexForUtilisation(in, opts.maxBusUtilisation);
+            ASSERT_GT(m - floor_idx, 3u);
+
+            for (std::size_t hint = 0; hint <= m; ++hint) {
+                opts.warmStart = WarmStart{hint < m, hint};
+                FastCapSolver lazy(in, opts);
+                const SolveResult got = lazy.solve();
+
+                FastCapSolver eager(in, opts);
+                std::vector<InnerSolution> memo(m);
+                std::vector<bool> have(m, false);
+                const std::size_t idx = eagerSearchMemLevels(
+                    floor_idx, m, opts.warmStart, [&](std::size_t level) {
+                        if (!have[level]) {
+                            memo[level] = eager.solveAtMemIndex(level);
+                            have[level] = true;
+                        }
+                        return memo[level].d;
+                    });
+                const std::string what = "budget " + std::to_string(frac) +
+                    " socket " + std::to_string(socket_frac) + " hint " +
+                    std::to_string(hint);
+                ASSERT_EQ(got.memIndex, idx) << what;
+                const InnerSolution &want = memo[idx];
+                EXPECT_EQ(doubleBits(got.best.d), doubleBits(want.d)) << what;
+                EXPECT_EQ(doubleBits(got.best.predictedPower),
+                          doubleBits(want.predictedPower))
+                    << what;
+                EXPECT_EQ(got.best.budgetFeasible, want.budgetFeasible)
+                    << what;
+                EXPECT_EQ(got.best.saturatedLow, want.saturatedLow) << what;
+                EXPECT_EQ(got.best.saturatedHigh, want.saturatedHigh)
+                    << what;
+                ASSERT_EQ(got.best.coreRatios.size(),
+                          want.coreRatios.size());
+                for (std::size_t i = 0; i < want.coreRatios.size(); ++i)
+                    EXPECT_EQ(doubleBits(got.best.coreRatios[i]),
+                              doubleBits(want.coreRatios[i]))
+                        << what << " core " << i;
+                EXPECT_LE(got.evaluations, eager.evaluations()) << what;
+            }
+        }
+    }
 }
 
 /** Budget sweep property: Theorem 1 holds across the binding range. */
