@@ -93,16 +93,55 @@ ExperimentResult::saturatedEpochs() const
     return n;
 }
 
+namespace {
+
+/**
+ * Throws unless `fraction` is in (0, 1]. Written so NaN fails too:
+ * every comparison with NaN is false.
+ */
+void
+checkBudgetFraction(double fraction)
+{
+    if (!(fraction > 0.0 && fraction <= 1.0))
+        fatal("budget fraction must be in (0, 1] (got %g)", fraction);
+}
+
+/**
+ * The engine `cfg` selects. Validates `cfg` first, so a bad knob
+ * fails before a 1024-core engine and all its lanes are built.
+ */
+EngineConfig
+checkedEngineConfig(const ExperimentConfig &cfg)
+{
+    cfg.validate();
+    return EngineConfig{cfg.shards, cfg.shardThreads, cfg.registry,
+                        "/machine/" + std::to_string(cfg.machineIndex)};
+}
+
+} // namespace
+
+void
+ExperimentConfig::validate() const
+{
+    checkBudgetFraction(budgetFraction);
+    if (!(std::isfinite(targetInstructions) && targetInstructions > 0.0))
+        fatal("ExperimentConfig: target instructions must be positive "
+              "and finite");
+    if (maxEpochs < 1)
+        fatal("ExperimentConfig: maxEpochs must be >= 1 (got %d)",
+              maxEpochs);
+    if (!(std::isfinite(peakPowerOverride) && peakPowerOverride >= 0.0))
+        fatal("ExperimentConfig: peakPowerOverride must be finite and "
+              ">= 0 (got %g)", peakPowerOverride);
+}
+
 ExperimentRunner::ExperimentRunner(SimConfig sim_cfg,
                                    std::vector<AppProfile> apps,
                                    CappingPolicy &policy,
                                    ExperimentConfig cfg)
     : _simCfg(std::move(sim_cfg)),
-      _system(makeSimBackend(
-          _simCfg, std::move(apps),
-          EngineConfig{cfg.shards, cfg.shardThreads, cfg.registry,
-                       "/machine/" +
-                           std::to_string(cfg.machineIndex)})),
+      _system(makeSimBackend(_simCfg, std::move(apps),
+                             checkedEngineConfig(cfg))),
       _policy(policy), _cfg(std::move(cfg)),
       _fitter(static_cast<std::size_t>(_simCfg.numCores),
               _cfg.linearPowerModel ? 1.0 : 2.5,
@@ -110,16 +149,6 @@ ExperimentRunner::ExperimentRunner(SimConfig sim_cfg,
               _cfg.linearPowerModel ? 1.0 : 0.3,
               _cfg.linearPowerModel ? 1.0 : 4.0)
 {
-    // Written so NaN fails too: every comparison with NaN is false.
-    if (!(_cfg.budgetFraction > 0.0 && _cfg.budgetFraction <= 1.0))
-        fatal("ExperimentRunner: budget fraction must be in (0, 1]");
-    if (!(std::isfinite(_cfg.targetInstructions) &&
-          _cfg.targetInstructions > 0.0))
-        fatal("ExperimentRunner: target instructions must be positive "
-              "and finite");
-    if (_cfg.maxEpochs < 1)
-        fatal("ExperimentRunner: maxEpochs must be >= 1 (got %d)",
-              _cfg.maxEpochs);
     _baseBudgetFraction = _cfg.budgetFraction;
 
     // Scenario workload events know their core index only as a
@@ -175,8 +204,7 @@ ExperimentRunner::ExperimentRunner(SimConfig sim_cfg,
 void
 ExperimentRunner::budgetFraction(double fraction)
 {
-    if (!(fraction > 0.0 && fraction <= 1.0))
-        fatal("budgetFraction must be in (0, 1]");
+    checkBudgetFraction(fraction);
     _cfg.budgetFraction = fraction;
 }
 

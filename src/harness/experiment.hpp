@@ -28,7 +28,6 @@
 #include "core/solver.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/engine/backend.hpp"
-#include "sim/system.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/tracer.hpp"
 #include "trace/trace_replay.hpp"
@@ -110,6 +109,14 @@ struct ExperimentConfig
      * machines use 0; the cluster sets one index per member.
      */
     int machineIndex = 0;
+
+    /**
+     * Throws FatalError on a budget fraction outside (0, 1], a
+     * non-positive or non-finite instruction target, maxEpochs < 1,
+     * or a peakPowerOverride that is negative or non-finite. The
+     * runner calls it before it builds any engine.
+     */
+    void validate() const;
 };
 
 /** Per-epoch record for time-series figures. */

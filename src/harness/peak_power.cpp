@@ -9,7 +9,6 @@
 #include <string>
 
 #include "sim/engine/backend.hpp"
-#include "sim/system.hpp"
 #include "util/logging.hpp"
 #include "util/math.hpp"
 #include "util/mutex.hpp"
@@ -33,10 +32,7 @@ namespace {
 const char *
 resolvedEngineName(const SimConfig &cfg, const EngineConfig &engine)
 {
-    if (engine.shards == 0 &&
-        cfg.numCores <= EngineConfig::kAutoMonolithicLimit)
-        return "monolithic";
-    return "sharded";
+    return engine.sharded(cfg.numCores) ? "sharded" : "monolithic";
 }
 
 /** FNV-1a over the bit patterns of a list of doubles. */

@@ -2,11 +2,12 @@
  * @file
  * Simulation-engine abstraction: the operations the experiment
  * harness needs from a simulated many-core server, decoupled from how
- * the discrete-event simulation is executed.
+ * the discrete-event simulation is executed, plus the window stats
+ * every engine returns.
  *
  * Two engines implement it:
  *
- *   - the *monolithic* engine (ManyCoreSystem behind an adapter): one
+ *   - the *monolithic* engine (ManyCoreSystem, sim/system.hpp): one
  *     global event queue, shared memory controllers, full cross-core
  *     queueing contention. The faithful substrate for the paper-scale
  *     configurations (<= 64 cores).
@@ -30,7 +31,8 @@
 
 #include "sim/app_profile.hpp"
 #include "sim/config.hpp"
-#include "sim/system.hpp"
+#include "sim/core.hpp"
+#include "sim/memory_controller.hpp"
 #include "util/units.hpp"
 
 namespace fastcap {
@@ -38,6 +40,52 @@ namespace fastcap {
 namespace telemetry {
 class Registry;
 } // namespace telemetry
+
+/** Per-core results of one simulated window. */
+struct CoreWindowStats
+{
+    CoreCounters counters;
+    Hertz frequency = 0.0;
+    std::size_t freqIndex = 0;
+    double activity = 0.0;
+    Watts dynamicPower = 0.0; //!< measured (energy / window)
+    Watts totalPower = 0.0;   //!< dynamic + static
+
+    /** Time per instruction over the window. */
+    Seconds
+    tpi(Seconds window) const
+    {
+        return counters.instructions
+            ? window / static_cast<double>(counters.instructions)
+            : 0.0;
+    }
+};
+
+/** Per-controller results of one simulated window. */
+struct MemWindowStats
+{
+    ControllerCounters counters;
+    Hertz busFrequency = 0.0;
+    Seconds transferTime = 0.0;    //!< s_b at the window's frequency
+    double busUtilisation = 0.0;
+    Watts dynamicPower = 0.0;      //!< access + frequency-scaled parts
+    Watts totalPower = 0.0;
+};
+
+/** Results of one simulated window across the whole system. */
+struct WindowStats
+{
+    Seconds duration = 0.0;
+    std::vector<CoreWindowStats> cores;
+    std::vector<MemWindowStats> memory;
+    Watts backgroundPower = 0.0;
+    Joules totalEnergy = 0.0;
+
+    Watts corePowerTotal() const;
+    Watts memPowerTotal() const;
+    /** Full-system average power over the window. */
+    Watts totalPower() const;
+};
 
 /**
  * Engine selection and execution knobs, orthogonal to the simulated
@@ -75,6 +123,17 @@ struct EngineConfig
     telemetry::Registry *registry = nullptr;
     std::string metricPrefix = "";
 
+    /**
+     * True when this config runs a `num_cores`-core system on the
+     * sharded engine: a forced shard count, or auto above
+     * `kAutoMonolithicLimit` cores.
+     */
+    bool
+    sharded(int num_cores) const
+    {
+        return shards > 0 || num_cores > kAutoMonolithicLimit;
+    }
+
     /** Core count at or below which `shards = 0` stays monolithic. */
     static constexpr int kAutoMonolithicLimit = 64;
 };
@@ -82,24 +141,15 @@ struct EngineConfig
 /**
  * A simulated many-core server as seen by the harness.
  *
- * The contract mirrors ManyCoreSystem's historical surface: windows
- * of bounded discrete-event simulation returning measured counters
- * and energy, DVFS actuation between windows, and mid-run application
- * rebinding for dynamic-workload scenarios.
+ * The contract is what FastCap's epoch loop needs: windows of
+ * bounded discrete-event simulation returning measured counters and
+ * energy, DVFS actuation between windows, instruction accounting, and
+ * mid-run application rebinding for dynamic-workload scenarios.
  */
 class SimBackend
 {
   public:
     virtual ~SimBackend() = default;
-
-    /** Engine identifier for diagnostics ("monolithic"/"sharded"). */
-    virtual const char *engineName() const = 0;
-
-    virtual const SimConfig &config() const = 0;
-    virtual int numCores() const = 0;
-    /** Logical memory controllers (WindowStats::memory entries). */
-    virtual int numControllers() const = 0;
-    virtual Seconds now() const = 0;
 
     /** The application bound to core i. */
     virtual const AppProfile &appOf(int core) const = 0;
@@ -111,7 +161,6 @@ class SimBackend
     virtual std::size_t coreFreqIndex(int core) const = 0;
     virtual void memFreqIndex(std::size_t idx) = 0;
     virtual std::size_t memFreqIndex() const = 0;
-    virtual Hertz memFrequency() const = 0;
     virtual void maxFrequencies() = 0;
 
     // --- simulation --------------------------------------------------
@@ -125,14 +174,13 @@ class SimBackend
     /** Access probabilities of core i over logical controllers. */
     virtual const std::vector<double> &
     accessProbabilities(int core) const = 0;
-    virtual std::uint64_t memoryInFlight() const = 0;
     virtual std::uint64_t eventsProcessed() const = 0;
 };
 
 /**
- * Build the engine EngineConfig selects for this system. The
- * monolithic engine wraps a ManyCoreSystem; the sharded engine is a
- * ShardedSystem. See EngineConfig::shards for the auto rule.
+ * Build the engine EngineConfig selects for this system: a
+ * ManyCoreSystem or a ShardedSystem. See EngineConfig::sharded for
+ * the auto rule.
  */
 std::unique_ptr<SimBackend>
 makeSimBackend(SimConfig cfg, std::vector<AppProfile> apps,

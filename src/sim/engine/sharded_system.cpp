@@ -208,12 +208,6 @@ ShardedSystem::memFreqIndex(std::size_t idx)
         ln->controller.busFrequency(f);
 }
 
-Hertz
-ShardedSystem::memFrequency() const
-{
-    return _cfg.memLadder.at(_memFreqIndex);
-}
-
 void
 ShardedSystem::maxFrequencies()
 {
@@ -436,15 +430,6 @@ ShardedSystem::accessProbabilities(int core) const
         panic("accessProbabilities: core %d out of range", core);
     return _accessRows[static_cast<std::size_t>(core %
                                                 _cfg.numControllers)];
-}
-
-std::uint64_t
-ShardedSystem::memoryInFlight() const
-{
-    std::uint64_t in_flight = 0;
-    for (const std::optional<Lane> &ln : _lanes)
-        in_flight += ln->controller.inFlight();
-    return in_flight;
 }
 
 std::uint64_t

@@ -92,12 +92,6 @@ class ShardedSystem : public SimBackend
     ShardedSystem(const ShardedSystem &) = delete;
     ShardedSystem &operator=(const ShardedSystem &) = delete;
 
-    const char *engineName() const override { return "sharded"; }
-    const SimConfig &config() const override { return _cfg; }
-    int numCores() const override { return _cfg.numCores; }
-    int numControllers() const override { return _cfg.numControllers; }
-    Seconds now() const override { return _now; }
-
     const AppProfile &appOf(int core) const override;
     void swapApp(int core, AppProfile app) override;
 
@@ -105,7 +99,6 @@ class ShardedSystem : public SimBackend
     std::size_t coreFreqIndex(int core) const override;
     void memFreqIndex(std::size_t idx) override;
     std::size_t memFreqIndex() const override { return _memFreqIndex; }
-    Hertz memFrequency() const override;
     void maxFrequencies() override;
 
     WindowStats runWindow(Seconds duration) override;
@@ -115,7 +108,6 @@ class ShardedSystem : public SimBackend
     Watts nameplatePeakPower() const override;
     const std::vector<double> &
     accessProbabilities(int core) const override;
-    std::uint64_t memoryInFlight() const override;
     std::uint64_t eventsProcessed() const override;
 
     // --- engine introspection (tests, benches) ----------------------

@@ -7,30 +7,6 @@
 
 namespace fastcap {
 
-Watts
-WindowStats::corePowerTotal() const
-{
-    double acc = 0.0;
-    for (const auto &c : cores)
-        acc += c.totalPower;
-    return acc;
-}
-
-Watts
-WindowStats::memPowerTotal() const
-{
-    double acc = 0.0;
-    for (const auto &m : memory)
-        acc += m.totalPower;
-    return acc;
-}
-
-Watts
-WindowStats::totalPower() const
-{
-    return corePowerTotal() + memPowerTotal() + backgroundPower;
-}
-
 ManyCoreSystem::ManyCoreSystem(SimConfig cfg, std::vector<AppProfile> apps)
     : _cfg(std::move(cfg)), _apps(std::move(apps)), _rng(_cfg.seed),
       _corePower(_cfg.corePower, _cfg.coreVoltage, _cfg.coreLadder.max()),
@@ -149,12 +125,6 @@ ManyCoreSystem::memFreqIndex(std::size_t idx)
     _memFreqIndex = idx;
     for (auto &ctrl : _controllers)
         ctrl->busFrequency(_cfg.memLadder.at(idx));
-}
-
-Hertz
-ManyCoreSystem::memFrequency() const
-{
-    return _cfg.memLadder.at(_memFreqIndex);
 }
 
 void

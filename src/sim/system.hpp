@@ -21,6 +21,7 @@
 #include "sim/app_profile.hpp"
 #include "sim/config.hpp"
 #include "sim/core.hpp"
+#include "sim/engine/backend.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/memory_controller.hpp"
 #include "sim/power.hpp"
@@ -29,59 +30,15 @@
 
 namespace fastcap {
 
-/** Per-core results of one simulated window. */
-struct CoreWindowStats
-{
-    CoreCounters counters;
-    Hertz frequency = 0.0;
-    std::size_t freqIndex = 0;
-    double activity = 0.0;
-    Watts dynamicPower = 0.0; //!< measured (energy / window)
-    Watts totalPower = 0.0;   //!< dynamic + static
-
-    /** Time per instruction over the window. */
-    Seconds
-    tpi(Seconds window) const
-    {
-        return counters.instructions
-            ? window / static_cast<double>(counters.instructions)
-            : 0.0;
-    }
-};
-
-/** Per-controller results of one simulated window. */
-struct MemWindowStats
-{
-    ControllerCounters counters;
-    Hertz busFrequency = 0.0;
-    Seconds transferTime = 0.0;    //!< s_b at the window's frequency
-    double busUtilisation = 0.0;
-    Watts dynamicPower = 0.0;      //!< access + frequency-scaled parts
-    Watts totalPower = 0.0;
-};
-
-/** Results of one simulated window across the whole system. */
-struct WindowStats
-{
-    Seconds duration = 0.0;
-    std::vector<CoreWindowStats> cores;
-    std::vector<MemWindowStats> memory;
-    Watts backgroundPower = 0.0;
-    Joules totalEnergy = 0.0;
-
-    Watts corePowerTotal() const;
-    Watts memPowerTotal() const;
-    /** Full-system average power over the window. */
-    Watts totalPower() const;
-};
-
 /**
- * The simulated many-core server. It is the request and delivery
- * sink of all its cores and controllers: it routes each request to a
- * controller by the core's access probabilities, and each completed
- * read back to its core.
+ * The simulated many-core server, and the monolithic SimBackend. It
+ * is the request and delivery sink of all its cores and controllers:
+ * it routes each request to a controller by the core's access
+ * probabilities, and each completed read back to its core.
  */
-class ManyCoreSystem final : private RequestSink, private DeliverySink
+class ManyCoreSystem final : public SimBackend,
+                             private RequestSink,
+                             private DeliverySink
 {
   public:
     /**
@@ -96,13 +53,8 @@ class ManyCoreSystem final : private RequestSink, private DeliverySink
     ManyCoreSystem(ManyCoreSystem &&) = delete;
     ManyCoreSystem &operator=(ManyCoreSystem &&) = delete;
 
-    const SimConfig &config() const { return _cfg; }
-    int numCores() const { return _cfg.numCores; }
-    int numControllers() const { return _cfg.numControllers; }
-    Seconds now() const { return _queue.now(); }
-
     /** The application bound to core i. */
-    const AppProfile &appOf(int core) const;
+    const AppProfile &appOf(int core) const override;
 
     /**
      * Rebind core i to a different application mid-run (job
@@ -110,30 +62,29 @@ class ManyCoreSystem final : private RequestSink, private DeliverySink
      * picks the new profile up at its next think event; its
      * retired-instruction count is unaffected.
      */
-    void swapApp(int core, AppProfile app);
+    void swapApp(int core, AppProfile app) override;
 
     // --- DVFS actuation ----------------------------------------------
-    void coreFreqIndex(int core, std::size_t idx);
-    std::size_t coreFreqIndex(int core) const;
-    void memFreqIndex(std::size_t idx);
-    std::size_t memFreqIndex() const { return _memFreqIndex; }
-    Hertz memFrequency() const;
+    void coreFreqIndex(int core, std::size_t idx) override;
+    std::size_t coreFreqIndex(int core) const override;
+    void memFreqIndex(std::size_t idx) override;
+    std::size_t memFreqIndex() const override { return _memFreqIndex; }
 
     /** Set every core and the memory to their maximum frequencies. */
-    void maxFrequencies();
+    void maxFrequencies() override;
 
     // --- simulation ----------------------------------------------------
     /**
      * Run the discrete-event simulation for `duration` seconds and
      * return measured counters, utilisations and energy.
      */
-    WindowStats runWindow(Seconds duration);
+    WindowStats runWindow(Seconds duration) override;
 
     /** Cumulative instructions retired by core i (incl. credit). */
-    double instructionsRetired(int core) const;
+    double instructionsRetired(int core) const override;
 
     /** Extrapolation credit (see docs/DESIGN.md section 5). */
-    void creditInstructions(int core, double instr);
+    void creditInstructions(int core, double instr) override;
 
     // --- power ---------------------------------------------------------
     /**
@@ -141,16 +92,20 @@ class ManyCoreSystem final : private RequestSink, private DeliverySink
      * frequency, memory at its peak sustainable access rate. This is
      * the P̄ the budget fraction B multiplies.
      */
-    Watts nameplatePeakPower() const;
+    Watts nameplatePeakPower() const override;
 
     /** Access probabilities of core i over controllers. */
-    const std::vector<double> &accessProbabilities(int core) const;
+    const std::vector<double> &
+    accessProbabilities(int core) const override;
+
+    /** Events processed so far (determinism / perf diagnostics). */
+    std::uint64_t eventsProcessed() const override
+    {
+        return _queue.processed();
+    }
 
     /** Total requests currently inside the memory subsystem. */
     std::uint64_t memoryInFlight() const;
-
-    /** Events processed so far (determinism / perf diagnostics). */
-    std::uint64_t eventsProcessed() const { return _queue.processed(); }
 
   private:
     /** Route a core's request to a controller. */

@@ -1,9 +1,6 @@
 #include "util/logging.hpp"
 
-#include <cstdlib>
 #include <vector>
-
-#include "util/wallclock.hpp"
 
 namespace fastcap {
 
@@ -44,76 +41,11 @@ Logger::global()
     return instance;
 }
 
-LogLevel
-Logger::levelFor(const char *module) const
-{
-    if (module) {
-        LockGuard lock(_mu);
-        const auto it = _moduleLevels.find(module);
-        if (it != _moduleLevels.end())
-            return it->second;
-    }
-    return _level;
-}
-
 void
-Logger::moduleLevel(const std::string &module, LogLevel lvl)
+Logger::write(const std::string &line)
 {
     LockGuard lock(_mu);
-    _moduleLevels[module] = lvl;
-}
-
-void
-Logger::configure(const std::string &spec)
-{
-    std::size_t pos = 0;
-    bool first = true;
-    while (pos <= spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos)
-            comma = spec.size();
-        const std::string item = spec.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (item.empty()) {
-            if (first && spec.empty())
-                break;
-            throw FatalError("empty item in log-level spec '" +
-                             spec + "'");
-        }
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos) {
-            if (!first)
-                throw FatalError(
-                    "global level must come first in log-level "
-                    "spec '" + spec + "'");
-            level(parseLogLevel(item));
-        } else {
-            const std::string module = item.substr(0, eq);
-            if (module.empty())
-                throw FatalError("empty module in log-level spec '" +
-                                 spec + "'");
-            moduleLevel(module, parseLogLevel(item.substr(eq + 1)));
-        }
-        first = false;
-        if (comma == spec.size())
-            break;
-    }
-}
-
-void
-Logger::write(LogLevel lvl, const std::string &line)
-{
-    (void)lvl;
-    std::string prefix;
-    if (_timestamps) {
-        // Operator-facing elapsed time only; log lines never feed
-        // back into serialized results.
-        prefix = detail::format(
-            "t=%.3f ",
-            wallSeconds()); // fastcap-lint: wall-clock(log-line timestamp, stderr only, never serialized into results)
-    }
-    LockGuard lock(_mu);
-    std::fprintf(_out, "%s%s\n", prefix.c_str(), line.c_str());
+    std::fprintf(_out, "%s\n", line.c_str());
     std::fflush(_out);
 }
 
@@ -122,7 +54,7 @@ Logger::emit(LogLevel lvl, const char *tag, const std::string &msg)
 {
     if (static_cast<int>(lvl) > static_cast<int>(_level))
         return;
-    write(lvl, std::string(tag) + ": " + msg);
+    write(std::string(tag) + ": " + msg);
 }
 
 namespace {
@@ -166,7 +98,7 @@ void
 Logger::logkv(LogLevel lvl, const char *module, const char *event,
               std::initializer_list<LogField> fields)
 {
-    if (static_cast<int>(lvl) > static_cast<int>(levelFor(module)))
+    if (static_cast<int>(lvl) > static_cast<int>(_level))
         return;
     std::string line = levelTag(lvl);
     line += ": module=";
@@ -179,7 +111,7 @@ Logger::logkv(LogLevel lvl, const char *module, const char *event,
         line += '=';
         line += kvValue(f.value);
     }
-    write(lvl, line);
+    write(line);
 }
 
 namespace detail {
@@ -234,16 +166,6 @@ warn(const char *fmt, ...)
     std::string msg = detail::vformat(fmt, args);
     va_end(args);
     Logger::global().emit(LogLevel::Warn, "warn", msg);
-}
-
-void
-debugLog(const char *fmt, ...)
-{
-    std::va_list args;
-    va_start(args, fmt);
-    std::string msg = detail::vformat(fmt, args);
-    va_end(args);
-    Logger::global().emit(LogLevel::Debug, "debug", msg);
 }
 
 void

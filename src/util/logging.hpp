@@ -6,13 +6,12 @@
  * violations (a library bug), fatal() is for user errors (bad
  * configuration, impossible budgets), warn()/inform() are advisory.
  *
- * Two emission surfaces share one Logger:
+ * Two emission surfaces share one Logger and its one level (the
+ * CLIs' `--log-level`):
  *
- *  - the printf-style helpers (inform/warn/debugLog) for free-form
- *    one-liners, filtered by the global level;
+ *  - the printf-style helpers (inform/warn) for free-form one-liners;
  *  - logkv() for structured `key=value` lines tagged with a module
- *    name, filtered per module (`Logger::configure("warn,
- *    engine=debug")` or the CLIs' `--log-level`).
+ *    name.
  *
  * Emission is serialized with a mutex — sweep workers, shard
  * workers, and cluster machine threads all log concurrently — but
@@ -26,7 +25,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <initializer_list>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -82,26 +80,6 @@ class Logger
     LogLevel level() const { return _level; }
     void level(LogLevel lvl) { _level = lvl; }
 
-    /** Effective level for a module: override or the global level. */
-    LogLevel levelFor(const char *module) const;
-
-    /** Override one module's level (nullptr resets the global). */
-    void moduleLevel(const std::string &module, LogLevel lvl);
-
-    /**
-     * Apply a CLI spec: `LEVEL[,module=LEVEL]...`, e.g.
-     * "warn,engine=debug,cluster=silent". Throws FatalError on a
-     * malformed spec or unknown level name.
-     */
-    void configure(const std::string &spec);
-
-    /**
-     * Prefix each line with `t=<elapsed wall seconds>`. Off by
-     * default so log output stays byte-stable; flip it on only for
-     * interactive debugging.
-     */
-    void timestamps(bool on) { _timestamps = on; }
-
     /** Redirect output (default stderr). Not owned. */
     void stream(std::FILE *out) { _out = out; }
     std::FILE *stream() const { return _out; }
@@ -110,7 +88,7 @@ class Logger
     void emit(LogLevel lvl, const char *tag, const std::string &msg);
 
     /**
-     * Emit a structured line if `lvl` passes the module's level:
+     * Emit a structured line if `lvl` passes the level:
      * `<tag>: module=<module> event=<event> k=v ...`. Values
      * containing spaces or '=' are quoted.
      */
@@ -120,14 +98,11 @@ class Logger
   private:
     Logger() = default;
 
-    void write(LogLevel lvl, const std::string &line);
+    void write(const std::string &line);
 
     LogLevel _level = LogLevel::Warn;
-    bool _timestamps = false;
     std::FILE *_out = stderr;
-    mutable Mutex _mu;
-    std::map<std::string, LogLevel> _moduleLevels
-        FASTCAP_GUARDED_BY(_mu);
+    Mutex _mu;
 };
 
 /** Thrown by fatal(): unrecoverable *user* error (bad config). */
@@ -160,9 +135,6 @@ void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Warning; shown at LogLevel::Warn and above. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Debug trace; shown only at LogLevel::Debug. */
-void debugLog(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Structured module-tagged line through Logger::global(). */
 inline void

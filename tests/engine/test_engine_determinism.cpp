@@ -19,6 +19,8 @@
 #include "harness/sweep.hpp"
 #include "policies/registry.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/engine/sharded_system.hpp"
+#include "sim/system.hpp"
 #include "util/logging.hpp"
 #include "workload/spec_table.hpp"
 
@@ -95,14 +97,16 @@ TEST(EngineDeterminism, AutoKeepsSmallSystemsOnMonolithicEngine)
     auto policy = makePolicy("FastCap");
     ExperimentRunner runner(cfg, workloads::mix("MIX1", 8), *policy,
                             ecfg);
-    EXPECT_STREQ(runner.system().engineName(), "monolithic");
+    EXPECT_NE(dynamic_cast<const ManyCoreSystem *>(&runner.system()),
+              nullptr);
 
     ExperimentConfig forced = ecfg;
     forced.shards = 2;
     auto policy2 = makePolicy("FastCap");
     ExperimentRunner sharded(cfg, workloads::mix("MIX1", 8), *policy2,
                              forced);
-    EXPECT_STREQ(sharded.system().engineName(), "sharded");
+    EXPECT_NE(dynamic_cast<const ShardedSystem *>(&sharded.system()),
+              nullptr);
 }
 
 } // namespace

@@ -58,31 +58,51 @@ TEST(ShardedSystem, PartitionCoversAllCoresContiguously)
 TEST(ShardedSystem, FactoryAutoRuleSelectsEngineByScale)
 {
     auto mono = makeSimBackend(config(16), workloads::mix("MIX1", 16));
-    EXPECT_STREQ(mono->engineName(), "monolithic");
+    EXPECT_NE(dynamic_cast<ManyCoreSystem *>(mono.get()), nullptr);
 
     auto mono64 =
         makeSimBackend(config(64), workloads::mix("MIX1", 64));
-    EXPECT_STREQ(mono64->engineName(), "monolithic");
+    EXPECT_NE(dynamic_cast<ManyCoreSystem *>(mono64.get()), nullptr);
 
     auto sharded =
         makeSimBackend(config(128), workloads::mix("MIX1", 128));
-    EXPECT_STREQ(sharded->engineName(), "sharded");
-    EXPECT_EQ(static_cast<ShardedSystem *>(sharded.get())
-                  ->numShards(), 2);
+    const auto *sharded_sys = dynamic_cast<ShardedSystem *>(sharded.get());
+    ASSERT_NE(sharded_sys, nullptr);
+    EXPECT_EQ(sharded_sys->numShards(), 2);
 
     EngineConfig force;
     force.shards = 4;
     auto forced =
         makeSimBackend(config(16), workloads::mix("MIX1", 16), force);
-    EXPECT_STREQ(forced->engineName(), "sharded");
-    EXPECT_EQ(static_cast<ShardedSystem *>(forced.get())
-                  ->numShards(), 4);
+    const auto *forced_sys = dynamic_cast<ShardedSystem *>(forced.get());
+    ASSERT_NE(forced_sys, nullptr);
+    EXPECT_EQ(forced_sys->numShards(), 4);
 
     EngineConfig bad;
     bad.shards = -1;
     EXPECT_THROW(makeSimBackend(config(16),
                                 workloads::mix("MIX1", 16), bad),
                  FatalError);
+}
+
+TEST(ShardedSystem, EngineConfigShardedRule)
+{
+    // The one auto rule the factory and the peak-power cache key
+    // share: auto stays monolithic up to 64 cores, and any forced
+    // shard count selects the sharded engine at any scale.
+    struct Case
+    {
+        int shards;
+        int cores;
+        bool sharded;
+    };
+    for (const Case &c : {Case{0, 64, false}, Case{0, 65, true},
+                          Case{1, 16, true}}) {
+        EngineConfig engine;
+        engine.shards = c.shards;
+        EXPECT_EQ(engine.sharded(c.cores), c.sharded)
+            << "shards=" << c.shards << " cores=" << c.cores;
+    }
 }
 
 TEST(ShardedSystem, WindowStatsShapeMatchesLogicalTopology)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "core/fastcap_policy.hpp"
 #include "harness/experiment.hpp"
@@ -240,6 +241,51 @@ TEST(Experiment, NonFiniteTargetsAndEpochCapsAreFatal)
                                       policy, bad),
                      FatalError)
             << epochs;
+    }
+}
+
+TEST(Experiment, ValidateRejectsEachBadKnob)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    quickConfig().validate();
+
+    ExperimentConfig bad = quickConfig();
+    bad.budgetFraction = 0.0;
+    EXPECT_THROW(bad.validate(), FatalError);
+    bad = quickConfig();
+    bad.targetInstructions = -1.0;
+    EXPECT_THROW(bad.validate(), FatalError);
+    bad = quickConfig();
+    bad.maxEpochs = 0;
+    EXPECT_THROW(bad.validate(), FatalError);
+    // 0 means "determine P̄ automatically"; any other value is used
+    // as P̄ itself, so it must be a finite, positive power.
+    for (double p : {nan, -1.0, inf, -inf}) {
+        bad = quickConfig();
+        bad.peakPowerOverride = p;
+        EXPECT_THROW(bad.validate(), FatalError) << p;
+    }
+    ExperimentConfig ok = quickConfig();
+    ok.peakPowerOverride = 123.0;
+    ok.validate();
+}
+
+TEST(Experiment, ConfigIsValidatedBeforeTheEngineIsBuilt)
+{
+    // No applications at all would make the engine's constructor
+    // throw; the budget error must come first.
+    SimConfig scfg = SimConfig::defaultConfig(4);
+    auto policy = FastCapPolicy();
+    ExperimentConfig bad = quickConfig();
+    bad.budgetFraction = 1.5;
+    try {
+        ExperimentRunner runner(scfg, {}, policy, bad);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("budget fraction"),
+                  std::string::npos)
+            << e.what();
     }
 }
 

@@ -114,7 +114,12 @@ TEST(System, FrequencyActuationIsVisible)
     EXPECT_EQ(sys.coreFreqIndex(2), 0u);
     sys.memFreqIndex(3);
     EXPECT_EQ(sys.memFreqIndex(), 3u);
-    EXPECT_DOUBLE_EQ(sys.memFrequency(), cfg.memLadder.at(3));
+    // The actuation reaches every controller's bus.
+    const WindowStats w = sys.runWindow(fromUs(10));
+    ASSERT_EQ(w.memory.size(),
+              static_cast<std::size_t>(cfg.numControllers));
+    for (const MemWindowStats &m : w.memory)
+        EXPECT_DOUBLE_EQ(m.busFrequency, cfg.memLadder.at(3));
 
     EXPECT_THROW(sys.coreFreqIndex(2, 99), PanicError);
     EXPECT_THROW(sys.memFreqIndex(99), PanicError);

@@ -109,15 +109,14 @@ main(int argc, char **argv)
                    "the metrics under this path after it, e.g. "
                    "/cluster/arbiter ('/' = everything; observe-only: "
                    "result output is unchanged)");
-    args.addString("log-level", "",
-                   "log spec LEVEL[,module=LEVEL]... with levels "
-                   "silent|warn|inform|debug");
+    args.addString("log-level", "warn",
+                   "log level: silent|warn|inform|debug");
     if (!args.parse(argc, argv))
         return 1;
 
     try {
-        if (!args.getString("log-level").empty())
-            Logger::global().configure(args.getString("log-level"));
+        Logger::global().level(
+            parseLogLevel(args.getString("log-level")));
         const std::string trace_out = args.getString("trace-out");
         const std::string introspect = args.getString("introspect");
         telemetry::Tracer tracer;

@@ -196,10 +196,8 @@ main(int argc, char **argv)
     args.addString("csv", "", "write run CSV to this file "
                               "(default: stdout)");
     args.addString("json", "", "also write run JSON to this file");
-    args.addString("log-level", "",
-                   "log spec LEVEL[,module=LEVEL]... with levels "
-                   "silent|warn|inform|debug (default inform, so the "
-                   "run summary stays visible)");
+    args.addString("log-level", "inform",
+                   "log level: silent|warn|inform|debug");
     if (!args.parse(argc, argv))
         return 1;
 
@@ -207,10 +205,8 @@ main(int argc, char **argv)
         // The sweep's one-line run summary has always been printed
         // unconditionally; defaulting to inform keeps it visible now
         // that it routes through the logger.
-        if (args.getString("log-level").empty())
-            Logger::global().level(LogLevel::Inform);
-        else
-            Logger::global().configure(args.getString("log-level"));
+        Logger::global().level(
+            parseLogLevel(args.getString("log-level")));
         std::map<std::string, std::string> spec;
         if (!args.getString("spec").empty())
             spec = readSpecFile(args.getString("spec"));

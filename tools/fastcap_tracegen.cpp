@@ -91,15 +91,14 @@ main(int argc, char **argv)
     args.addDouble("flash-factor", 20.0, "flash: rate gain inside");
     args.addDouble("batch-mean", 3.0, "batch: mean jobs per batch");
     args.addString("out", "", "output path (default: stdout)");
-    args.addString("log-level", "",
-                   "log spec LEVEL[,module=LEVEL]... with levels "
-                   "silent|warn|inform|debug");
+    args.addString("log-level", "warn",
+                   "log level: silent|warn|inform|debug");
     if (!args.parse(argc, argv))
         return 1;
 
     try {
-        if (!args.getString("log-level").empty())
-            Logger::global().configure(args.getString("log-level"));
+        Logger::global().level(
+            parseLogLevel(args.getString("log-level")));
         TraceGenSpec spec = args.getString("gen").empty()
             ? specFromFlags(args)
             : TraceGenSpec::parse(args.getString("gen"));
