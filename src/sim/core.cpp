@@ -143,9 +143,11 @@ Core::submitThink(Seconds now, const Phase &phase, int writebacks)
     }
 
     // Demand read: traverses the shared L2 (constant-latency separate
-    // voltage domain), then the memory subsystem.
+    // voltage domain), then the memory subsystem. Every hop takes the
+    // same machine-wide latency, so hops arrive in time order and go
+    // on the queue's in-order stream.
     ++_outstanding;
-    _queue.scheduleAfter(_cfg.l2Time, *this, kL2Hop, now);
+    _queue.scheduleInOrder(now + _cfg.l2Time, *this, kL2Hop, now);
 
     if (_outstanding >= maxOutstanding(phase)) {
         // In-order cores always block here; OoO cores block only when

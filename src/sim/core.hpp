@@ -48,7 +48,9 @@ struct CoreCounters
  * path.
  *
  * The core is the target of its own two event kinds: think-done and
- * the L2 hop that submits a demand read. A core has at most one think
+ * the L2 hop that submits a demand read. Every hop takes the one
+ * machine-wide l2Time, so hops go on the queue's in-order stream
+ * (EventQueue::scheduleInOrder()). A core has at most one think
  * pending, so that think's (duration, instructions) lives here rather
  * than in the event.
  */

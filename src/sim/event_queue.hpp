@@ -11,6 +11,19 @@
  * inline, without the heap (advanceInline()). Determinism (same seed,
  * same event order, same results) is a hard requirement for
  * reproducing EXPERIMENTS.md.
+ *
+ * Pending events live in two places, both ordered by the one
+ * (when, seq) key: a binary min-heap, and an in-order stream for
+ * events whose times never decrease (a core's L2 hops, all one
+ * machine-wide latency after their issue). Dispatch takes the
+ * earlier of the heap root and the stream head. A dispatched heap
+ * root is not popped up front: it stays as a hole while its handler
+ * runs, the handler's first schedule() sifts its entry down from the
+ * root, and only after a handler that schedules nothing does the
+ * next dispatch refill the hole from the heap's last entry. Most
+ * events thus cost one sift instead of a pop and a push. The key is
+ * a strict total order, so every such layout dispatches the same
+ * sequence.
  */
 
 #ifndef FASTCAP_SIM_EVENT_QUEUE_HPP
@@ -18,8 +31,10 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
+#include "util/ring_fifo.hpp"
 #include "util/units.hpp"
 
 namespace fastcap {
@@ -44,7 +59,9 @@ class EventHandler
  *
  * Events are (target, tag, arg) records scheduled at absolute
  * simulated times. Events scheduled for the same instant fire in
- * scheduling order.
+ * scheduling order, whether they went to the heap (schedule()) or to
+ * the in-order stream (scheduleInOrder()): both draw their sequence
+ * numbers from one counter.
  */
 class EventQueue
 {
@@ -62,9 +79,17 @@ class EventQueue
      */
     Seconds horizon() const { return _horizon; }
 
-    /** Number of pending events. */
-    std::size_t pending() const { return _heap.size(); }
-    bool empty() const { return _heap.empty(); }
+    /**
+     * Number of pending events. Inside a handler the event being
+     * dispatched no longer counts, even while its heap slot is a hole.
+     */
+    std::size_t
+    pending() const
+    {
+        return _heap.size() - (_hole ? 1 : 0) +
+            (_stream ? _stream->size() : 0);
+    }
+    bool empty() const { return pending() == 0; }
 
     /**
      * Schedule `target.onEvent(tag, arg)` at absolute time `when`.
@@ -76,6 +101,17 @@ class EventQueue
      */
     void schedule(Seconds when, EventHandler &target,
                   std::uint32_t tag = 0, double arg = 0.0);
+
+    /**
+     * Schedule like schedule(), on the in-order stream: a FIFO beside
+     * the heap that costs no sift. `when` must not be earlier than
+     * the last event still on the stream; an append out of order is a
+     * library bug and panics, as does a past or NaN `when`. The
+     * stream's storage is allocated on its first use, so a queue that
+     * never uses it pays one pointer.
+     */
+    void scheduleInOrder(Seconds when, EventHandler &target,
+                         std::uint32_t tag = 0, double arg = 0.0);
 
     /**
      * Run the caller's next event inline instead of through the heap:
@@ -90,7 +126,7 @@ class EventQueue
     advanceInline(Seconds when)
     {
         // Negated so a NaN time panics.
-        if (!_heap.empty() || !(when >= _now) || !(when <= _horizon))
+        if (!empty() || !(when >= _now) || !(when <= _horizon))
             badInlineAdvance(when);
         _now = when;
         ++_processed;
@@ -140,22 +176,40 @@ class EventQueue
         }
     };
 
-    /** Pop the earliest entry, advance now() to it and dispatch it. */
-    void dispatchNext();
+    /**
+     * One first slot: each of a rack's many lanes has its own stream,
+     * and a lane's in-order core has at most one hop in flight.
+     */
+    using Stream = RingFifo<Entry, 1>;
+
+    /**
+     * Dispatch the earliest pending event if it is at or before
+     * `limit`: advance now() to it and run its handler.
+     * @return false if no such event is pending.
+     */
+    bool dispatchNext(Seconds limit);
+
+    /** Place `e` at heap slot i, a hole, or below it. */
+    void siftDown(std::size_t i, const Entry &e);
 
     /** The panic of an advanceInline() that broke its contract. */
     [[noreturn]] void badInlineAdvance(Seconds when) const;
 
     /**
-     * Binary min-heap over (when, seq), managed with std::push_heap /
-     * std::pop_heap. The key is a strict total order, so the pop
-     * order is independent of the heap layout.
+     * Binary min-heap over (when, seq). From the dispatch of a heap
+     * event until the next schedule() or dispatch, _heap[0] is a hole
+     * (_hole): the schedule() sifts its entry down into it, or the
+     * dispatch refills it from the last entry. So the hole outlives a
+     * handler that throws without breaking the queue.
      */
     std::vector<Entry> _heap;
+    /** The in-order stream, sorted by (when, seq); null until used. */
+    std::unique_ptr<Stream> _stream;
     Seconds _now = 0.0;
     Seconds _horizon = -std::numeric_limits<Seconds>::infinity();
     std::uint64_t _seq = 0;
     std::uint64_t _processed = 0;
+    bool _hole = false;
 };
 
 } // namespace fastcap

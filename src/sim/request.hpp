@@ -11,8 +11,8 @@
 #define FASTCAP_SIM_REQUEST_HPP
 
 #include <cstdint>
-#include <vector>
 
+#include "util/ring_fifo.hpp"
 #include "util/units.hpp"
 
 namespace fastcap {
@@ -59,53 +59,11 @@ class DeliverySink
 };
 
 /**
- * FIFO of requests on a power-of-two ring. It grows by doubling and
- * never shrinks, so a queue whose depth has peaked allocates nothing
- * more.
+ * FIFO the bank and bus queues hold their requests in. Eight first
+ * slots cover most queue depths, so a warmed-up window seldom grows
+ * one (tests/harness/test_step_alloc.cpp).
  */
-class RequestFifo
-{
-  public:
-    bool empty() const { return _size == 0; }
-    std::size_t size() const { return _size; }
-
-    /** The head; the queue must not be empty. */
-    Request &front() { return _buf[_head]; }
-
-    void
-    push(const Request &req)
-    {
-        if (_size == _buf.size())
-            grow();
-        _buf[(_head + _size) & (_buf.size() - 1)] = req;
-        ++_size;
-    }
-
-    /** Remove and return the head; the queue must not be empty. */
-    Request
-    pop()
-    {
-        const Request req = _buf[_head];
-        _head = (_head + 1) & (_buf.size() - 1);
-        --_size;
-        return req;
-    }
-
-  private:
-    void
-    grow()
-    {
-        std::vector<Request> bigger(_buf.empty() ? 8 : 2 * _buf.size());
-        for (std::size_t i = 0; i < _size; ++i)
-            bigger[i] = _buf[(_head + i) & (_buf.size() - 1)];
-        _buf.swap(bigger);
-        _head = 0;
-    }
-
-    std::vector<Request> _buf;
-    std::size_t _head = 0;
-    std::size_t _size = 0;
-};
+using RequestFifo = RingFifo<Request, 8>;
 
 } // namespace fastcap
 

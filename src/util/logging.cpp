@@ -175,7 +175,6 @@ fatal(const char *fmt, ...)
     va_start(args, fmt);
     std::string msg = detail::vformat(fmt, args);
     va_end(args);
-    Logger::global().emit(LogLevel::Warn, "fatal", msg);
     throw FatalError(msg);
 }
 

@@ -145,7 +145,8 @@ logkv(LogLevel lvl, const char *module, const char *event,
 }
 
 /**
- * Unrecoverable user error: logs and throws FatalError.
+ * Unrecoverable user error: throws FatalError without logging, since
+ * whoever catches it reports what() (each CLI prints it once).
  *
  * Use for bad configuration or impossible requests (e.g., a power
  * budget below the floor power of the machine).

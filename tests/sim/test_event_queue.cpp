@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the discrete-event engine: ordering, tie-breaking, time
- * advancement, inline events, error handling, and a seeded property
- * test of the (when, seq) pop order against a reference sort.
+ * advancement, inline events, the heap's hole and the in-order
+ * stream, error handling, and seeded property tests of the
+ * (when, seq) dispatch order against a reference sort.
  */
 
 #include <gtest/gtest.h>
@@ -323,6 +324,11 @@ TEST(EventQueue, AdvanceInlineWithEventsPendingPanics)
     q.schedule(2e-9, c);
     EXPECT_THROW(q.runUntil(1e-6), PanicError);
     EXPECT_EQ(c.fired, 0);
+    // The thrower's heap slot does not linger: the queue runs on.
+    EXPECT_EQ(q.pending(), 1u);
+    EXPECT_EQ(q.runUntil(1e-6), 1u);
+    EXPECT_EQ(c.fired, 1);
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, AdvanceInlineIntoThePastPanics)
@@ -412,6 +418,24 @@ struct RandomScheduler : EventHandler
     std::vector<std::uint32_t> popped;
 };
 
+/**
+ * Ids 0..n-1 stably sorted by their `when`. Schedule order is seq
+ * order, so this is the (when, seq) order every correct queue must
+ * dispatch.
+ */
+std::vector<std::uint32_t>
+stableOrder(const std::vector<Seconds> &when)
+{
+    std::vector<std::uint32_t> order(when.size());
+    for (std::uint32_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                         return when[a] < when[b];
+                     });
+    return order;
+}
+
 TEST(EventQueue, PopOrderMatchesStableSortOfSchedules)
 {
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
@@ -423,18 +447,243 @@ TEST(EventQueue, PopOrderMatchesStableSortOfSchedules)
         for (Seconds t = 2e-9; !q.empty(); t += 7e-9)
             q.runUntil(t);
 
-        // Schedule order is seq order, so a stable sort by `when`
-        // is the (when, seq) order every correct queue must produce.
-        std::vector<std::uint32_t> expect(s.scheduled.size());
-        for (std::uint32_t i = 0; i < expect.size(); ++i)
-            expect[i] = i;
-        std::stable_sort(expect.begin(), expect.end(),
-                         [&](std::uint32_t a, std::uint32_t b) {
-                             return s.scheduled[a] < s.scheduled[b];
-                         });
         ASSERT_GT(s.scheduled.size(), 200u) << "seed " << seed;
-        EXPECT_EQ(s.popped, expect) << "seed " << seed;
+        EXPECT_EQ(s.popped, stableOrder(s.scheduled)) << "seed " << seed;
     }
+}
+
+/**
+ * Differential driver for the hole and the in-order stream. Times are
+ * whole numbers, so sums are exact and the heap and the stream tie
+ * often. Each handler schedules 0, 1 or 2 heap events (its hole is
+ * refilled from the back, filled, or filled and then pushed below)
+ * and, half the time, appends one stream event a fixed delay ahead,
+ * as a core's L2 hop does; the delay keeps several in flight.
+ */
+struct MixedScheduler : EventHandler
+{
+    static constexpr Seconds kStreamDelay = 3.0;
+
+    MixedScheduler(EventQueue &q, std::uint64_t seed)
+        : queue(q), rng(seed)
+    {
+    }
+
+    std::uint32_t
+    nextId(Seconds when)
+    {
+        const auto id = static_cast<std::uint32_t>(scheduled.size());
+        scheduled.push_back(when);
+        return id;
+    }
+
+    void
+    addHeap(Seconds when)
+    {
+        queue.schedule(when, *this, nextId(when), when);
+    }
+
+    void
+    addStream()
+    {
+        const Seconds when = queue.now() + kStreamDelay;
+        queue.scheduleInOrder(when, *this, nextId(when), when);
+        ++streamed;
+    }
+
+    void
+    onEvent(std::uint32_t tag, double arg) override
+    {
+        EXPECT_EQ(arg, scheduled[tag]);
+        EXPECT_EQ(queue.now(), scheduled[tag]);
+        popped.push_back(tag);
+        if (scheduled.size() >= 6000)
+            return;
+        const std::uint64_t children = rng.below(3);
+        ++byChildren[children];
+        const bool stream_first = rng.chance(0.5);
+        const bool stream = rng.chance(0.5);
+        if (stream && stream_first)
+            addStream();
+        for (std::uint64_t i = 0; i < children; ++i)
+            addHeap(queue.now() + static_cast<double>(rng.below(6)));
+        if (stream && !stream_first)
+            addStream();
+    }
+
+    EventQueue &queue;
+    Rng rng;
+    std::vector<Seconds> scheduled; //!< when, by id (= seq order)
+    std::vector<std::uint32_t> popped;
+    int byChildren[3] = {0, 0, 0};
+    int streamed = 0;
+};
+
+TEST(EventQueue, HoleAndStreamDispatchMatchStableSort)
+{
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        EventQueue q;
+        MixedScheduler s(q, seed);
+        for (int i = 0; i < 48; ++i)
+            s.addHeap(static_cast<double>(s.rng.below(4)));
+        // Several horizons, so both the heap and the stream hold
+        // events across runUntil calls; step() drains the rest.
+        for (Seconds t = 2.0; q.pending() > 8; t += 7.0)
+            q.runUntil(t);
+        while (q.step()) {
+        }
+
+        ASSERT_GT(s.scheduled.size(), 2000u) << "seed " << seed;
+        EXPECT_EQ(s.popped, stableOrder(s.scheduled)) << "seed " << seed;
+        EXPECT_EQ(q.processed(), s.scheduled.size());
+        EXPECT_GT(s.streamed, 500) << "seed " << seed;
+        for (const int n : s.byChildren)
+            EXPECT_GT(n, 300) << "seed " << seed;
+    }
+}
+
+TEST(EventQueue, StreamAndHeapTiesFireInSchedulingOrder)
+{
+    EventQueue q;
+    Recorder r;
+    q.scheduleInOrder(5e-9, r, 0);
+    q.schedule(5e-9, r, 1);
+    q.scheduleInOrder(5e-9, r, 2);
+    q.schedule(4e-9, r, 3);
+    q.schedule(5e-9, r, 4);
+    q.scheduleInOrder(6e-9, r, 5);
+    EXPECT_EQ(q.pending(), 6u);
+    q.runUntil(1e-6);
+    EXPECT_EQ(r.tags, (std::vector<int>{3, 0, 1, 2, 4, 5}));
+    EXPECT_TRUE(q.empty());
+}
+
+/** Records pending()/empty() on entry, after a stream append and
+ *  after a heap schedule. */
+struct PendingProbe : EventHandler
+{
+    explicit PendingProbe(EventQueue &q) : queue(q) {}
+
+    void
+    onEvent(std::uint32_t tag, double) override
+    {
+        seen.push_back({queue.pending(), queue.empty()});
+        if (tag != 1)
+            return;
+        queue.scheduleInOrder(queue.now() + 1e-9, *this, 0);
+        seen.push_back({queue.pending(), queue.empty()});
+        queue.schedule(queue.now() + 2e-9, *this, 0);
+        seen.push_back({queue.pending(), queue.empty()});
+    }
+
+    EventQueue &queue;
+    std::vector<std::pair<std::size_t, bool>> seen;
+};
+
+TEST(EventQueue, PendingInsideAHandlerDiscountsTheHole)
+{
+    using Seen = std::vector<std::pair<std::size_t, bool>>;
+    // Alone in the heap: the hole does not count.
+    {
+        EventQueue q;
+        PendingProbe p(q);
+        q.schedule(1e-9, p, 0);
+        ASSERT_TRUE(q.step());
+        EXPECT_EQ(p.seen, (Seen{{0, true}}));
+        EXPECT_TRUE(q.empty());
+    }
+    // From the heap with one more heap event pending, then a stream
+    // append (the hole stays) and a schedule (it fills the hole).
+    {
+        EventQueue q;
+        PendingProbe p(q);
+        q.schedule(1e-9, p, 1);
+        q.schedule(9e-9, p, 0);
+        ASSERT_TRUE(q.step());
+        EXPECT_EQ(p.seen, (Seen{{1, false}, {2, false}, {3, false}}));
+        EXPECT_EQ(q.pending(), 3u);
+        q.runUntil(1e-6);
+        EXPECT_EQ(q.processed(), 4u);
+        EXPECT_TRUE(q.empty());
+    }
+    // From the stream: there is no hole, the heap event counts.
+    {
+        EventQueue q;
+        PendingProbe p(q);
+        q.scheduleInOrder(1e-9, p, 1);
+        q.schedule(9e-9, p, 0);
+        ASSERT_TRUE(q.step());
+        EXPECT_EQ(p.seen, (Seen{{1, false}, {2, false}, {3, false}}));
+        q.runUntil(1e-6);
+        EXPECT_EQ(q.processed(), 4u);
+        EXPECT_TRUE(q.empty());
+    }
+}
+
+TEST(EventQueue, AdvanceInlineWhileTheRootIsAHole)
+{
+    // A handler dispatched from the heap, alone, runs its next event
+    // inline and then schedules into its hole; both count.
+    struct InlineThenSchedule : EventHandler
+    {
+        explicit InlineThenSchedule(EventQueue &q) : queue(q) {}
+
+        void
+        onEvent(std::uint32_t tag, double) override
+        {
+            if (tag != 0)
+                return;
+            queue.advanceInline(queue.now() + 1e-9);
+            queue.schedule(queue.now() + 1e-9, *this, 1);
+        }
+
+        EventQueue &queue;
+    };
+
+    EventQueue q;
+    InlineThenSchedule h(q);
+    q.schedule(1e-9, h, 0);
+    EXPECT_EQ(q.runUntil(10e-9), 3u);
+    EXPECT_TRUE(q.empty());
+
+    // A pending stream event is the queue's, so inline panics.
+    struct AppendThenInline : EventHandler
+    {
+        explicit AppendThenInline(EventQueue &q) : queue(q) {}
+
+        void
+        onEvent(std::uint32_t, double) override
+        {
+            queue.scheduleInOrder(queue.now() + 5e-9, counter);
+            queue.advanceInline(queue.now() + 1e-9);
+        }
+
+        EventQueue &queue;
+        Counter counter;
+    };
+
+    EventQueue q2;
+    AppendThenInline a(q2);
+    q2.schedule(1e-9, a);
+    EXPECT_THROW(q2.runUntil(10e-9), PanicError);
+}
+
+TEST(EventQueue, DecreasingInOrderAppendPanics)
+{
+    EventQueue q;
+    Recorder r;
+    q.scheduleInOrder(5e-9, r, 0);
+    q.scheduleInOrder(5e-9, r, 1); // a tie is in order
+    EXPECT_THROW(q.scheduleInOrder(4e-9, r, 2), PanicError);
+    EXPECT_THROW(q.scheduleInOrder(std::nan(""), r, 3), PanicError);
+    EXPECT_EQ(q.pending(), 2u);
+    q.runUntil(10e-9);
+    EXPECT_EQ(r.tags, (std::vector<int>{0, 1}));
+    // Drained, the stream takes any time not in the past.
+    EXPECT_THROW(q.scheduleInOrder(9e-9, r, 4), PanicError);
+    q.scheduleInOrder(10e-9, r, 5);
+    q.runUntil(20e-9);
+    EXPECT_EQ(r.tags, (std::vector<int>{0, 1, 5}));
 }
 
 } // namespace
