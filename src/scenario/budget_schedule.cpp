@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 #include "trace/trace_file.hpp"
 #include "util/logging.hpp"
+#include "util/spec.hpp"
 #include "util/strings.hpp"
 
 namespace fastcap {
@@ -171,9 +171,11 @@ BudgetSchedule::addSine(Seconds start, double mean, double amplitude,
     // The extremes are what the schedule can actually emit.
     checkFraction(mean - amplitude, "sine trough (mean - amplitude)");
     checkFraction(mean + amplitude, "sine crest (mean + amplitude)");
-    if (!std::isfinite(period) || period <= 0.0)
-        fatal("BudgetSchedule: sine period %g must be finite and "
-              "positive", period);
+    // Below a nanosecond the phase 2*pi*t/period can overflow to inf,
+    // and sin(inf) is NaN.
+    if (!std::isfinite(period) || period < 1e-9)
+        fatal("BudgetSchedule: sine period %g must be finite and at "
+              "least 1e-9 s", period);
     BudgetSegment seg;
     seg.kind = BudgetSegmentKind::Sine;
     seg.start = start;
@@ -279,8 +281,7 @@ BudgetSchedule
 BudgetSchedule::parse(const std::string &spec)
 {
     BudgetSchedule sched;
-    const std::string whole = trimmed(spec);
-    if (whole.empty() || whole == "constant")
+    if (trimmed(spec) == "constant")
         return sched;
 
     // Every number goes through the one strict parser; a bad one
@@ -288,71 +289,28 @@ BudgetSchedule::parse(const std::string &spec)
     const auto number = [&spec](const std::string &s, const char *what) {
         return parseOrFatal<double>(s, "BudgetSchedule", what, spec);
     };
-    std::stringstream ss(whole);
-    std::string part;
-    while (std::getline(ss, part, ';')) {
-        part = trimmed(part);
-        if (part.empty())
-            fatal("BudgetSchedule: empty segment in '%s'",
-                  spec.c_str());
-        const auto at = part.find('@');
-        const auto colon = part.find(':', at == std::string::npos
-                                               ? 0
-                                               : at + 1);
-        if (at == std::string::npos || colon == std::string::npos)
-            fatal("BudgetSchedule: segment '%s' is not of the form "
-                  "kind@time:params", part.c_str());
-        const std::string kind = trimmed(part.substr(0, at));
-        const Seconds start =
-            number(trimmed(part.substr(at + 1, colon - at - 1)),
-                   "segment start time");
-        const std::string params = trimmed(part.substr(colon + 1));
-
+    for (const std::string &segment :
+         splitFields(spec, ';', "BudgetSchedule", "segment")) {
+        const auto f = cutFields(segment, {"@", ":"}, "BudgetSchedule",
+                                 "KIND@TIME:PARAMS");
+        const std::string &kind = f[0];
+        const std::string &params = f[2];
+        const Seconds start = number(f[1], "segment start time");
         if (kind == "step") {
             sched.addStep(start, number(params, "step level"));
         } else if (kind == "ramp") {
-            // FROM->TO/DUR
-            const auto arrow = params.find("->");
-            const auto slash = params.find('/',
-                                           arrow == std::string::npos
-                                               ? 0
-                                               : arrow + 2);
-            if (arrow == std::string::npos ||
-                slash == std::string::npos)
-                fatal("BudgetSchedule: ramp params '%s' are not of "
-                      "the form FROM->TO/DURATION", params.c_str());
-            sched.addRamp(
-                start,
-                number(trimmed(params.substr(0, arrow)),
-                       "ramp start fraction"),
-                number(trimmed(params.substr(arrow + 2,
-                                             slash - arrow - 2)),
-                       "ramp end fraction"),
-                number(trimmed(params.substr(slash + 1)),
-                       "ramp duration"));
+            const auto p = cutFields(params, {"->", "/"},
+                                     "BudgetSchedule", "FROM->TO/DURATION");
+            sched.addRamp(start, number(p[0], "ramp start fraction"),
+                          number(p[1], "ramp end fraction"),
+                          number(p[2], "ramp duration"));
         } else if (kind == "sine") {
-            // MEAN~AMP/PERIOD
-            const auto tilde = params.find('~');
-            const auto slash = params.find('/',
-                                           tilde == std::string::npos
-                                               ? 0
-                                               : tilde + 1);
-            if (tilde == std::string::npos ||
-                slash == std::string::npos)
-                fatal("BudgetSchedule: sine params '%s' are not of "
-                      "the form MEAN~AMPLITUDE/PERIOD",
-                      params.c_str());
-            sched.addSine(
-                start,
-                number(trimmed(params.substr(0, tilde)), "sine mean"),
-                number(trimmed(params.substr(tilde + 1,
-                                             slash - tilde - 1)),
-                       "sine amplitude"),
-                number(trimmed(params.substr(slash + 1)),
-                       "sine period"));
+            const auto p = cutFields(params, {"~", "/"}, "BudgetSchedule",
+                                     "MEAN~AMPLITUDE/PERIOD");
+            sched.addSine(start, number(p[0], "sine mean"),
+                          number(p[1], "sine amplitude"),
+                          number(p[2], "sine period"));
         } else if (kind == "trace") {
-            if (params.empty())
-                fatal("BudgetSchedule: trace segment needs a path");
             sched.addTrace(params, start);
         } else {
             fatal("BudgetSchedule: unknown segment kind '%s' "

@@ -1,122 +1,54 @@
 #include "scenario/scenario.hpp"
 
-#include <fstream>
-#include <set>
-#include <sstream>
+#include <utility>
 
 #include "trace/trace_generator.hpp"
 #include "util/logging.hpp"
-#include "util/strings.hpp"
+#include "util/spec.hpp"
 
 namespace fastcap {
 
 Scenario
 Scenario::parse(const std::string &spec)
 {
+    std::vector<std::string> fields = splitFields(spec, '|', "Scenario");
+    if (fields.empty())
+        fatal("Scenario: empty spec");
+    // A bare leading field is the name.
+    if (fields.front().find('=') == std::string::npos)
+        fields.front() = "name=" + fields.front();
+
     Scenario sc;
     sc.name = "scenario";
-
-    const std::string whole = trimmed(spec);
-    if (whole.empty())
-        fatal("Scenario: empty spec");
-
-    std::stringstream ss(whole);
-    std::string field;
-    bool first = true;
-    bool have_name = false;
-    bool have_budget = false;
-    bool have_workload = false;
-    bool have_trace = false;
-    while (std::getline(ss, field, '|')) {
-        field = trimmed(field);
-        if (field.empty())
-            fatal("Scenario: empty field in '%s'", spec.c_str());
-        const auto eq = field.find('=');
-        const std::string key =
-            eq == std::string::npos ? std::string()
-                                    : trimmed(field.substr(0, eq));
-        if (key == "name") {
-            if (have_name)
-                fatal("Scenario: duplicate name field in '%s'",
-                      spec.c_str());
-            sc.name = trimmed(field.substr(eq + 1));
-            have_name = true;
-        } else if (key == "budget") {
-            if (have_budget)
-                fatal("Scenario: duplicate budget field in '%s'",
-                      spec.c_str());
-            sc.budget =
-                BudgetSchedule::parse(trimmed(field.substr(eq + 1)));
-            have_budget = true;
-        } else if (key == "workload") {
-            if (have_workload)
-                fatal("Scenario: duplicate workload field in '%s'",
-                      spec.c_str());
-            sc.workload =
-                WorkloadSchedule::parse(trimmed(field.substr(eq + 1)));
-            have_workload = true;
-        } else if (key == "trace") {
-            if (have_trace)
-                fatal("Scenario: duplicate trace field in '%s'",
-                      spec.c_str());
-            sc.trace = trimmed(field.substr(eq + 1));
-            if (sc.trace.empty())
-                fatal("Scenario: empty trace source in '%s'",
-                      spec.c_str());
+    for (const KeyValue &kv : splitKeyValues(fields, "Scenario", spec)) {
+        if (kv.key == "name") {
+            sc.name = kv.value;
+        } else if (kv.key == "budget") {
+            sc.budget = BudgetSchedule::parse(kv.value);
+        } else if (kv.key == "workload") {
+            sc.workload = WorkloadSchedule::parse(kv.value);
+        } else if (kv.key == "trace") {
+            sc.trace = kv.value;
             // Generator specs are cheap to validate here; files are
             // opened by the run (they may not exist yet at parse
             // time on a driver machine).
             if (sc.trace.rfind("gen:", 0) == 0)
                 TraceGenSpec::parse(sc.trace.substr(4));
-            have_trace = true;
-        } else if (eq == std::string::npos && first) {
-            // Bare leading field is the name.
-            sc.name = field;
-            have_name = true;
         } else {
             fatal("Scenario: unknown field '%s' (expected name=, "
-                  "budget=, workload= or trace=)", field.c_str());
+                  "budget=, workload= or trace=)", kv.key.c_str());
         }
-        first = false;
     }
-    if (sc.name.empty())
-        fatal("Scenario: empty name in '%s'", spec.c_str());
     return sc;
 }
 
 std::vector<Scenario>
 Scenario::loadFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        fatal("Scenario: cannot open scenario file '%s'",
-              path.c_str());
-
     std::vector<Scenario> out;
-    std::set<std::string> names;
-    std::string line;
-    int lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        const auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        line = trimmed(line);
-        if (line.empty())
-            continue;
-        const auto eq = line.find('=');
-        if (eq == std::string::npos)
-            fatal("%s:%d: expected 'name = scenario spec'",
-                  path.c_str(), lineno);
-        const std::string name = trimmed(line.substr(0, eq));
-        const std::string spec = trimmed(line.substr(eq + 1));
-        if (name.empty())
-            fatal("%s:%d: empty scenario name", path.c_str(), lineno);
-        if (!names.insert(name).second)
-            fatal("%s:%d: duplicate scenario '%s'", path.c_str(),
-                  lineno, name.c_str());
-        Scenario sc = parse(spec);
-        sc.name = name;
+    for (const KeyValue &kv : readKeyValueFile(path, "scenario file")) {
+        Scenario sc = parse(kv.value);
+        sc.name = kv.key;
         out.push_back(std::move(sc));
     }
     if (out.empty())

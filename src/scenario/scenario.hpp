@@ -52,8 +52,8 @@ struct Scenario
      *   trace=SPEC           job-trace source (path, '-' or gen:...)
      *
      * e.g. "name=drop|budget=step@0:0.9;step@0.05:0.5". A bare first
-     * field (no '=') is taken as the name. fatal() on unknown fields
-     * or malformed schedules.
+     * field (no '=') is taken as the name. fatal() on unknown, empty
+     * or repeated fields, or malformed schedules.
      */
     static Scenario parse(const std::string &spec);
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/logging.hpp"
+#include "util/spec.hpp"
 #include "util/strings.hpp"
 #include "workload/spec_table.hpp"
 
@@ -47,37 +47,17 @@ WorkloadSchedule
 WorkloadSchedule::parse(const std::string &spec)
 {
     WorkloadSchedule sched;
-    const std::string whole = trimmed(spec);
-    if (whole.empty())
-        return sched;
-
-    std::stringstream ss(whole);
-    std::string part;
-    while (std::getline(ss, part, ';')) {
-        part = trimmed(part);
-        if (part.empty())
-            fatal("WorkloadSchedule: empty event in '%s'",
-                  spec.c_str());
-        const auto c1 = part.find(':');
-        const auto c2 = c1 == std::string::npos
-                            ? std::string::npos
-                            : part.find(':', c1 + 1);
-        if (c1 == std::string::npos || c2 == std::string::npos)
-            fatal("WorkloadSchedule: event '%s' is not of the form "
-                  "TIME:CORE:APP", part.c_str());
-
-        const std::string t_str = trimmed(part.substr(0, c1));
-        const std::string core_str =
-            trimmed(part.substr(c1 + 1, c2 - c1 - 1));
-        const std::string app = trimmed(part.substr(c2 + 1));
-
+    for (const std::string &event :
+         splitFields(spec, ';', "WorkloadSchedule", "event")) {
+        const auto f = cutFields(event, {":", ":"}, "WorkloadSchedule",
+                                 "TIME:CORE:APP");
         // parseInt range-checks against int: an overflowing index
         // fails here, not wraps onto a valid core.
-        const double t = parseOrFatal<double>(t_str, "WorkloadSchedule",
+        const double t = parseOrFatal<double>(f[0], "WorkloadSchedule",
                                               "event time", spec);
-        const int core = parseOrFatal<int>(core_str, "WorkloadSchedule",
+        const int core = parseOrFatal<int>(f[1], "WorkloadSchedule",
                                            "core index", spec);
-        sched.add(t, core, app);
+        sched.add(t, core, f[2]);
     }
     return sched;
 }

@@ -8,44 +8,36 @@
 namespace fastcap {
 
 TraceFile::TraceFile(std::string path)
-    : _path(std::move(path)), _name(_path),
-      _owned(std::make_unique<std::ifstream>(_path)), _in(_owned.get())
+    : _path(std::move(path)),
+      _owned(std::make_unique<std::ifstream>(_path)),
+      _lines(*_owned, _path)
 {
     if (!*_owned)
         fatal("TraceFile: cannot open trace '%s'", _path.c_str());
 }
 
 TraceFile::TraceFile(std::istream &in, std::string name)
-    : _name(std::move(name)), _in(&in)
+    : _lines(in, std::move(name))
 {
 }
 
 bool
 TraceFile::nextRow(std::vector<std::string> &cells)
 {
-    while (std::getline(*_in, _line)) {
-        ++_lineno;
-        const auto hash = _line.find('#');
-        if (hash != std::string::npos)
-            _line.erase(hash);
-        const std::string row = trimmed(_line);
-        if (row.empty())
-            continue;
-
-        cells.clear();
-        std::size_t pos = 0;
-        for (;;) {
-            const auto comma = row.find(',', pos);
-            if (comma == std::string::npos) {
-                cells.push_back(trimmed(row.substr(pos)));
-                break;
-            }
-            cells.push_back(trimmed(row.substr(pos, comma - pos)));
-            pos = comma + 1;
+    if (!_lines.next(_row))
+        return false;
+    cells.clear();
+    std::size_t pos = 0;
+    for (;;) {
+        const auto comma = _row.find(',', pos);
+        if (comma == std::string::npos) {
+            cells.push_back(trimmed(_row.substr(pos)));
+            break;
         }
-        return true;
+        cells.push_back(trimmed(_row.substr(pos, comma - pos)));
+        pos = comma + 1;
     }
-    return false;
+    return true;
 }
 
 void
@@ -53,13 +45,12 @@ TraceFile::rewind()
 {
     if (!rewindable())
         fatal("TraceFile: stream '%s' is single-pass and cannot "
-              "rewind", _name.c_str());
+              "rewind", name().c_str());
     // Reopen rather than seekg: clears eof/fail state portably.
     _owned = std::make_unique<std::ifstream>(_path);
     if (!*_owned)
         fatal("TraceFile: cannot reopen trace '%s'", _path.c_str());
-    _in = _owned.get();
-    _lineno = 0;
+    _lines = LineReader(*_owned, _path);
 }
 
 } // namespace fastcap

@@ -5,11 +5,11 @@
  * Every trace in the repo — job traces (arrival,app,duration,cores)
  * and budget traces (time,fraction) — shares one lexical layer: CSV
  * rows, `#` comments, blank lines ignored, cells trimmed. TraceFile
- * is that layer. It hands rows out one at a time and never buffers
- * more than the current line, so a million-row trace costs the same
- * memory as a ten-row one. Semantic validation (column counts, value
- * ranges, monotonicity) belongs to the callers, which know what the
- * columns mean.
+ * is that layer, on util/spec's LineReader. It hands rows out one at
+ * a time and never buffers more than the current line, so a
+ * million-row trace costs the same memory as a ten-row one.
+ * Semantic validation (column counts, value ranges, monotonicity)
+ * belongs to the callers, which know what the columns mean.
  */
 
 #ifndef FASTCAP_TRACE_TRACE_FILE_HPP
@@ -20,6 +20,8 @@
 #include <memory>
 #include <string>
 #include <vector>
+
+#include "util/spec.hpp"
 
 namespace fastcap {
 
@@ -42,9 +44,6 @@ class TraceFile
      */
     TraceFile(std::istream &in, std::string name);
 
-    TraceFile(TraceFile &&) = default;
-    TraceFile &operator=(TraceFile &&) = default;
-
     /**
      * Read the next non-empty, non-comment row into `cells` (split
      * on ',', each cell trimmed). Returns false at end of input.
@@ -59,18 +58,16 @@ class TraceFile
     bool rewindable() const { return !_path.empty(); }
 
     /** 1-based line number of the row last returned. */
-    int lineno() const { return _lineno; }
+    int lineno() const { return _lines.lineno(); }
 
     /** Path or stream label, for error messages. */
-    const std::string &name() const { return _name; }
+    const std::string &name() const { return _lines.name(); }
 
   private:
     std::string _path; //!< empty for borrowed streams
-    std::string _name;
     std::unique_ptr<std::ifstream> _owned;
-    std::istream *_in = nullptr;
-    std::string _line; //!< reused getline buffer
-    int _lineno = 0;
+    LineReader _lines;
+    std::string _row; //!< reused row buffer
 };
 
 } // namespace fastcap

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
-#include <sstream>
 #include <type_traits>
 #include <utility>
 
 #include "util/logging.hpp"
 #include "util/rng.hpp"
+#include "util/spec.hpp"
 #include "util/strings.hpp"
 #include "workload/spec_table.hpp"
 
@@ -18,11 +18,15 @@ namespace {
 
 constexpr double kTwoPi = 6.28318530717958647692;
 
+/** %g, or %.17g where %g would not read back as `v`. */
 std::string
 num(double v)
 {
     char buf[32];
     checkedSnprintf(buf, sizeof(buf), "%g", v);
+    double back = 0.0;
+    if (!parseDouble(buf, back) || back != v)
+        checkedSnprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
 }
 
@@ -209,74 +213,54 @@ TraceGenSpec
 TraceGenSpec::parse(const std::string &spec)
 {
     TraceGenSpec g;
-    const std::string whole = trimmed(spec);
-    if (whole.empty())
+    std::vector<std::string> fields = splitFields(spec, ',', "TraceGenSpec");
+    if (fields.empty())
         fatal("TraceGenSpec: empty generator spec");
+    g.kind = fields.front();
+    fields.erase(fields.begin());
 
-    std::stringstream ss(whole);
-    std::string part;
-    bool first = true;
-    while (std::getline(ss, part, ',')) {
-        part = trimmed(part);
-        if (part.empty())
-            fatal("TraceGenSpec: empty field in '%s'", spec.c_str());
-        if (first) {
-            g.kind = part;
-            first = false;
-            continue;
-        }
-        const auto eq = part.find('=');
-        if (eq == std::string::npos)
-            fatal("TraceGenSpec: field '%s' is not of the form "
-                  "key=value", part.c_str());
-        const std::string key = trimmed(part.substr(0, eq));
-        const std::string val = trimmed(part.substr(eq + 1));
-
+    for (const KeyValue &kv : splitKeyValues(fields, "TraceGenSpec", spec)) {
         // Every value goes through the one strict parser; a bad one
         // fails naming the field and the whole spec.
         const auto set = [&](auto &field, const char *what) {
             using T = std::remove_reference_t<decltype(field)>;
-            field = parseOrFatal<T>(val, "TraceGenSpec", what, spec);
+            field = parseOrFatal<T>(kv.value, "TraceGenSpec", what, spec);
         };
-        if (key == "horizon")
+        if (kv.key == "horizon")
             set(g.horizon, "horizon");
-        else if (key == "rate")
+        else if (kv.key == "rate")
             set(g.rate, "rate");
-        else if (key == "apps") {
-            g.apps.clear();
-            std::stringstream as(val);
-            std::string app;
-            while (std::getline(as, app, '+'))
-                g.apps.push_back(trimmed(app));
-        } else if (key == "mean-duration")
+        else if (kv.key == "apps")
+            g.apps = splitFields(kv.value, '+', "TraceGenSpec", "app");
+        else if (kv.key == "mean-duration")
             set(g.meanDuration, "mean duration");
-        else if (key == "max-cores")
+        else if (kv.key == "max-cores")
             set(g.maxCores, "max cores");
-        else if (key == "seed")
+        else if (kv.key == "seed")
             set(g.seed, "seed");
-        else if (key == "events")
+        else if (kv.key == "events")
             set(g.maxEvents, "event cap");
-        else if (key == "burst-factor")
+        else if (kv.key == "burst-factor")
             set(g.burstFactor, "burst factor");
-        else if (key == "mean-burst")
+        else if (kv.key == "mean-burst")
             set(g.meanBurst, "mean burst");
-        else if (key == "mean-quiet")
+        else if (kv.key == "mean-quiet")
             set(g.meanQuiet, "mean quiet");
-        else if (key == "amplitude")
+        else if (kv.key == "amplitude")
             set(g.amplitude, "amplitude");
-        else if (key == "period")
+        else if (kv.key == "period")
             set(g.period, "period");
-        else if (key == "flash-start")
+        else if (kv.key == "flash-start")
             set(g.flashStart, "flash start");
-        else if (key == "flash-duration")
+        else if (kv.key == "flash-duration")
             set(g.flashDuration, "flash duration");
-        else if (key == "flash-factor")
+        else if (kv.key == "flash-factor")
             set(g.flashFactor, "flash factor");
-        else if (key == "batch-mean")
+        else if (kv.key == "batch-mean")
             set(g.batchMean, "batch mean");
         else
             fatal("TraceGenSpec: unknown key '%s' in '%s'",
-                  key.c_str(), spec.c_str());
+                  kv.key.c_str(), spec.c_str());
     }
     if (g.apps.empty())
         g.apps = workloads::mixApps("MIX1");

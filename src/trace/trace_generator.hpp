@@ -83,8 +83,8 @@ struct TraceGenSpec
      * "poisson,rate=500,horizon=0.2,seed=7,apps=milc+gcc". Keys match
      * the fields (kebab-case: mean-duration, max-cores, burst-factor,
      * mean-burst, mean-quiet, flash-start, flash-duration,
-     * flash-factor, batch-mean, events). fatal() on unknown keys or
-     * out-of-range values.
+     * flash-factor, batch-mean, events). fatal() on unknown, repeated
+     * or empty keys, empty fields, or out-of-range values.
      */
     static TraceGenSpec parse(const std::string &spec);
 

@@ -121,6 +121,17 @@ TEST(BudgetScheduleParse, RejectsMalformedSpecs)
     EXPECT_THROW(BudgetSchedule::parse("sine@0:0.7/0.1"), FatalError);
 }
 
+TEST(BudgetScheduleParse, RejectsEveryEmptySegment)
+{
+    // A trailing or leading ';' is an empty segment like ";;" is.
+    EXPECT_THROW(BudgetSchedule::parse("step@0:0.9;"), FatalError);
+    EXPECT_THROW(BudgetSchedule::parse(";step@0:0.9"), FatalError);
+    EXPECT_THROW(BudgetSchedule::parse("step@0:0.9; ;step@1:0.5"),
+                 FatalError);
+    EXPECT_THROW(BudgetSchedule::parse("step@:0.5"), FatalError);
+    EXPECT_THROW(BudgetSchedule::parse("trace@0:"), FatalError);
+}
+
 TEST(BudgetScheduleParse, RejectsNegativeTimes)
 {
     EXPECT_THROW(BudgetSchedule::parse("step@-0.1:0.5"), FatalError);
@@ -173,6 +184,14 @@ TEST(BudgetScheduleParse, RejectsDegenerateShapes)
                  FatalError);
     EXPECT_THROW(BudgetSchedule::parse("sine@0:0.7~0.1/0"),
                  FatalError);
+    // A sub-nanosecond period overflows the phase to inf, and
+    // fractionAt() would return sin(inf) = NaN.
+    EXPECT_THROW(BudgetSchedule::parse("sine@0:0.7~0.1/1e-320"),
+                 FatalError);
+    EXPECT_THROW(BudgetSchedule::parse("sine@0:0.7~0.1/1e-10"),
+                 FatalError);
+    EXPECT_TRUE(std::isfinite(
+        BudgetSchedule::parse("sine@0:0.7~0.1/1e-9").fractionAt(1.0, 0.5)));
     BudgetSchedule s;
     EXPECT_THROW(s.addSine(0.0, 0.7, -0.1, 0.1), FatalError);
 }

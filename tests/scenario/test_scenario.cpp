@@ -74,6 +74,9 @@ TEST(WorkloadSchedule, RejectsBadEvents)
                  FatalError);
     EXPECT_THROW(WorkloadSchedule::parse("0.1:0:"), FatalError);
     EXPECT_THROW(WorkloadSchedule::parse("0.1:0:milc;;"), FatalError);
+    // A trailing ';' is an empty event too.
+    EXPECT_THROW(WorkloadSchedule::parse("0.1:0:milc;"), FatalError);
+    EXPECT_THROW(WorkloadSchedule::parse(";0.1:0:milc"), FatalError);
 
     WorkloadSchedule s;
     EXPECT_THROW(s.add(0.1, 0, ""), FatalError);
@@ -134,6 +137,17 @@ TEST(Scenario, RejectsMalformedSpecs)
         Scenario::parse("drop|name=wave|budget=step@0:0.9"),
         FatalError);
     EXPECT_THROW(Scenario::parse("name=|budget=step@0:0.5"),
+                 FatalError);
+    // Empty fields, a trailing '|' or ';' included, and empty values.
+    EXPECT_THROW(Scenario::parse("name=a|budget=step@0:0.9;|"),
+                 FatalError);
+    EXPECT_THROW(Scenario::parse("name=a|budget=step@0:0.9|"),
+                 FatalError);
+    EXPECT_THROW(Scenario::parse("|name=a"), FatalError);
+    EXPECT_THROW(Scenario::parse("name=a|budget="), FatalError);
+    EXPECT_THROW(Scenario::parse("name=a|workload="), FatalError);
+    EXPECT_THROW(Scenario::parse("name=a|trace="), FatalError);
+    EXPECT_THROW(Scenario::parse("name=a|trace=gen:poisson,rate=5,"),
                  FatalError);
     // Schedule errors propagate with their own messages.
     EXPECT_THROW(Scenario::parse("budget=step@0:2.0"), FatalError);
@@ -198,6 +212,9 @@ TEST_F(ScenarioFile, RejectsBadFiles)
         Scenario::loadFile(write("a = budget=step@0:0.5\n"
                                  "a = budget=step@0:0.6\n")),
         FatalError);
+    EXPECT_THROW(Scenario::loadFile(write("a =\n")), FatalError);
+    EXPECT_THROW(Scenario::loadFile(write("a = budget=step@0:0.5|\n")),
+                 FatalError);
 }
 
 } // namespace

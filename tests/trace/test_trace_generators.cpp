@@ -270,5 +270,38 @@ TEST(TraceGenerators, RejectsBadSpecs)
                  FatalError);
 }
 
+TEST(TraceGenerators, RejectsRepeatedKeysAndEmptyFields)
+{
+    // A repeated key no longer keeps its last value.
+    EXPECT_THROW(TraceGenSpec::parse("poisson,rate=5,rate=7"),
+                 FatalError);
+    EXPECT_THROW(
+        TraceGenSpec::parse("poisson,rate=5,rate=7,apps=,horizon=0.2"),
+        FatalError);
+    // An empty app list no longer falls back to MIX1.
+    EXPECT_THROW(TraceGenSpec::parse("poisson,apps="), FatalError);
+    EXPECT_THROW(TraceGenSpec::parse("poisson,apps=milc+"), FatalError);
+    EXPECT_THROW(TraceGenSpec::parse("poisson,apps=milc++gcc"),
+                 FatalError);
+    // A trailing ',' is an empty field.
+    EXPECT_THROW(TraceGenSpec::parse("poisson,rate=5,"), FatalError);
+    EXPECT_THROW(TraceGenSpec::parse("poisson,,rate=5"), FatalError);
+}
+
+TEST(TraceGenerators, CanonicalStringKeepsEveryDigit)
+{
+    TraceGenSpec g = TraceGenSpec::parse("poisson,rate=500,seed=3");
+    g.rate = 1.0 / 3.0;
+    g.horizon = 0.1 + 0.2;
+    const TraceGenSpec again = TraceGenSpec::parse(g.toString());
+    EXPECT_EQ(again.rate, g.rate);
+    EXPECT_EQ(again.horizon, g.horizon);
+    // Values %g already carries exactly keep their short form.
+    EXPECT_EQ(TraceGenSpec::parse("poisson,rate=120,horizon=0.1")
+                  .toString()
+                  .rfind("poisson,rate=120,horizon=0.1,", 0),
+              0u);
+}
+
 } // namespace
 } // namespace fastcap

@@ -24,6 +24,7 @@
 #include "scenario/budget_schedule.hpp"
 #include "util/args.hpp"
 #include "util/logging.hpp"
+#include "util/spec.hpp"
 #include "util/strings.hpp"
 
 using namespace fastcap;
@@ -38,29 +39,24 @@ namespace {
 std::vector<MachineFailure>
 parseFailures(const std::string &spec)
 {
+    const char *form = "MACHINE@FAIL[:RESTORE]";
     std::vector<MachineFailure> out;
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-        std::size_t end = spec.find(';', pos);
-        if (end == std::string::npos)
-            end = spec.size();
-        const std::string item = spec.substr(pos, end - pos);
-        pos = end + 1;
-        if (item.empty())
-            continue;
-        const auto at = item.find('@');
-        const auto colon = item.find(':');
-        MachineFailure f;
-        if (at == std::string::npos || colon < at ||
-            !parseInt(item.substr(0, at), f.machine))
-            fatal("--fail: expected MACHINE@FAIL[:RESTORE], got '%s'",
-                  item.c_str());
-        if (!parseInt(item.substr(at + 1, colon - at - 1), f.failEpoch))
-            fatal("--fail: bad failure epoch in '%s'", item.c_str());
-        if (colon != std::string::npos &&
-            !parseInt(item.substr(colon + 1), f.restoreEpoch))
-            fatal("--fail: bad restore epoch in '%s'", item.c_str());
-        out.push_back(f);
+    for (const std::string &entry :
+         splitFields(spec, ';', "--fail", "entry")) {
+        const bool restores = entry.find(':') != std::string::npos;
+        const auto f = restores
+            ? cutFields(entry, {"@", ":"}, "--fail", form)
+            : cutFields(entry, {"@"}, "--fail", form);
+        const auto num = [&](std::size_t i, const char *what) {
+            return parseOrFatal<int>(f[i], "--fail", what, spec);
+        };
+        const MachineFailure m{num(0, "machine"), num(1, "failure epoch"),
+                               restores ? num(2, "restore epoch") : -1};
+        // -1 is MachineFailure's "never" sentinel, not an epoch.
+        if (restores && m.restoreEpoch < 0)
+            fatal("--fail: negative restore epoch in '%s'",
+                  entry.c_str());
+        out.push_back(m);
     }
     return out;
 }

@@ -35,11 +35,9 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
+#include <set>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "harness/sweep.hpp"
@@ -47,6 +45,7 @@
 #include "scenario/scenario.hpp"
 #include "util/args.hpp"
 #include "util/logging.hpp"
+#include "util/spec.hpp"
 #include "util/strings.hpp"
 #include "workload/spec_table.hpp"
 
@@ -54,36 +53,14 @@ using namespace fastcap;
 
 namespace {
 
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(csv);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        // Trim surrounding spaces so "a, b" parses as {"a", "b"}.
-        const auto first = item.find_first_not_of(" \t");
-        const auto last = item.find_last_not_of(" \t");
-        if (first != std::string::npos)
-            out.push_back(item.substr(first, last - first + 1));
-    }
-    return out;
-}
-
 /** Each list item through the strict numeric parser. */
 template <class T>
 std::vector<T>
 parseList(const std::string &csv, const char *what)
 {
     std::vector<T> out;
-    for (const std::string &s : splitList(csv)) {
-        T v{};
-        // Strict: "16.9" or "1e2" must not silently truncate.
-        if (!parseNumber(s, v))
-            fatal("bad %s value '%s'%s", what, s.c_str(),
-                  std::is_integral_v<T> ? " (expected an integer)" : "");
-        out.push_back(v);
-    }
+    for (const std::string &s : splitFields(csv, ',', what))
+        out.push_back(parseOrFatal<T>(s, what, "value", csv));
     return out;
 }
 
@@ -109,37 +86,26 @@ parseBool(const std::string &s, const char *what)
     fatal("bad %s value '%s' (expected true/false)", what, s.c_str());
 }
 
-/** Parse `key = value` lines; '#' starts a comment. */
+/**
+ * The `key = value` lines of a grid spec file ('#' comments), each
+ * key one of the flag names and set at most once.
+ */
 std::map<std::string, std::string>
 readSpecFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open spec file '%s'",
-              path.c_str());
-    std::map<std::string, std::string> kv;
-    std::string line;
-    int lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        const auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        const auto eq = line.find('=');
-        if (eq == std::string::npos) {
-            if (line.find_first_not_of(" \t\r") != std::string::npos)
-                fatal("%s:%d: expected 'key = value'",
-                      path.c_str(), lineno);
-            continue;
-        }
-        const std::string key = trimmed(line.substr(0, eq));
-        const std::string value = trimmed(line.substr(eq + 1));
-        if (key.empty())
-            fatal("%s:%d: empty key", path.c_str(),
-                  lineno);
-        kv[key] = value;
+    static const std::set<std::string> known = {
+        "workloads", "classes", "policies", "budgets", "cores",
+        "replicates", "instructions", "max-epochs", "seed",
+        "paired-seeds", "scenario", "scenario-file", "reference-solver",
+        "exhaustive-mem-search", "shards", "shard-threads"};
+    std::map<std::string, std::string> spec;
+    for (const KeyValue &kv : readKeyValueFile(path, "spec file")) {
+        if (known.count(kv.key) == 0)
+            fatal("%s:%d: unknown spec key '%s'", path.c_str(), kv.line,
+                  kv.key.c_str());
+        spec[kv.key] = kv.value;
     }
-    return kv;
+    return spec;
 }
 
 } // namespace
@@ -210,21 +176,6 @@ main(int argc, char **argv)
         std::map<std::string, std::string> spec;
         if (!args.getString("spec").empty())
             spec = readSpecFile(args.getString("spec"));
-        for (const auto &kv : spec) {
-            static const char *known[] = {
-                "workloads", "classes",      "policies",
-                "budgets",   "cores",        "replicates",
-                "instructions", "max-epochs", "seed",
-                "paired-seeds", "scenario",   "scenario-file",
-                "reference-solver", "exhaustive-mem-search",
-                "shards", "shard-threads"};
-            bool ok = false;
-            for (const char *k : known)
-                ok = ok || kv.first == k;
-            if (!ok)
-                fatal("unknown spec key '%s'",
-                      kv.first.c_str());
-        }
         // Flag wins over spec file; spec wins over the default.
         auto value = [&](const char *name) -> std::string {
             if (!args.provided(name) && spec.count(name))
@@ -245,17 +196,18 @@ main(int argc, char **argv)
             grid.workloads.push_back(wl);
         };
         for (const std::string &cls :
-             splitList(value("classes")))
+             splitFields(value("classes"), ',', "classes"))
             for (const std::string &wl :
                  workloads::workloadsOfClass(cls))
                 addWorkload(wl);
-        for (const std::string &wl : splitList(value("workloads")))
+        for (const std::string &wl :
+             splitFields(value("workloads"), ',', "workloads"))
             addWorkload(wl);
         if (grid.workloads.empty())
             grid.workloads = workloads::workloadNames();
-        grid.policies = splitList(value("policies"));
+        grid.policies = splitFields(value("policies"), ',', "policies");
         grid.budgetFractions = parseList<double>(value("budgets"),
-                                                 "budget");
+                                                 "budgets");
         grid.replicates = parseOne<int>(value("replicates"), "replicates");
         grid.targetInstructions =
             parseOne<double>(value("instructions"), "instructions");

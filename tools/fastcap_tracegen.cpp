@@ -15,13 +15,12 @@
  */
 
 #include <cstdio>
-#include <sstream>
 #include <string>
 
 #include "trace/trace_generator.hpp"
 #include "util/args.hpp"
 #include "util/logging.hpp"
-#include "util/strings.hpp"
+#include "util/spec.hpp"
 
 using namespace fastcap;
 
@@ -48,13 +47,7 @@ specFromFlags(const ArgParser &args)
     g.flashDuration = args.getDouble("flash-duration");
     g.flashFactor = args.getDouble("flash-factor");
     g.batchMean = args.getDouble("batch-mean");
-    if (!args.getString("apps").empty()) {
-        g.apps.clear();
-        std::stringstream ss(args.getString("apps"));
-        std::string app;
-        while (std::getline(ss, app, ','))
-            g.apps.push_back(trimmed(app));
-    }
+    g.apps = splitFields(args.getString("apps"), ',', "--apps", "app");
     return g;
 }
 

@@ -66,15 +66,16 @@ BANNED_CALLS = {
     "timespec_get": "wall-clock",
 }
 
-# R9: raw numeric conversions. util/strings.hpp is the one strict
-# parse layer (full-string, range-checked, finite-only); every other
-# src/ file goes through it, so no lax copy can come back.
+# R9: raw parsing. util/strings.hpp is the one strict numeric parse
+# layer (full-string, range-checked, finite-only) and util/spec.cpp
+# the one place that reads spec text line by line; every other src/
+# file goes through them, so no lax copy can come back.
 PARSE_BANNED = frozenset({
     "strtod", "strtof", "strtold", "strtol", "strtoll", "strtoul",
     "strtoull", "atoi", "atol", "atoll", "atof", "stoi", "stol",
-    "stoll", "stoul", "stoull", "stod", "stof", "stold",
+    "stoll", "stoul", "stoull", "stod", "stof", "stold", "getline",
 })
-PARSE_LAYER = "src/util/strings.hpp"
+PARSE_LAYER = frozenset({"src/util/strings.hpp", "src/util/spec.cpp"})
 
 FORMAT_BANNED = frozenset({"sprintf", "vsprintf"})
 FORMAT_CHECKED = frozenset({"snprintf", "vsnprintf"})
@@ -490,9 +491,9 @@ class FileLinter:
                  statement_span(toks, i))
 
     def check_raw_parse(self, i, after, name, prev):
-        """R9: a bare or std:: strto*/ato*/sto* outside the parse
-        layer. Any mention counts, so a function pointer to strtod
-        cannot smuggle one in; member accesses do not fire."""
+        """R9: a bare or std:: strto*/ato*/sto*/getline outside the
+        parse layer. Any mention counts, so a function pointer to
+        strtod cannot smuggle one in; member accesses do not fire."""
         if prev is not None and prev.text in (".", "->", "::"):
             return False
         parts = name.split("::")
@@ -500,12 +501,18 @@ class FileLinter:
             parts = parts[1:]
         if len(parts) != 1 or parts[0] not in PARSE_BANNED:
             return False
-        if self.logical_path != PARSE_LAYER:
-            self.add(self.tokens[i], "R9",
-                     "raw %s outside the parse layer: use parseInt/"
-                     "parseDouble/parseOrFatal from util/strings.hpp "
-                     "(full-string, range-checked, finite-only)"
-                     % parts[0], statement_span(self.tokens, i))
+        if self.logical_path in PARSE_LAYER:
+            return True
+        if parts[0] == "getline":
+            fix = ("use splitFields/cutFields/LineReader from "
+                   "util/spec.hpp (trimmed, no empty fields)")
+        else:
+            fix = ("use parseInt/parseDouble/parseOrFatal from "
+                   "util/strings.hpp (full-string, range-checked, "
+                   "finite-only)")
+        self.add(self.tokens[i], "R9",
+                 "raw %s outside the parse layer: %s" % (parts[0], fix),
+                 statement_span(self.tokens, i))
         return True
 
     def check_banned_entropy(self, i, after, name, prev):
