@@ -57,7 +57,6 @@ BM_SimWindow(benchmark::State &state)
     const SimConfig cfg = benchConfig(cores);
     ShardedSystem sys(cfg, workloads::mix("MIX1", cores),
                       (cores + 63) / 64, 1);
-    sys.maxFrequencies();
     for (auto _ : state) {
         WindowStats w = sys.runWindow(cfg.profileWindow);
         benchmark::DoNotOptimize(w);
@@ -74,7 +73,6 @@ BM_SimWindowReference(benchmark::State &state)
     const int cores = static_cast<int>(state.range(0));
     const SimConfig cfg = benchConfig(cores);
     ManyCoreSystem sys(cfg, workloads::mix("MIX1", cores));
-    sys.maxFrequencies();
     for (auto _ : state) {
         WindowStats w = sys.runWindow(cfg.profileWindow);
         benchmark::DoNotOptimize(w);

@@ -141,22 +141,11 @@ Cluster::Cluster(ClusterConfig cfg) : _cfg(std::move(cfg))
     _pool = std::make_unique<ThreadPool>(
         static_cast<std::size_t>(_cfg.machineThreads), _cfg.registry);
 
-    logkv(LogLevel::Inform, "cluster", "init",
-          {{"machines", _cfg.machines},
-           {"cores_per_machine", _cfg.machine.numCores},
-           {"installed_peak_w", _installedPeak}});
+    inform("Cluster: %d machines of %d cores, installed peak %.6g W",
+           _cfg.machines, _cfg.machine.numCores, _installedPeak);
 }
 
 Cluster::~Cluster() = default;
-
-bool
-Cluster::alive(int machine) const
-{
-    if (machine < 0 || machine >= _cfg.machines)
-        panic("Cluster::alive: machine %d of %d", machine,
-              _cfg.machines);
-    return _machines[static_cast<std::size_t>(machine)]->alive;
-}
 
 int
 Cluster::loadOf(const Machine &mc) const

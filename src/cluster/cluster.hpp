@@ -167,7 +167,6 @@ class Cluster
     int machines() const { return _cfg.machines; }
     /** Summed per-machine measured peaks (the rack nameplate). */
     Watts installedPeak() const { return _installedPeak; }
-    bool alive(int machine) const;
     int epoch() const { return _epoch; }
 
   private:

@@ -188,6 +188,9 @@ ExperimentRunner::ExperimentRunner(SimConfig sim_cfg,
         _apps[static_cast<std::size_t>(i)].core = i;
     }
 
+    _retired.assign(static_cast<std::size_t>(n), 0.0);
+    _credit.resize(static_cast<std::size_t>(n));
+
     // Fallback queuing inputs before the first window: think time of
     // the bound application at max frequency.
     _lastZbar.resize(static_cast<std::size_t>(n));
@@ -308,9 +311,8 @@ ExperimentRunner::buildInputs(const WindowStats &w, PolicyInputs &in)
         mem_dyn += ms.dynamicPower;
         mem_total += ms.totalPower;
     }
-    _fitter.observeMemory(
-        _simCfg.memLadder.at(_system->memFreqIndex()) / mem_fmax,
-        mem_dyn);
+    _fitter.observeMemory(_simCfg.memLadder.at(memLevel()) / mem_fmax,
+                          mem_dyn);
     const FittedModel mm = _fitter.memory();
     in.memory.pm = mm.scale;
     in.memory.beta = mm.exponent;
@@ -323,52 +325,46 @@ ExperimentRunner::buildInputs(const WindowStats &w, PolicyInputs &in)
             _system->accessProbabilities(static_cast<int>(i));
 }
 
+std::size_t
+ExperimentRunner::memLevel() const
+{
+    return _epochLog.empty() ? _simCfg.memLadder.maxIndex()
+                             : _epochLog.back().memFreqIdx;
+}
+
 void
 ExperimentRunner::applyDecision(const PolicyDecision &dec,
                                 bool &core_changed, bool &mem_changed)
 {
-    if (dec.coreFreqIdx.size() !=
-        static_cast<std::size_t>(_simCfg.numCores))
-        panic("applyDecision: %zu core indices for %d cores",
-              dec.coreFreqIdx.size(), _simCfg.numCores);
-
-    core_changed = false;
-    for (int i = 0; i < _simCfg.numCores; ++i) {
-        const std::size_t idx = dec.coreFreqIdx[
-            static_cast<std::size_t>(i)];
-        if (idx != _system->coreFreqIndex(i)) {
-            core_changed = true;
-            _system->coreFreqIndex(i, idx);
-        }
+    // The engine checks the decision's shape before anything below
+    // reads it.
+    _system->applyLevels(dec.coreFreqIdx, dec.memFreqIdx);
+    if (_epochLog.empty()) {
+        const std::size_t max = _simCfg.coreLadder.maxIndex();
+        core_changed = std::any_of(
+            dec.coreFreqIdx.begin(), dec.coreFreqIdx.end(),
+            [max](std::size_t idx) { return idx != max; });
+    } else {
+        core_changed = dec.coreFreqIdx != _epochLog.back().coreFreqIdx;
     }
-    mem_changed = dec.memFreqIdx != _system->memFreqIndex();
-    if (mem_changed)
-        _system->memFreqIndex(dec.memFreqIdx);
+    mem_changed = dec.memFreqIdx != memLevel();
 }
 
 void
-ExperimentRunner::recordCompletions(
-    Seconds epoch_start, const std::vector<double> &instr_before,
-    const std::vector<double> &instr_after)
+ExperimentRunner::recordCompletion(std::size_t core, Seconds epoch_start,
+                                   double before, double after)
 {
-    for (std::size_t i = 0; i < _apps.size(); ++i) {
-        AppResult &a = _apps[i];
-        if (a.completed)
-            continue;
-        if (instr_after[i] >= _cfg.targetInstructions) {
-            // Interpolate the crossing within the epoch.
-            const double gained = instr_after[i] - instr_before[i];
-            const double need =
-                _cfg.targetInstructions - instr_before[i];
-            const double frac =
-                (gained > 0.0) ? std::clamp(need / gained, 0.0, 1.0)
-                               : 1.0;
-            a.completed = true;
-            a.completionTime =
-                epoch_start + frac * _simCfg.epochLength;
-            a.tpi = a.completionTime / _cfg.targetInstructions;
-        }
-    }
+    AppResult &a = _apps[core];
+    if (a.completed || after < _cfg.targetInstructions)
+        return;
+    // Interpolate the crossing within the epoch.
+    const double gained = after - before;
+    const double need = _cfg.targetInstructions - before;
+    const double frac =
+        (gained > 0.0) ? std::clamp(need / gained, 0.0, 1.0) : 1.0;
+    a.completed = true;
+    a.completionTime = epoch_start + frac * _simCfg.epochLength;
+    a.tpi = a.completionTime / _cfg.targetInstructions;
 }
 
 void
@@ -413,17 +409,12 @@ ExperimentRunner::step()
     // mix the profiling window measures are those of `epoch_start`.
     applyScenario(epoch_start);
 
-    std::vector<double> instr_before(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-        instr_before[static_cast<std::size_t>(i)] =
-            _system->instructionsRetired(i);
-
     // 1. Profiling window at incumbent frequencies.
     const WindowStats w1 = _system->runWindow(_simCfg.profileWindow);
 
     // 2-3. Inputs, decision, actuation.
     buildInputs(w1, _inputs);
-    const PolicyDecision dec = _policy.decide(_inputs);
+    PolicyDecision dec = _policy.decide(_inputs);
     bool core_changed = false;
     bool mem_changed = false;
     applyDecision(dec, core_changed, mem_changed);
@@ -445,7 +436,7 @@ ExperimentRunner::step()
     rec.epoch = _epoch;
     rec.startTime = epoch_start;
     rec.budget = budget();
-    rec.memFreqIdx = _system->memFreqIndex();
+    rec.memFreqIdx = dec.memFreqIdx;
     rec.evaluations = dec.evaluations;
     rec.budgetSaturated = dec.budgetSaturated;
     rec.utilisationClamped = dec.utilisationClamped;
@@ -455,21 +446,21 @@ ExperimentRunner::step()
         rec.tracePending = _traceReplayer->pending();
         _lastDropped = ts.dropped;
     }
-    rec.coreFreqIdx.resize(static_cast<std::size_t>(n));
     rec.ips.resize(static_cast<std::size_t>(n));
-
-    std::vector<double> instr_after(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-        const auto ui = static_cast<std::size_t>(i);
+    for (std::size_t i = 0; i < rec.ips.size(); ++i) {
         const double w2_instr =
-            static_cast<double>(w2.cores[ui].counters.instructions);
-        const double credit = w2_instr * (scale - 1.0);
-        _system->creditInstructions(i, credit);
-        instr_after[ui] = _system->instructionsRetired(i);
-        rec.coreFreqIdx[ui] = _system->coreFreqIndex(i);
-        rec.ips[ui] = (instr_after[ui] - instr_before[ui]) /
-            _simCfg.epochLength;
+            static_cast<double>(w2.cores[i].counters.instructions);
+        _credit[i] = w2_instr * (scale - 1.0);
+        // The same double sum the engine's credit makes, so the two
+        // counts agree bit for bit.
+        const double after = w2.cores[i].retired + _credit[i];
+        rec.ips[i] = (after - _retired[i]) / _simCfg.epochLength;
+        recordCompletion(i, epoch_start, _retired[i], after);
+        _retired[i] = after;
     }
+    _system->creditInstructions(_credit);
+    // Last reader of the decision: the record keeps its levels.
+    rec.coreFreqIdx = std::move(dec.coreFreqIdx);
 
     // Epoch-average power: window 1 covers the profiling phase,
     // window 2 represents the rest.
@@ -482,8 +473,6 @@ ExperimentRunner::step()
         (w1.memPowerTotal() * t1 + w2.memPowerTotal() * t2) / wsum;
     rec.totalPower = (w1.totalPower() * t1 + w2.totalPower() * t2) /
         wsum;
-
-    recordCompletions(epoch_start, instr_before, instr_after);
 
     // The record covers the full epoch unless the run ends inside it:
     // the final epoch is truncated at the last completion so that

@@ -267,11 +267,19 @@ class ExperimentRunner
      * a reused PolicyInputs keeps its vectors' capacity.
      */
     void buildInputs(const WindowStats &w, PolicyInputs &in);
+    /**
+     * Apply `dec` to the engine and report which levels it moved
+     * against the levels in effect: the last record's, or every
+     * maximum before the first epoch (a fresh engine's).
+     */
     void applyDecision(const PolicyDecision &dec, bool &core_changed,
                        bool &mem_changed);
-    void recordCompletions(Seconds epoch_start,
-                           const std::vector<double> &instr_before,
-                           const std::vector<double> &instr_after);
+    /** The memory level in effect (see applyDecision). */
+    std::size_t memLevel() const;
+    /** Mark `core`'s application complete if this epoch took its
+     *  retired count from `before` to at least the target. */
+    void recordCompletion(std::size_t core, Seconds epoch_start,
+                          double before, double after);
     /** Budget schedule + due workload events at an epoch boundary. */
     void applyScenario(Seconds now);
     /**
@@ -310,6 +318,11 @@ class ExperimentRunner
     int _epoch = 0;
     std::vector<AppResult> _apps;
     std::vector<EpochRecord> _epochLog;
+    /** Instructions each core has retired, credit included: the
+     *  engine's count after the last epoch's credit. */
+    std::vector<double> _retired;
+    /** Per-core credit of the current epoch (reused scratch). */
+    std::vector<double> _credit;
     /** Last good z̄/ipa per core (fallback for miss-free windows). */
     std::vector<Seconds> _lastZbar;
     std::vector<double> _lastIpa;

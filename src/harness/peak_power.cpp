@@ -102,6 +102,7 @@ peakPowerCacheKey(const SimConfig &cfg, const EngineConfig &engine,
         "n=%d mode=%d ctrl=%d banks=%d burst=%.4f "
         "cdyn=%.3f cst=%.3f sf=%.3f ae=%.3g if=%.3f mc=%.3f "
         "mst=%.3f bg=%.3f il=%d skew=%.3f rh=%.3f "
+        "l2=%.17g rhit=%.17g rmiss=%.17g jit=%.17g oow=%d ooo=%d "
         "win=%.6g ep=%d dvfs=%016llx eng=%s";
     const auto format = [&](char *buf, std::size_t size) {
         return std::snprintf(
@@ -113,7 +114,9 @@ peakPowerCacheKey(const SimConfig &cfg, const EngineConfig &engine,
             cfg.memPower.interfaceMax, cfg.memPower.mcMax,
             cfg.memPower.staticPower, cfg.backgroundPower,
             static_cast<int>(cfg.interleave), cfg.skewHotFraction,
-            cfg.rowHitRate, cfg.profileWindow, epochs,
+            cfg.rowHitRate, cfg.l2Time, cfg.bankRowHitTime,
+            cfg.bankRowMissTime, cfg.thinkJitterSigma, cfg.oooWindow,
+            cfg.oooMaxOutstanding, cfg.profileWindow, epochs,
             static_cast<unsigned long long>(dvfsKey(cfg)),
             resolvedEngineName(cfg, engine));
     };
@@ -168,9 +171,9 @@ measuredPeakPower(const SimConfig &cfg, const EngineConfig &engine,
     // 1024-core sharded run must not budget against a peak the
     // monolithic contention model produced.
     for (const std::string &wl : workloads::workloadsOfClass("ILP")) {
+        // A fresh engine runs at the maximum levels.
         auto system = makeSimBackend(
             mcfg, workloads::mix(wl, mcfg.numCores), mengine);
-        system->maxFrequencies();
         for (int e = 0; e < epochs; ++e) {
             // Sampled window per epoch, mirroring the runner.
             const WindowStats w =

@@ -24,8 +24,9 @@ namespace fastcap {
 
 /**
  * Memoization key over every configuration field that influences the
- * measurement: power parameters, topology, DVFS ladders/voltages, the
- * sampling window, and — since the engines model contention
+ * measurement: power parameters, topology, DVFS ladders/voltages,
+ * memory and L2 timing, think-time jitter, the out-of-order limits,
+ * the sampling window, and — since the engines model contention
  * differently — the *resolved* engine the measurement ran on
  * ("monolithic" or "sharded", never the shard/thread counts, whose
  * choice is bit-irrelevant). Determinism of parallel sweeps rests on

@@ -47,7 +47,12 @@ Scenario::loadFile(const std::string &path)
 {
     std::vector<Scenario> out;
     for (const KeyValue &kv : readKeyValueFile(path, "scenario file")) {
-        Scenario sc = parse(kv.value);
+        Scenario sc;
+        try {
+            sc = parse(kv.value);
+        } catch (const FatalError &e) {
+            fatal("%s:%d: %s", path.c_str(), kv.line, e.what());
+        }
         sc.name = kv.key;
         out.push_back(std::move(sc));
     }

@@ -60,7 +60,7 @@ struct Scenario
     /**
      * Load named scenarios from a file of `name = spec` lines
      * ('#' comments, blank lines ignored). fatal() on duplicate
-     * names or malformed lines.
+     * names or malformed lines; every error starts "<path>:<line>:".
      */
     static std::vector<Scenario> loadFile(const std::string &path);
 };

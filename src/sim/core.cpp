@@ -10,8 +10,7 @@ namespace fastcap {
 
 Core::Core(int id, const SimConfig &cfg, EventQueue &queue, Rng rng)
     : _id(id), _cfg(cfg), _queue(queue), _rng(rng),
-      _freq(cfg.coreLadder.max()),
-      _freqIndex(cfg.coreLadder.maxIndex())
+      _freq(cfg.coreLadder.max())
 {
 }
 

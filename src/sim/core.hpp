@@ -95,10 +95,6 @@ class Core final : public EventHandler, public DeliverySink
     void frequency(Hertz f);
     Hertz frequency() const { return _freq; }
 
-    /** Ladder index bookkeeping for the harness. */
-    void freqIndex(std::size_t idx) { _freqIndex = idx; }
-    std::size_t freqIndex() const { return _freqIndex; }
-
     /** Completed line delivered to this core. */
     void onDataReturn(const Request &req, Seconds now) override;
 
@@ -166,7 +162,6 @@ class Core final : public EventHandler, public DeliverySink
     MemoryController *_inline = nullptr;
 
     Hertz _freq = 0.0;
-    std::size_t _freqIndex = 0;
 
     double _instrRetired = 0.0;
     CoreCounters _counters;

@@ -32,6 +32,28 @@ WindowStats::totalPower() const
     return corePowerTotal() + memPowerTotal() + backgroundPower;
 }
 
+void
+checkLevels(const SimConfig &cfg, const std::vector<std::size_t> &core,
+            std::size_t mem)
+{
+    if (core.size() != static_cast<std::size_t>(cfg.numCores))
+        panic("applyLevels: %zu core levels for %d cores", core.size(),
+              cfg.numCores);
+    for (const std::size_t idx : core)
+        if (idx >= cfg.coreLadder.size())
+            panic("applyLevels: core level %zu out of range", idx);
+    if (mem >= cfg.memLadder.size())
+        panic("applyLevels: memory level %zu out of range", mem);
+}
+
+void
+checkCredits(const SimConfig &cfg, const std::vector<double> &credit)
+{
+    if (credit.size() != static_cast<std::size_t>(cfg.numCores))
+        panic("creditInstructions: %zu credits for %d cores",
+              credit.size(), cfg.numCores);
+}
+
 std::unique_ptr<SimBackend>
 makeSimBackend(SimConfig cfg, std::vector<AppProfile> apps,
                const EngineConfig &engine)

@@ -46,7 +46,9 @@ struct CoreWindowStats
 {
     CoreCounters counters;
     Hertz frequency = 0.0;
-    std::size_t freqIndex = 0;
+    /** Instructions retired since the start of the run, credit
+     *  included, at the end of the window. */
+    double retired = 0.0;
     double activity = 0.0;
     Watts dynamicPower = 0.0; //!< measured (energy / window)
     Watts totalPower = 0.0;   //!< dynamic + static
@@ -143,8 +145,13 @@ struct EngineConfig
  *
  * The contract is what FastCap's epoch loop needs: windows of
  * bounded discrete-event simulation returning measured counters and
- * energy, DVFS actuation between windows, instruction accounting, and
+ * energy, DVFS actuation between windows, instruction credit, and
  * mid-run application rebinding for dynamic-workload scenarios.
+ *
+ * The surface is write-only for the operating point: the harness
+ * owns the levels it applies and the instruction counts it credits,
+ * and the engine reports what it measured in WindowStats. A fresh
+ * engine runs every core and the memory at their maximum levels.
  */
 class SimBackend
 {
@@ -157,17 +164,23 @@ class SimBackend
     virtual void swapApp(int core, AppProfile app) = 0;
 
     // --- DVFS actuation ---------------------------------------------
-    virtual void coreFreqIndex(int core, std::size_t idx) = 0;
-    virtual std::size_t coreFreqIndex(int core) const = 0;
-    virtual void memFreqIndex(std::size_t idx) = 0;
-    virtual std::size_t memFreqIndex() const = 0;
-    virtual void maxFrequencies() = 0;
+    /**
+     * Core i runs at coreLadder level core[i] from now on, every
+     * memory controller at memLadder level mem. panic() on a vector
+     * whose length is not numCores or an out-of-range level.
+     */
+    virtual void applyLevels(const std::vector<std::size_t> &core,
+                             std::size_t mem) = 0;
 
     // --- simulation --------------------------------------------------
     /** Advance the DES by `duration` seconds and measure. */
     virtual WindowStats runWindow(Seconds duration) = 0;
-    virtual double instructionsRetired(int core) const = 0;
-    virtual void creditInstructions(int core, double instr) = 0;
+    /**
+     * Advance each core's application by credit[i] instructions
+     * without simulating them (docs/DESIGN.md section 5). panic() on
+     * a vector whose length is not numCores or a negative credit.
+     */
+    virtual void creditInstructions(const std::vector<double> &credit) = 0;
 
     // --- power / topology -------------------------------------------
     virtual Watts nameplatePeakPower() const = 0;
@@ -176,6 +189,18 @@ class SimBackend
     accessProbabilities(int core) const = 0;
     virtual std::uint64_t eventsProcessed() const = 0;
 };
+
+/**
+ * The checks both engines' applyLevels() make before they change
+ * anything: panic() unless `core` holds one in-range core level per
+ * core of `cfg` and `mem` is an in-range memory level.
+ */
+void checkLevels(const SimConfig &cfg, const std::vector<std::size_t> &core,
+                 std::size_t mem);
+
+/** creditInstructions()' length check: panic() unless `credit` holds
+ *  one entry per core of `cfg`. */
+void checkCredits(const SimConfig &cfg, const std::vector<double> &credit);
 
 /**
  * Build the engine EngineConfig selects for this system: a

@@ -36,7 +36,7 @@ ShardedSystem::ShardedSystem(SimConfig cfg,
     : _cfg(std::move(cfg)),
       _corePower(_cfg.corePower, _cfg.coreVoltage,
                  _cfg.coreLadder.max()),
-      _memFreqIndex(_cfg.memLadder.maxIndex()), _threads(threads)
+      _busFreq(_cfg.memLadder.max()), _threads(threads)
 {
     _cfg.validate();
     const int n = _cfg.numCores;
@@ -182,38 +182,16 @@ ShardedSystem::swapApp(int core, AppProfile app)
 }
 
 void
-ShardedSystem::coreFreqIndex(int core, std::size_t idx)
+ShardedSystem::applyLevels(const std::vector<std::size_t> &core,
+                           std::size_t mem)
 {
-    if (idx >= _cfg.coreLadder.size())
-        panic("coreFreqIndex: index %zu out of range", idx);
-    Core &c = lane(core).core;
-    c.frequency(_cfg.coreLadder.at(idx));
-    c.freqIndex(idx);
-}
-
-std::size_t
-ShardedSystem::coreFreqIndex(int core) const
-{
-    return lane(core).core.freqIndex();
-}
-
-void
-ShardedSystem::memFreqIndex(std::size_t idx)
-{
-    if (idx >= _cfg.memLadder.size())
-        panic("memFreqIndex: index %zu out of range", idx);
-    _memFreqIndex = idx;
-    const Hertz f = _cfg.memLadder.at(idx);
-    for (std::optional<Lane> &ln : _lanes)
-        ln->controller.busFrequency(f);
-}
-
-void
-ShardedSystem::maxFrequencies()
-{
-    for (int i = 0; i < _cfg.numCores; ++i)
-        coreFreqIndex(i, _cfg.coreLadder.maxIndex());
-    memFreqIndex(_cfg.memLadder.maxIndex());
+    checkLevels(_cfg, core, mem);
+    _busFreq = _cfg.memLadder.at(mem);
+    for (std::size_t i = 0; i < _lanes.size(); ++i) {
+        Lane &ln = *_lanes[i];
+        ln.core.frequency(_cfg.coreLadder.at(core[i]));
+        ln.controller.busFrequency(_busFreq);
+    }
 }
 
 void
@@ -236,7 +214,7 @@ ShardedSystem::runShardWindow(int s, Seconds t_end, WindowStats &stats)
         CoreWindowStats &cs = stats.cores[idx];
         cs.counters = ln.core.counters();
         cs.frequency = ln.core.frequency();
-        cs.freqIndex = ln.core.freqIndex();
+        cs.retired = ln.core.instructionsRetired();
         cs.activity = ln.core.currentActivity();
         const Joules e = _corePower.windowEnergy(
             cs.frequency, cs.activity, cs.counters.busyTime,
@@ -283,7 +261,6 @@ ShardedSystem::runWindow(Seconds duration)
         energy += e;
 
     const int k_ctrl = _cfg.numControllers;
-    const Hertz bus_freq = _cfg.memLadder.at(_memFreqIndex);
     stats.memory.reserve(static_cast<std::size_t>(k_ctrl));
     for (int c = 0; c < k_ctrl; ++c) {
         ControllerCounters agg;
@@ -312,12 +289,12 @@ ShardedSystem::runWindow(Seconds duration)
 
         MemWindowStats ms;
         ms.counters = agg;
-        ms.busFrequency = bus_freq;
-        ms.transferTime = _cfg.busBurstCycles / bus_freq;
+        ms.busFrequency = _busFreq;
+        ms.transferTime = _cfg.busBurstCycles / _busFreq;
         ms.busUtilisation = agg.busBusyTime / duration;
         const std::uint64_t accesses = agg.reads + agg.writebacks;
         const Joules e = _memPower[static_cast<std::size_t>(c)]
-                             .windowEnergy(bus_freq, accesses,
+                             .windowEnergy(_busFreq, accesses,
                                            duration);
         ms.totalPower = e / duration;
         ms.dynamicPower = ms.totalPower -
@@ -396,16 +373,12 @@ ShardedSystem::redivideBandwidth()
     }
 }
 
-double
-ShardedSystem::instructionsRetired(int core) const
-{
-    return lane(core).core.instructionsRetired();
-}
-
 void
-ShardedSystem::creditInstructions(int core, double instr)
+ShardedSystem::creditInstructions(const std::vector<double> &credit)
 {
-    lane(core).core.creditInstructions(instr);
+    checkCredits(_cfg, credit);
+    for (std::size_t i = 0; i < _lanes.size(); ++i)
+        _lanes[i]->core.creditInstructions(credit[i]);
 }
 
 Watts

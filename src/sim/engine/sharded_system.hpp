@@ -95,15 +95,11 @@ class ShardedSystem : public SimBackend
     const AppProfile &appOf(int core) const override;
     void swapApp(int core, AppProfile app) override;
 
-    void coreFreqIndex(int core, std::size_t idx) override;
-    std::size_t coreFreqIndex(int core) const override;
-    void memFreqIndex(std::size_t idx) override;
-    std::size_t memFreqIndex() const override { return _memFreqIndex; }
-    void maxFrequencies() override;
+    void applyLevels(const std::vector<std::size_t> &core,
+                     std::size_t mem) override;
 
     WindowStats runWindow(Seconds duration) override;
-    double instructionsRetired(int core) const override;
-    void creditInstructions(int core, double instr) override;
+    void creditInstructions(const std::vector<double> &credit) override;
 
     Watts nameplatePeakPower() const override;
     const std::vector<double> &
@@ -190,7 +186,8 @@ class ShardedSystem : public SimBackend
     /** One-hot access row of each logical controller; core i reads
      *  row i % numControllers. */
     std::vector<std::vector<double>> _accessRows;
-    std::size_t _memFreqIndex = 0;
+    /** Every lane controller's bus frequency (the merge reports it). */
+    Hertz _busFreq = 0.0;
     Seconds _now = 0.0;
     int _threads = 1;
     /** Created only when more than one worker is requested. */

@@ -9,8 +9,7 @@ namespace fastcap {
 
 ManyCoreSystem::ManyCoreSystem(SimConfig cfg, std::vector<AppProfile> apps)
     : _cfg(std::move(cfg)), _apps(std::move(apps)), _rng(_cfg.seed),
-      _corePower(_cfg.corePower, _cfg.coreVoltage, _cfg.coreLadder.max()),
-      _memFreqIndex(_cfg.memLadder.maxIndex())
+      _corePower(_cfg.corePower, _cfg.coreVoltage, _cfg.coreLadder.max())
 {
     _cfg.validate();
     if (static_cast<int>(_apps.size()) != _cfg.numCores)
@@ -102,37 +101,14 @@ ManyCoreSystem::submit(Request req)
 }
 
 void
-ManyCoreSystem::coreFreqIndex(int core, std::size_t idx)
+ManyCoreSystem::applyLevels(const std::vector<std::size_t> &core,
+                            std::size_t mem)
 {
-    if (idx >= _cfg.coreLadder.size())
-        panic("coreFreqIndex: index %zu out of range", idx);
-    Core &c = *_cores.at(static_cast<std::size_t>(core));
-    c.frequency(_cfg.coreLadder.at(idx));
-    c.freqIndex(idx);
-}
-
-std::size_t
-ManyCoreSystem::coreFreqIndex(int core) const
-{
-    return _cores.at(static_cast<std::size_t>(core))->freqIndex();
-}
-
-void
-ManyCoreSystem::memFreqIndex(std::size_t idx)
-{
-    if (idx >= _cfg.memLadder.size())
-        panic("memFreqIndex: index %zu out of range", idx);
-    _memFreqIndex = idx;
+    checkLevels(_cfg, core, mem);
+    for (std::size_t i = 0; i < _cores.size(); ++i)
+        _cores[i]->frequency(_cfg.coreLadder.at(core[i]));
     for (auto &ctrl : _controllers)
-        ctrl->busFrequency(_cfg.memLadder.at(idx));
-}
-
-void
-ManyCoreSystem::maxFrequencies()
-{
-    for (int i = 0; i < _cfg.numCores; ++i)
-        coreFreqIndex(i, _cfg.coreLadder.maxIndex());
-    memFreqIndex(_cfg.memLadder.maxIndex());
+        ctrl->busFrequency(_cfg.memLadder.at(mem));
 }
 
 WindowStats
@@ -165,7 +141,7 @@ ManyCoreSystem::runWindow(Seconds duration)
         CoreWindowStats cs;
         cs.counters = core->counters();
         cs.frequency = core->frequency();
-        cs.freqIndex = core->freqIndex();
+        cs.retired = core->instructionsRetired();
         cs.activity = core->currentActivity();
 
         const Joules e = _corePower.windowEnergy(
@@ -201,17 +177,12 @@ ManyCoreSystem::runWindow(Seconds duration)
     return stats;
 }
 
-double
-ManyCoreSystem::instructionsRetired(int core) const
-{
-    return _cores.at(static_cast<std::size_t>(core))
-        ->instructionsRetired();
-}
-
 void
-ManyCoreSystem::creditInstructions(int core, double instr)
+ManyCoreSystem::creditInstructions(const std::vector<double> &credit)
 {
-    _cores.at(static_cast<std::size_t>(core))->creditInstructions(instr);
+    checkCredits(_cfg, credit);
+    for (std::size_t i = 0; i < _cores.size(); ++i)
+        _cores[i]->creditInstructions(credit[i]);
 }
 
 Watts

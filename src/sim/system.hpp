@@ -65,13 +65,8 @@ class ManyCoreSystem final : public SimBackend,
     void swapApp(int core, AppProfile app) override;
 
     // --- DVFS actuation ----------------------------------------------
-    void coreFreqIndex(int core, std::size_t idx) override;
-    std::size_t coreFreqIndex(int core) const override;
-    void memFreqIndex(std::size_t idx) override;
-    std::size_t memFreqIndex() const override { return _memFreqIndex; }
-
-    /** Set every core and the memory to their maximum frequencies. */
-    void maxFrequencies() override;
+    void applyLevels(const std::vector<std::size_t> &core,
+                     std::size_t mem) override;
 
     // --- simulation ----------------------------------------------------
     /**
@@ -80,11 +75,8 @@ class ManyCoreSystem final : public SimBackend,
      */
     WindowStats runWindow(Seconds duration) override;
 
-    /** Cumulative instructions retired by core i (incl. credit). */
-    double instructionsRetired(int core) const override;
-
     /** Extrapolation credit (see docs/DESIGN.md section 5). */
-    void creditInstructions(int core, double instr) override;
+    void creditInstructions(const std::vector<double> &credit) override;
 
     // --- power ---------------------------------------------------------
     /**
@@ -123,7 +115,6 @@ class ManyCoreSystem final : public SimBackend,
     CorePowerModel _corePower;
     std::vector<MemoryPowerModel> _memPower;
     std::vector<std::vector<double>> _accessProbs;
-    std::size_t _memFreqIndex = 0;
     bool _running = false;
 };
 

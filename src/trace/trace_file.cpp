@@ -7,13 +7,11 @@
 
 namespace fastcap {
 
-TraceFile::TraceFile(std::string path)
-    : _path(std::move(path)),
-      _owned(std::make_unique<std::ifstream>(_path)),
-      _lines(*_owned, _path)
+TraceFile::TraceFile(const std::string &path)
+    : _owned(std::make_unique<std::ifstream>(path)), _lines(*_owned, path)
 {
     if (!*_owned)
-        fatal("TraceFile: cannot open trace '%s'", _path.c_str());
+        fatal("TraceFile: cannot open trace '%s'", path.c_str());
 }
 
 TraceFile::TraceFile(std::istream &in, std::string name)
@@ -38,19 +36,6 @@ TraceFile::nextRow(std::vector<std::string> &cells)
         pos = comma + 1;
     }
     return true;
-}
-
-void
-TraceFile::rewind()
-{
-    if (!rewindable())
-        fatal("TraceFile: stream '%s' is single-pass and cannot "
-              "rewind", name().c_str());
-    // Reopen rather than seekg: clears eof/fail state portably.
-    _owned = std::make_unique<std::ifstream>(_path);
-    if (!*_owned)
-        fatal("TraceFile: cannot reopen trace '%s'", _path.c_str());
-    _lines = LineReader(*_owned, _path);
 }
 
 } // namespace fastcap

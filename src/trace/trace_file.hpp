@@ -26,17 +26,15 @@
 namespace fastcap {
 
 /**
- * One trace file (or borrowed stream), read row by row.
- *
- * Path-backed instances can rewind() — they reopen the file — which
- * the budget-schedule cursor uses to answer backward time queries.
- * Borrowed streams (stdin, test stringstreams) are single-pass.
+ * One trace file (or borrowed stream), read row by row, front to
+ * back. A reader that must go back (the budget-schedule cursor on a
+ * backward time query) opens the file again.
  */
 class TraceFile
 {
   public:
     /** Open a file; fatal() if it cannot be read. */
-    explicit TraceFile(std::string path);
+    explicit TraceFile(const std::string &path);
 
     /**
      * Wrap a caller-owned stream (e.g. std::cin). `name` labels
@@ -51,12 +49,6 @@ class TraceFile
      */
     bool nextRow(std::vector<std::string> &cells);
 
-    /** Restart from the first row; fatal() for borrowed streams. */
-    void rewind();
-
-    /** True when rewind() is available (path-backed). */
-    bool rewindable() const { return !_path.empty(); }
-
     /** 1-based line number of the row last returned. */
     int lineno() const { return _lines.lineno(); }
 
@@ -64,8 +56,7 @@ class TraceFile
     const std::string &name() const { return _lines.name(); }
 
   private:
-    std::string _path; //!< empty for borrowed streams
-    std::unique_ptr<std::ifstream> _owned;
+    std::unique_ptr<std::ifstream> _owned; //!< null for borrowed streams
     LineReader _lines;
     std::string _row; //!< reused row buffer
 };

@@ -19,21 +19,6 @@ parseLogLevel(const std::string &name)
                      "' (want silent|warn|inform|debug)");
 }
 
-LogField::LogField(const char *k, double v) : key(k)
-{
-    value = detail::format("%.6g", v);
-}
-
-LogField::LogField(const char *k, long long v) : key(k)
-{
-    value = detail::format("%lld", v);
-}
-
-LogField::LogField(const char *k, unsigned long long v) : key(k)
-{
-    value = detail::format("%llu", v);
-}
-
 Logger &
 Logger::global()
 {
@@ -55,63 +40,6 @@ Logger::emit(LogLevel lvl, const char *tag, const std::string &msg)
     if (static_cast<int>(lvl) > static_cast<int>(_level))
         return;
     write(std::string(tag) + ": " + msg);
-}
-
-namespace {
-
-const char *
-levelTag(LogLevel lvl)
-{
-    switch (lvl) {
-      case LogLevel::Warn:
-        return "warn";
-      case LogLevel::Inform:
-        return "info";
-      case LogLevel::Debug:
-        return "debug";
-      default:
-        return "log";
-    }
-}
-
-/** Quote a value when spaces/'='/quotes would break k=v parsing. */
-std::string
-kvValue(const std::string &v)
-{
-    if (v.empty() ||
-        v.find_first_of(" =\"\t\n") != std::string::npos) {
-        std::string out = "\"";
-        for (const char c : v) {
-            if (c == '"' || c == '\\')
-                out += '\\';
-            out += c;
-        }
-        out += '"';
-        return out;
-    }
-    return v;
-}
-
-} // namespace
-
-void
-Logger::logkv(LogLevel lvl, const char *module, const char *event,
-              std::initializer_list<LogField> fields)
-{
-    if (static_cast<int>(lvl) > static_cast<int>(_level))
-        return;
-    std::string line = levelTag(lvl);
-    line += ": module=";
-    line += module;
-    line += " event=";
-    line += event;
-    for (const LogField &f : fields) {
-        line += ' ';
-        line += f.key;
-        line += '=';
-        line += kvValue(f.value);
-    }
-    write(line);
 }
 
 namespace detail {

@@ -6,12 +6,8 @@
  * violations (a library bug), fatal() is for user errors (bad
  * configuration, impossible budgets), warn()/inform() are advisory.
  *
- * Two emission surfaces share one Logger and its one level (the
- * CLIs' `--log-level`):
- *
- *  - the printf-style helpers (inform/warn) for free-form one-liners;
- *  - logkv() for structured `key=value` lines tagged with a module
- *    name.
+ * The printf-style helpers (inform/warn) emit one-liners through one
+ * Logger and its one level (the CLIs' `--log-level`).
  *
  * Emission is serialized with a mutex — sweep workers, shard
  * workers, and cluster machine threads all log concurrently — but
@@ -24,11 +20,8 @@
 
 #include <cstdarg>
 #include <cstdio>
-#include <initializer_list>
-#include <sstream>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "util/mutex.hpp"
 
@@ -48,28 +41,6 @@ enum class LogLevel : int {
  */
 LogLevel parseLogLevel(const std::string &name);
 
-/** One key=value field of a structured log line. */
-struct LogField
-{
-    LogField(const char *k, const std::string &v)
-        : key(k), value(v) {}
-    LogField(const char *k, const char *v) : key(k), value(v) {}
-    LogField(const char *k, double v);
-    LogField(const char *k, long long v);
-    LogField(const char *k, unsigned long long v);
-    LogField(const char *k, int v)
-        : LogField(k, static_cast<long long>(v)) {}
-    LogField(const char *k, long v)
-        : LogField(k, static_cast<long long>(v)) {}
-    LogField(const char *k, unsigned v)
-        : LogField(k, static_cast<unsigned long long>(v)) {}
-    LogField(const char *k, unsigned long v)
-        : LogField(k, static_cast<unsigned long long>(v)) {}
-
-    const char *key;
-    std::string value;
-};
-
 /** Process-wide logging configuration. */
 class Logger
 {
@@ -86,14 +57,6 @@ class Logger
 
     /** Emit a message at the given level with a tag prefix. */
     void emit(LogLevel lvl, const char *tag, const std::string &msg);
-
-    /**
-     * Emit a structured line if `lvl` passes the level:
-     * `<tag>: module=<module> event=<event> k=v ...`. Values
-     * containing spaces or '=' are quoted.
-     */
-    void logkv(LogLevel lvl, const char *module, const char *event,
-               std::initializer_list<LogField> fields);
 
   private:
     Logger() = default;
@@ -135,14 +98,6 @@ void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Warning; shown at LogLevel::Warn and above. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Structured module-tagged line through Logger::global(). */
-inline void
-logkv(LogLevel lvl, const char *module, const char *event,
-      std::initializer_list<LogField> fields)
-{
-    Logger::global().logkv(lvl, module, event, fields);
-}
 
 /**
  * Unrecoverable user error: throws FatalError without logging, since

@@ -93,6 +93,12 @@ LineReader::next(std::string &line)
     while (std::getline(*_in, _raw)) {
         ++_lineno;
         const auto end = std::min(_raw.find('#'), _raw.size());
+        // A comment starts a line or follows a space; a '#' glued to
+        // a field (`trace=/tmp/run#1`) would silently cut it short.
+        if (end > 0 && end < _raw.size() &&
+            std::strchr(" \t\r", _raw[end - 1]) == nullptr)
+            fatal("%s:%d: '#' inside a field (a comment starts the "
+                  "line or follows a space)", _name.c_str(), _lineno);
         const auto first = _raw.find_first_not_of(" \t\r");
         if (first >= end)
             continue; // blank, or a comment alone

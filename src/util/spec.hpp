@@ -6,7 +6,8 @@
  * spaces, tabs and CRs. An empty field is an error, a doubled or
  * trailing separator included; only a blank whole spec is an empty
  * list. A `key=value` field splits at its first '=', needs both sides
- * and names its key once. `#` starts a comment in files. Errors read
+ * and names its key once. In files, `#` starts a comment at the start
+ * of a line or after a space, and is an error anywhere else. Errors read
  * "<owner>: <what> in '<spec>'", or "<file>:<line>: <what>".
  */
 
@@ -49,7 +50,11 @@ std::vector<KeyValue> splitKeyValues(const std::vector<std::string> &fields,
                                      const char *owner,
                                      const std::string &spec);
 
-/** A stream's non-blank lines, `#` comments stripped, trimmed. */
+/**
+ * A stream's non-blank lines, `#` comments stripped, trimmed. A `#`
+ * that neither starts its line nor follows a space or tab is
+ * fatal() "<name>:<line>: '#' inside a field ...".
+ */
 class LineReader
 {
   public:

@@ -54,7 +54,7 @@ serialize(const WindowStats &w)
         appendBits(s, c.counters.busyTime);
         appendBits(s, c.counters.stallTime);
         appendBits(s, c.frequency);
-        appendUint(s, c.freqIndex);
+        appendBits(s, c.retired);
         appendBits(s, c.activity);
         appendBits(s, c.dynamicPower);
         appendBits(s, c.totalPower);

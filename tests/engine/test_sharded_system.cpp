@@ -111,7 +111,6 @@ TEST(ShardedSystem, WindowStatsShapeMatchesLogicalTopology)
     cfg.numControllers = 4;
     cfg.banksPerController = 8;
     ShardedSystem sys(cfg, workloads::mix("MEM1", 16), 4, 1);
-    sys.maxFrequencies();
 
     const WindowStats w = sys.runWindow(cfg.profileWindow);
     ASSERT_EQ(w.cores.size(), 16u);
@@ -144,7 +143,6 @@ TEST(ShardedSystem, NonDivisibleControllerCountKeepsUtilisationSane)
     // Bus-dominated memory so the lanes run their buses near flat out.
     cfg.busBurstCycles = 40.0;
     ShardedSystem sys(cfg, workloads::mix("MEM1", 8), 2, 1);
-    sys.maxFrequencies();
     for (int w = 0; w < 4; ++w) {
         const WindowStats stats = sys.runWindow(cfg.profileWindow);
         ASSERT_EQ(stats.memory.size(), 3u);
@@ -154,6 +152,51 @@ TEST(ShardedSystem, NonDivisibleControllerCountKeepsUtilisationSane)
                 << "window " << w;
         }
     }
+}
+
+/**
+ * A fresh engine of either kind runs its first window at the maximum
+ * core and memory levels, bit-identically to one told so explicitly:
+ * the peak-power measurement relies on this and actuates nothing.
+ */
+TEST(ShardedSystem, FreshEnginesRunAtMaximumLevels)
+{
+    const SimConfig cfg = config(8);
+    for (const int shards : {0, 2}) {
+        const EngineConfig engine{shards, 1};
+        auto fresh = makeSimBackend(cfg, workloads::mix("MIX1", 8), engine);
+        auto told = makeSimBackend(cfg, workloads::mix("MIX1", 8), engine);
+        told->applyLevels(
+            std::vector<std::size_t>(8, cfg.coreLadder.maxIndex()),
+            cfg.memLadder.maxIndex());
+
+        const WindowStats w = fresh->runWindow(cfg.profileWindow);
+        for (const CoreWindowStats &c : w.cores)
+            EXPECT_EQ(c.frequency, cfg.coreLadder.max())
+                << "shards=" << shards;
+        for (const MemWindowStats &m : w.memory)
+            EXPECT_EQ(m.busFrequency, cfg.memLadder.max())
+                << "shards=" << shards;
+        EXPECT_EQ(enginetest::serialize(w),
+                  enginetest::serialize(told->runWindow(cfg.profileWindow)))
+            << "shards=" << shards;
+    }
+}
+
+TEST(ShardedSystem, ActuationPanicsOnMalformedInputs)
+{
+    const SimConfig cfg = config(8);
+    ShardedSystem sys(cfg, workloads::mix("MIX1", 8), 2, 1);
+    std::vector<std::size_t> levels(8, 0);
+    levels[5] = cfg.coreLadder.size();
+    EXPECT_THROW(sys.applyLevels(levels, 0), PanicError);
+    levels[5] = 0;
+    EXPECT_THROW(sys.applyLevels(levels, cfg.memLadder.size()),
+                 PanicError);
+    EXPECT_THROW(sys.applyLevels(std::vector<std::size_t>(7, 0), 0),
+                 PanicError);
+    EXPECT_THROW(sys.creditInstructions(std::vector<double>(9, 0.0)),
+                 PanicError);
 }
 
 TEST(ShardedSystem, NameplatePeakMatchesMonolithicEngine)
@@ -177,20 +220,24 @@ TEST(ShardedSystem, WindowStatsBitIdenticalAcrossShardsAndThreads)
     const auto run = [&](int shards, int threads) {
         ShardedSystem sys(cfg, workloads::mix("MIX2", 32), shards,
                           threads);
-        sys.maxFrequencies();
         std::string log;
+        std::vector<std::size_t> levels(32);
+        std::vector<double> credit(32);
         for (int w = 0; w < 4; ++w) {
             log += enginetest::serialize(
                 sys.runWindow(cfg.profileWindow));
-            // Actuate a different operating point every window.
-            for (int i = 0; i < 32; ++i)
-                sys.coreFreqIndex(
-                    i, static_cast<std::size_t>((i + w) % 10));
-            sys.memFreqIndex(static_cast<std::size_t>(9 - 2 * (w % 4)));
+            // Actuate a different operating point and credit every
+            // window.
+            for (std::size_t i = 0; i < 32; ++i) {
+                levels[i] = (i + static_cast<std::size_t>(w)) % 10;
+                credit[i] = 1000.0 * static_cast<double>(i + 1) + w;
+            }
+            sys.applyLevels(levels,
+                            static_cast<std::size_t>(9 - 2 * (w % 4)));
+            sys.creditInstructions(credit);
         }
+        log += enginetest::serialize(sys.runWindow(cfg.profileWindow));
         log += std::to_string(sys.eventsProcessed());
-        for (int i = 0; i < 32; ++i)
-            enginetest::appendBits(log, sys.instructionsRetired(i));
         return log;
     };
 
@@ -215,7 +262,6 @@ TEST(ShardedSystem, ShardEventGaugesSumToEventsProcessed)
         telemetry::Registry reg;
         ShardedSystem sys(cfg, workloads::mix("MIX2", 32), shards, 1,
                           &reg, "/machine/3");
-        sys.maxFrequencies();
         for (int w = 0; w < 3; ++w)
             sys.runWindow(cfg.profileWindow);
         double gauge_sum = 0.0;
@@ -237,8 +283,8 @@ TEST(ShardedSystem, SwapAppRebindsAcrossShardBoundaries)
 {
     const SimConfig cfg = config(8);
     ShardedSystem sys(cfg, workloads::mix("MIX1", 8), 4, 2);
-    sys.maxFrequencies();
-    sys.runWindow(cfg.profileWindow);
+    const double instr_before =
+        sys.runWindow(cfg.profileWindow).cores[5].retired;
 
     const std::string before = sys.appOf(5).name();
     sys.swapApp(5, workloads::spec("swim"));
@@ -246,9 +292,8 @@ TEST(ShardedSystem, SwapAppRebindsAcrossShardBoundaries)
     EXPECT_NE(before, "swim");
 
     // The rebound core keeps simulating with the new profile.
-    const double instr_before = sys.instructionsRetired(5);
-    sys.runWindow(cfg.profileWindow);
-    EXPECT_GT(sys.instructionsRetired(5), instr_before);
+    EXPECT_GT(sys.runWindow(cfg.profileWindow).cores[5].retired,
+              instr_before);
 }
 
 TEST(ShardedSystem, SkewedInterleaveFallsBackToModuloMapping)

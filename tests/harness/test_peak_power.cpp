@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "harness/peak_power.hpp"
 #include "sim/system.hpp"
 #include "workload/spec_table.hpp"
@@ -33,7 +38,6 @@ TEST(PeakPower, DominatesWorkloadDraws)
     const Watts peak = measuredPeakPower(cfg);
     for (const char *wl : {"ILP2", "MID1", "MEM1", "MIX2"}) {
         ManyCoreSystem sys(cfg, workloads::mix(wl, 16));
-        sys.maxFrequencies();
         sys.runWindow(fromUs(100)); // warm-up
         const WindowStats w = sys.runWindow(fromUs(200));
         EXPECT_LE(w.totalPower(), peak * 1.05) << wl;
@@ -125,6 +129,112 @@ TEST(PeakPower, CacheKeyDistinguishesOrdinaryConfigs)
     EXPECT_NE(peakPowerCacheKey(base, 3), peakPowerCacheKey(base, 5))
         << "measurement epochs are part of the key";
     EXPECT_EQ(peakPowerCacheKey(base), peakPowerCacheKey(base));
+}
+
+/** A named one-field change to a SimConfig. */
+using Perturbation =
+    std::pair<const char *, std::function<void(SimConfig &)>>;
+
+/**
+ * Every SimConfig field either enters the key or cannot change the
+ * measurement. The key used to omit the L2 and bank timings, the
+ * think jitter and the out-of-order limits, so a config with 4x
+ * l2Time and bankRowMissTime got the default config's cached peak.
+ * A field added to SimConfig belongs in one of the two lists.
+ */
+TEST(PeakPower, CacheKeyCoversEveryMeasuredField)
+{
+    const std::vector<Perturbation> measured = {
+        {"numCores", [](SimConfig &c) { c.numCores = 8; }},
+        {"execMode",
+         [](SimConfig &c) { c.execMode = ExecMode::OutOfOrder; }},
+        {"numControllers", [](SimConfig &c) { c.numControllers = 2; }},
+        {"banksPerController",
+         [](SimConfig &c) { c.banksPerController += 1; }},
+        {"interleave",
+         [](SimConfig &c) { c.interleave = InterleaveMode::Skewed; }},
+        {"skewHotFraction",
+         [](SimConfig &c) { c.skewHotFraction *= 0.5; }},
+        {"coreLadder",
+         [](SimConfig &c) {
+             c.coreLadder = FrequencyLadder::evenlySpaced(
+                 fromGHz(2.2), fromGHz(4.0), 5);
+         }},
+        {"memLadder",
+         [](SimConfig &c) {
+             c.memLadder = FrequencyLadder::evenlySpaced(
+                 fromMHz(206), fromMHz(800), 5);
+         }},
+        {"coreVoltage",
+         [](SimConfig &c) {
+             c.coreVoltage =
+                 VoltageCurve(fromGHz(2.2), fromGHz(4.0), 0.7, 1.2);
+         }},
+        {"mcVoltage",
+         [](SimConfig &c) {
+             c.mcVoltage =
+                 VoltageCurve(fromMHz(206), fromMHz(800), 0.7, 1.2);
+         }},
+        {"l2Time", [](SimConfig &c) { c.l2Time *= 4.0; }},
+        {"bankRowHitTime", [](SimConfig &c) { c.bankRowHitTime *= 2.0; }},
+        {"bankRowMissTime",
+         [](SimConfig &c) { c.bankRowMissTime *= 4.0; }},
+        {"busBurstCycles", [](SimConfig &c) { c.busBurstCycles *= 2.0; }},
+        {"oooWindow", [](SimConfig &c) { c.oooWindow /= 2; }},
+        {"oooMaxOutstanding",
+         [](SimConfig &c) { c.oooMaxOutstanding += 1; }},
+        {"profileWindow", [](SimConfig &c) { c.profileWindow *= 2.0; }},
+        {"thinkJitterSigma",
+         [](SimConfig &c) { c.thinkJitterSigma = 0.0; }},
+        {"rowHitRate", [](SimConfig &c) { c.rowHitRate *= 0.5; }},
+        {"corePower.dynMax",
+         [](SimConfig &c) { c.corePower.dynMax *= 2.0; }},
+        {"corePower.staticPower",
+         [](SimConfig &c) { c.corePower.staticPower *= 2.0; }},
+        {"corePower.stallFactor",
+         [](SimConfig &c) { c.corePower.stallFactor *= 2.0; }},
+        {"memPower.accessEnergy",
+         [](SimConfig &c) { c.memPower.accessEnergy *= 2.0; }},
+        {"memPower.interfaceMax",
+         [](SimConfig &c) { c.memPower.interfaceMax *= 2.0; }},
+        {"memPower.mcMax", [](SimConfig &c) { c.memPower.mcMax *= 2.0; }},
+        {"memPower.staticPower",
+         [](SimConfig &c) { c.memPower.staticPower *= 2.0; }},
+        {"backgroundPower",
+         [](SimConfig &c) { c.backgroundPower *= 2.0; }},
+    };
+    // The measurement reseeds, runs profileWindow-long windows and
+    // never changes a level, so these cannot reach it.
+    const std::vector<Perturbation> unmeasured = {
+        {"seed (the measurement uses the default seed)",
+         [](SimConfig &c) { c.seed += 1; }},
+        {"epochLength (windows are profileWindow long)",
+         [](SimConfig &c) { c.epochLength *= 2.0; }},
+        {"execWindow (windows are profileWindow long)",
+         [](SimConfig &c) { c.execWindow *= 2.0; }},
+        {"coreTransitionTime (no level changes)",
+         [](SimConfig &c) { c.coreTransitionTime *= 2.0; }},
+        {"memTransitionTime (no level changes)",
+         [](SimConfig &c) { c.memTransitionTime *= 2.0; }},
+    };
+
+    const SimConfig base = SimConfig::defaultConfig(4);
+    const std::string base_key = peakPowerCacheKey(base);
+    for (const auto &[field, perturb] : measured) {
+        SimConfig cfg = base;
+        perturb(cfg);
+        EXPECT_NE(peakPowerCacheKey(cfg), base_key) << field;
+    }
+
+    clearPeakPowerCache();
+    const Watts base_peak = measuredPeakPower(base);
+    for (const auto &[field, perturb] : unmeasured) {
+        SimConfig cfg = base;
+        perturb(cfg);
+        EXPECT_EQ(peakPowerCacheKey(cfg), base_key) << field;
+        clearPeakPowerCache();
+        EXPECT_EQ(measuredPeakPower(cfg), base_peak) << field;
+    }
 }
 
 // Regression (ISSUE 8): the measurement used to run on a monolithic

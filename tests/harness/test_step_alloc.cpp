@@ -71,7 +71,9 @@ TEST(StepAllocation, Warm1024CoreStepAllocatesFewTimes)
     const std::uint64_t allocations = g_allocations.load() - before;
 
     EXPECT_EQ(rec.coreFreqIdx.size(), static_cast<std::size_t>(kCores));
-    EXPECT_LT(allocations, 160u)
+    // 77 on x86-64 Linux with libstdc++ (the window stats, the
+    // decision and its classes, the record); the rest is margin.
+    EXPECT_LT(allocations, 90u)
         << "a warm step allocates per core again";
 }
 

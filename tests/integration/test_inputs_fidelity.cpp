@@ -118,15 +118,15 @@ TEST(InputsFidelity, PowerModelPredictionErrorSmall)
     ecfg.targetInstructions = 1e9;
     ExperimentRunner runner(scfg, workloads::mix("MID3", 16), policy,
                             ecfg);
+    EpochRecord last;
     for (int e = 0; e < 6; ++e)
-        runner.step();
+        last = runner.step();
 
     const PolicyInputs &before = runner.lastInputs();
     std::vector<double> predicted(before.cores.size());
     for (std::size_t i = 0; i < before.cores.size(); ++i) {
         // Predict dynamic power at the currently selected ratio.
-        const double x = before.coreRatios[
-            runner.system().coreFreqIndex(static_cast<int>(i))];
+        const double x = before.coreRatios[last.coreFreqIdx[i]];
         predicted[i] = before.cores[i].pi *
             std::pow(x, before.cores[i].alpha) +
             before.cores[i].pStatic;

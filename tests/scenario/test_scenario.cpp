@@ -217,5 +217,36 @@ TEST_F(ScenarioFile, RejectsBadFiles)
                  FatalError);
 }
 
+/** what() of the FatalError loadFile(path) throws, or "". */
+std::string
+loadError(const std::string &path)
+{
+    try {
+        Scenario::loadFile(path);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return std::string();
+}
+
+TEST_F(ScenarioFile, ErrorsInsideASpecNameTheFileAndLine)
+{
+    const std::string &path = write("ok = budget=step@0:0.5\n"
+                                    "bad = budget=step@0:2\n");
+    EXPECT_EQ(loadError(path),
+              path + ":2: BudgetSchedule: step level 2 out of range "
+                     "(0, 1]");
+}
+
+TEST_F(ScenarioFile, RejectsAHashInsideAValue)
+{
+    // Read as a comment, the '#' would cut the path to '/tmp/run' and
+    // the run would fail far from the cause.
+    const std::string &path = write("a = trace=/tmp/run#1.trace\n");
+    EXPECT_EQ(loadError(path),
+              path + ":1: '#' inside a field (a comment starts the line "
+                     "or follows a space)");
+}
+
 } // namespace
 } // namespace fastcap

@@ -110,19 +110,43 @@ TEST(System, FrequencyActuationIsVisible)
 {
     SimConfig cfg = smallConfig(4);
     ManyCoreSystem sys(cfg, workloads::mix("ILP1", 4));
-    sys.coreFreqIndex(2, 0);
-    EXPECT_EQ(sys.coreFreqIndex(2), 0u);
-    sys.memFreqIndex(3);
-    EXPECT_EQ(sys.memFreqIndex(), 3u);
-    // The actuation reaches every controller's bus.
+    std::vector<std::size_t> core(4, cfg.coreLadder.maxIndex());
+    core[2] = 0;
+    sys.applyLevels(core, 3);
+    // The actuation reaches its core and every controller's bus.
     const WindowStats w = sys.runWindow(fromUs(10));
+    EXPECT_DOUBLE_EQ(w.cores[2].frequency, cfg.coreLadder.at(0));
+    EXPECT_DOUBLE_EQ(w.cores[1].frequency, cfg.coreLadder.max());
     ASSERT_EQ(w.memory.size(),
               static_cast<std::size_t>(cfg.numControllers));
     for (const MemWindowStats &m : w.memory)
         EXPECT_DOUBLE_EQ(m.busFrequency, cfg.memLadder.at(3));
 
-    EXPECT_THROW(sys.coreFreqIndex(2, 99), PanicError);
-    EXPECT_THROW(sys.memFreqIndex(99), PanicError);
+    core[2] = 99;
+    EXPECT_THROW(sys.applyLevels(core, 3), PanicError);
+    core[2] = 0;
+    EXPECT_THROW(sys.applyLevels(core, 99), PanicError);
+    // One level per core, one credit per core.
+    EXPECT_THROW(sys.applyLevels({0, 0, 0}, 3), PanicError);
+    EXPECT_THROW(sys.creditInstructions({1.0, 1.0}), PanicError);
+    EXPECT_THROW(sys.creditInstructions({0.0, -1.0, 0.0, 0.0}),
+                 PanicError);
+}
+
+TEST(System, WindowsReportCumulativeRetiredInstructions)
+{
+    SimConfig cfg = smallConfig(4);
+    ManyCoreSystem sys(cfg, workloads::mix("ILP1", 4));
+    const std::vector<double> credit = {1e6, 0.0, 0.0, 2.5e5};
+    const WindowStats w1 = sys.runWindow(fromUs(50));
+    sys.creditInstructions(credit);
+    const WindowStats w2 = sys.runWindow(fromUs(50));
+    for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_GT(w1.cores[i].retired, 0.0);
+        // The count carries on across windows and includes the
+        // credit made between them.
+        EXPECT_GT(w2.cores[i].retired, w1.cores[i].retired + credit[i]);
+    }
 }
 
 TEST(System, LowerCoreFrequencyLowersCorePower)
@@ -133,8 +157,8 @@ TEST(System, LowerCoreFrequencyLowersCorePower)
 
     SimConfig cfg2 = smallConfig(4);
     ManyCoreSystem sys_lo(cfg2, workloads::mix("ILP1", 4));
-    for (int i = 0; i < 4; ++i)
-        sys_lo.coreFreqIndex(i, 0);
+    sys_lo.applyLevels(std::vector<std::size_t>(4, 0),
+                       cfg2.memLadder.maxIndex());
     const WindowStats lo = sys_lo.runWindow(fromUs(200));
 
     EXPECT_LT(lo.corePowerTotal(), 0.55 * hi.corePowerTotal())
@@ -149,7 +173,8 @@ TEST(System, LowerMemFrequencyLowersMemPower)
 
     SimConfig cfg2 = smallConfig(16);
     ManyCoreSystem lo(cfg2, workloads::mix("ILP1", 16));
-    lo.memFreqIndex(0);
+    lo.applyLevels(std::vector<std::size_t>(16, cfg2.coreLadder.maxIndex()),
+                   0);
     const WindowStats wlo = lo.runWindow(fromUs(200));
 
     EXPECT_LT(wlo.memPowerTotal(), whi.memPowerTotal());
@@ -164,7 +189,8 @@ TEST(System, MemSlowdownHurtsMemBoundThroughput)
 
     SimConfig cfg2 = smallConfig(16);
     ManyCoreSystem slow(cfg2, workloads::mix("MEM1", 16));
-    slow.memFreqIndex(0);
+    slow.applyLevels(
+        std::vector<std::size_t>(16, cfg2.coreLadder.maxIndex()), 0);
     slow.runWindow(fromUs(100));
     const WindowStats ws = slow.runWindow(fromUs(300));
 
@@ -189,8 +215,8 @@ TEST(System, CoreSlowdownBarelyHurtsMemBound)
 
     SimConfig cfg2 = smallConfig(16);
     ManyCoreSystem slow(cfg2, workloads::mix("MEM1", 16));
-    for (int i = 0; i < 16; ++i)
-        slow.coreFreqIndex(i, 0);
+    slow.applyLevels(std::vector<std::size_t>(16, 0),
+                     cfg2.memLadder.maxIndex());
     slow.runWindow(fromUs(100));
     const WindowStats ws = slow.runWindow(fromUs(300));
 

@@ -123,6 +123,27 @@ TEST(LineReader, SkipsCommentsAndBlanksAndCountsLines)
     EXPECT_EQ(lines.name(), "<test>");
 }
 
+TEST(LineReader, RejectsAHashInsideAField)
+{
+    // A comment starts the line or follows a space or tab...
+    std::istringstream ok("x = 1\t# note\n  #indented\ny=2 #\n");
+    LineReader ok_lines(ok, "<ok>");
+    std::string line;
+    ASSERT_TRUE(ok_lines.next(line));
+    EXPECT_EQ(line, "x = 1");
+    ASSERT_TRUE(ok_lines.next(line));
+    EXPECT_EQ(line, "y=2");
+    EXPECT_FALSE(ok_lines.next(line));
+
+    // ...and a '#' anywhere else fails, naming the line, instead of
+    // cutting the path short.
+    std::istringstream bad("# header\na = trace=/tmp/run#1.trace\n");
+    LineReader bad_lines(bad, "<bad>");
+    EXPECT_EQ(errorOf([&] { bad_lines.next(line); }),
+              "<bad>:2: '#' inside a field (a comment starts the line "
+              "or follows a space)");
+}
+
 class KeyValueFile : public ::testing::Test
 {
   protected:
@@ -174,6 +195,10 @@ TEST_F(KeyValueFile, ErrorsNameTheFileAndLine)
                  FatalError);
     EXPECT_THROW(readKeyValueFile(write("just words\n"), "spec file"),
                  FatalError);
+    const std::string &hashed = write("a = 1\nb = run#1 # note\n");
+    EXPECT_EQ(errorOf([&] { readKeyValueFile(hashed, "spec file"); }),
+              hashed + ":2: '#' inside a field (a comment starts the "
+                       "line or follows a space)");
     EXPECT_EQ(errorOf([] {
                   readKeyValueFile("/nonexistent/grid.spec", "spec file");
               }),

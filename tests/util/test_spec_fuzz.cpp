@@ -667,11 +667,30 @@ TEST(SpecFuzz, LexerKeepsItsRules)
         std::istringstream in(s);
         LineReader lines(in, "<fuzz>");
         int last = 0;
-        for (std::string got; lines.next(got);) {
-            EXPECT_TRUE(trimmedField(got));
-            EXPECT_EQ(got.find('#'), std::string::npos);
-            EXPECT_GT(lines.lineno(), last);
-            last = lines.lineno();
+        try {
+            for (std::string got; lines.next(got);) {
+                EXPECT_TRUE(trimmedField(got));
+                EXPECT_EQ(got.find('#'), std::string::npos);
+                EXPECT_GT(lines.lineno(), last);
+                last = lines.lineno();
+            }
+        } catch (const FatalError &e) {
+            // Only a '#' glued to the text before it is an error, and
+            // the error names its line.
+            const std::string where =
+                "<fuzz>:" + std::to_string(lines.lineno()) + ":";
+            EXPECT_EQ(std::string(e.what()).rfind(where, 0), 0u)
+                << e.what();
+            std::size_t begin = 0;
+            for (int k = 1; k < lines.lineno(); ++k)
+                begin = s.find('\n', begin) + 1;
+            const std::string raw =
+                s.substr(begin, s.find('\n', begin) - begin);
+            const auto hash = raw.find('#');
+            ASSERT_NE(hash, std::string::npos);
+            ASSERT_GT(hash, 0u);
+            EXPECT_EQ(std::string(" \t\r").find(raw[hash - 1]),
+                      std::string::npos);
         }
     }
 }

@@ -259,16 +259,13 @@ main(int argc, char **argv)
         SweepRunner runner(grid, args.getInt("threads"));
         const SweepResult result = runner.run();
 
-        logkv(LogLevel::Inform, "sweep", "done",
-              {{"runs",
-                static_cast<long long>(result.runs.size())},
-               {"threads", result.threads},
-               {"wall_s", result.wallSeconds},
-               {"runs_per_s",
-                result.wallSeconds > 0.0
-                    ? static_cast<double>(result.runs.size()) /
-                          result.wallSeconds
-                    : 0.0}});
+        inform("fastcap_sweep: %zu runs on %d threads in %.6g s "
+               "(%.6g runs/s)",
+               result.runs.size(), result.threads, result.wallSeconds,
+               result.wallSeconds > 0.0
+                   ? static_cast<double>(result.runs.size()) /
+                         result.wallSeconds
+                   : 0.0);
 
         if (args.getString("csv").empty()) {
             result.writeCsv(stdout);
