@@ -30,9 +30,9 @@
 #include <vector>
 
 #include "util/logging.hpp"
-#include "util/math.hpp"
 
 #include "bench_inputs.hpp"
+#include "reference_fit.hpp"
 #include "core/fastcap_policy.hpp"
 #include "core/model_fitter.hpp"
 #include "core/solver.hpp"

@@ -94,16 +94,16 @@ std::string
 peakPowerCacheKey(const SimConfig &cfg, const EngineConfig &engine,
                   int epochs)
 {
-    // Measure-then-format: a fixed buffer would silently truncate on
-    // extreme-magnitude config values (e.g. %.3f of a 1e300 dynMax
-    // expands past 300 characters), merging distinct configs into one
-    // cache entry and corrupting paired-seed sweep determinism.
+    // Every double prints as %.17g, which round-trips it: a rounded
+    // field would merge configs that differ below its precision into
+    // one cache entry. Measure-then-format, so no value's length can
+    // truncate the key and merge configs the same way.
     const char *fmt_str =
-        "n=%d mode=%d ctrl=%d banks=%d burst=%.4f "
-        "cdyn=%.3f cst=%.3f sf=%.3f ae=%.3g if=%.3f mc=%.3f "
-        "mst=%.3f bg=%.3f il=%d skew=%.3f rh=%.3f "
+        "n=%d mode=%d ctrl=%d banks=%d burst=%.17g "
+        "cdyn=%.17g cst=%.17g sf=%.17g ae=%.17g if=%.17g mc=%.17g "
+        "mst=%.17g bg=%.17g il=%d skew=%.17g rh=%.17g "
         "l2=%.17g rhit=%.17g rmiss=%.17g jit=%.17g oow=%d ooo=%d "
-        "win=%.6g ep=%d dvfs=%016llx eng=%s";
+        "win=%.17g ep=%d dvfs=%016llx eng=%s";
     const auto format = [&](char *buf, std::size_t size) {
         return std::snprintf(
             buf, size, fmt_str, cfg.numCores,

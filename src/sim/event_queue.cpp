@@ -1,8 +1,10 @@
 #include "sim/event_queue.hpp"
 
+#include <cstring>
 #include <limits>
 
 #include "util/logging.hpp"
+#include "util/math.hpp"
 
 namespace fastcap {
 
@@ -18,14 +20,43 @@ checkNotPast(const char *fn, Seconds when, Seconds now)
               fn, when, now);
 }
 
+/** The time whose bits doubleBits() gave. */
+Seconds
+timeOf(std::uint64_t bits)
+{
+    Seconds t = 0.0;
+    std::memcpy(&t, &bits, sizeof(t));
+    return t;
+}
+
+/**
+ * The exclusive bound on a queued time's bits for the events at or
+ * before `limit`. Queued times are at or above +0, so a negative or
+ * NaN limit admits none; +inf admits every one.
+ */
+std::uint64_t
+timeBound(Seconds limit)
+{
+    return limit >= 0.0 ? doubleBits(limit + 0.0) + 1 : 0;
+}
+
 } // namespace
+
+EventQueue::Entry
+EventQueue::entry(Seconds when, EventHandler &target, std::uint32_t tag,
+                  double arg)
+{
+    // Adding +0.0 stores a -0.0 accepted at now() == 0 as +0.0, whose
+    // bits order below every later time.
+    return Entry{doubleBits(when + 0.0), _seq++, &target, arg, tag};
+}
 
 void
 EventQueue::schedule(Seconds when, EventHandler &target,
                      std::uint32_t tag, double arg)
 {
     checkNotPast("schedule", when, _now);
-    const Entry e{when, _seq++, &target, arg, tag};
+    const Entry e = entry(when, target, tag, arg);
     if (_hole) {
         _hole = false;
         siftDown(0, e);
@@ -33,10 +64,11 @@ EventQueue::schedule(Seconds when, EventHandler &target,
     }
     // Sift up from a new last slot.
     _heap.push_back(e);
+    const Key k = e.key();
     std::size_t i = _heap.size() - 1;
     while (i > 0) {
         const std::size_t parent = (i - 1) / 2;
-        if (!Later{}(_heap[parent], e))
+        if (_heap[parent].key() < k)
             break;
         _heap[i] = _heap[parent];
         i = parent;
@@ -49,26 +81,29 @@ EventQueue::scheduleInOrder(Seconds when, EventHandler &target,
                             std::uint32_t tag, double arg)
 {
     checkNotPast("scheduleInOrder", when, _now);
+    const Entry e = entry(when, target, tag, arg);
     if (!_stream)
         _stream = std::make_unique<Stream>();
-    else if (!_stream->empty() && when < _stream->back().when)
+    else if (!_stream->empty() && e.when < _stream->back().when)
         panic("EventQueue::scheduleInOrder: event time %g is before "
               "the stream's last %g",
-              when, _stream->back().when);
-    _stream->push(Entry{when, _seq++, &target, arg, tag});
+              when, timeOf(_stream->back().when));
+    _stream->push(e);
 }
 
 void
 EventQueue::siftDown(std::size_t i, const Entry &e)
 {
     const std::size_t n = _heap.size();
+    const Key k = e.key();
     for (;;) {
         std::size_t child = 2 * i + 1;
         if (child >= n)
             break;
-        if (child + 1 < n && Later{}(_heap[child], _heap[child + 1]))
-            ++child;
-        if (!Later{}(e, _heap[child]))
+        // The earlier of two children, picked without a branch.
+        if (child + 1 < n)
+            child += _heap[child + 1].key() < _heap[child].key();
+        if (k < _heap[child].key())
             break;
         _heap[i] = _heap[child];
         i = child;
@@ -77,7 +112,7 @@ EventQueue::siftDown(std::size_t i, const Entry &e)
 }
 
 bool
-EventQueue::dispatchNext(Seconds limit)
+EventQueue::dispatchNext(std::uint64_t bound)
 {
     if (_hole) {
         // The last handler scheduled nothing: the last entry fills it.
@@ -90,19 +125,19 @@ EventQueue::dispatchNext(Seconds limit)
     Entry e;
     // The stream head goes first when it is earlier than the root.
     if (_stream && !_stream->empty() &&
-        (_heap.empty() || Later{}(_heap.front(), _stream->front()))) {
-        if (!(_stream->front().when <= limit))
+        (_heap.empty() || _stream->front().key() < _heap.front().key())) {
+        if (_stream->front().when >= bound)
             return false;
         e = _stream->pop();
     } else {
-        if (_heap.empty() || !(_heap.front().when <= limit))
+        if (_heap.empty() || _heap.front().when >= bound)
             return false;
         // Copy the root out and leave its slot as a hole for the
         // handler's first schedule().
         e = _heap.front();
         _hole = true;
     }
-    _now = e.when;
+    _now = timeOf(e.when);
     e.target->onEvent(e.tag, e.arg);
     ++_processed;
     return true;
@@ -121,8 +156,9 @@ EventQueue::runUntil(Seconds t_end)
 {
     // Handlers may count inline events too (advanceInline()).
     const std::uint64_t before = _processed;
+    const std::uint64_t bound = timeBound(t_end);
     _horizon = t_end;
-    while (dispatchNext(t_end)) {
+    while (dispatchNext(bound)) {
     }
     _horizon = -std::numeric_limits<Seconds>::infinity();
     if (t_end > _now)
@@ -133,7 +169,8 @@ EventQueue::runUntil(Seconds t_end)
 bool
 EventQueue::step()
 {
-    return dispatchNext(std::numeric_limits<Seconds>::infinity());
+    return dispatchNext(
+        timeBound(std::numeric_limits<Seconds>::infinity()));
 }
 
 } // namespace fastcap

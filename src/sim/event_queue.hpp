@@ -24,6 +24,17 @@
  * events thus cost one sift instead of a pop and a push. The key is
  * a strict total order, so every such layout dispatches the same
  * sequence.
+ *
+ * The key is compared as one unsigned integer pair: the IEEE-754
+ * bits of `when`, then `seq`. For doubles at or above +0 the bit
+ * pattern orders exactly like the value (+inf above every finite
+ * time, subnormals below the normals), so this is the same order as
+ * comparing the doubles, with no floating-point compare and a sift
+ * that picks the earlier child without a branch. It rests on one
+ * invariant: every queued `when` is at or above +0. NaN and past
+ * times panic, and the one negative time a queue accepts, -0.0 at
+ * now() == 0, is stored as +0.0. A 4-ary heap on the same key was
+ * measured slower (~0.92x on the fig. 9 grid) than this binary one.
  */
 
 #ifndef FASTCAP_SIM_EVENT_QUEUE_HPP
@@ -156,24 +167,19 @@ class EventQueue
     bool step();
 
   private:
+    /** The (when bits, seq) pair as one integer: the queue's order. */
+    __extension__ typedef unsigned __int128 Key;
+
     struct Entry
     {
-        Seconds when = 0.0;
+        /** IEEE-754 bits of the event time, which is at or above +0. */
+        std::uint64_t when = 0;
         std::uint64_t seq = 0;
         EventHandler *target = nullptr;
         double arg = 0.0;
         std::uint32_t tag = 0;
-    };
 
-    struct Later
-    {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
+        Key key() const { return (Key{when} << 64) | seq; }
     };
 
     /**
@@ -183,11 +189,16 @@ class EventQueue
     using Stream = RingFifo<Entry, 1>;
 
     /**
-     * Dispatch the earliest pending event if it is at or before
-     * `limit`: advance now() to it and run its handler.
+     * Dispatch the earliest pending event if the bits of its time are
+     * below `bound` (timeBound() of the last time allowed): advance
+     * now() to it and run its handler.
      * @return false if no such event is pending.
      */
-    bool dispatchNext(Seconds limit);
+    bool dispatchNext(std::uint64_t bound);
+
+    /** The entry for a checked `when` and the next sequence number. */
+    Entry entry(Seconds when, EventHandler &target, std::uint32_t tag,
+                double arg);
 
     /** Place `e` at heap slot i, a hole, or below it. */
     void siftDown(std::size_t i, const Entry &e);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Numerical routines used by the FastCap solver and power-model
- * fitting: monotone root finding and least-squares fits.
+ * Numerical routines used by the FastCap solver: monotone root
+ * finding and exact-bits and tolerance comparisons.
  */
 
 #ifndef FASTCAP_UTIL_MATH_HPP
@@ -12,7 +12,6 @@
 #include <functional>
 #include <limits>
 #include <utility>
-#include <vector>
 
 namespace fastcap {
 
@@ -114,45 +113,6 @@ RootResult solveMonotone(const std::function<double(double)> &f,
                          double lo, double hi,
                          double tol_x = 1e-12, double tol_f = 1e-9,
                          int max_iter = 200, const RootSeed &seed = {});
-
-/** Slope/intercept pair from a linear least-squares fit. */
-struct LinearFit
-{
-    double slope = 0.0;
-    double intercept = 0.0;
-    /** Coefficient of determination; 1 means a perfect fit. */
-    double r2 = 0.0;
-    bool valid = false;
-};
-
-/**
- * Ordinary least squares y = slope * x + intercept.
- *
- * Needs at least two points with distinct x. With exactly two points
- * the fit is exact and r2 = 1.
- */
-LinearFit fitLinear(const std::vector<double> &xs, const std::vector<double> &ys);
-
-/** Parameters of a power-law fit y = scale * x^exponent. */
-struct PowerLawFit
-{
-    double scale = 0.0;
-    double exponent = 0.0;
-    double r2 = 0.0;
-    bool valid = false;
-};
-
-/**
- * Fit y = scale * x^exponent by linear least squares in log-log space.
- *
- * Points with non-positive x or y are ignored (they have no
- * logarithm); the fit is invalid if fewer than two usable points with
- * distinct x remain. This is exactly the fit FastCap's governor runs
- * each epoch to recover (P_i, alpha_i) from (frequency-ratio, dynamic
- * power) samples.
- */
-PowerLawFit fitPowerLaw(const std::vector<double> &xs,
-                        const std::vector<double> &ys);
 
 /** True if |a - b| <= tol * max(1, |a|, |b|). */
 bool approxEqual(double a, double b, double tol = 1e-9);

@@ -15,6 +15,8 @@
 #include "util/math.hpp"
 #include "util/rng.hpp"
 
+#include "reference_fit.hpp"
+
 namespace fastcap {
 namespace {
 

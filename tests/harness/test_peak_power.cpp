@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <string>
 #include <utility>
@@ -94,19 +95,27 @@ TEST(PeakPower, SamplingWindowIsPartOfTheCacheKey)
     EXPECT_NE(a, b) << "longer windows observe different peaks";
 }
 
-// Regression (ISSUE 4): the key used to be formatted into a fixed
-// char[320] with snprintf's return value ignored. Extreme-magnitude
-// values (%.3f of a 1e300 dynMax expands past 300 characters) pushed
-// later fields off the end, so configs differing only in a truncated
-// field silently merged into one cache entry — corrupting paired-seed
-// sweep determinism. The key is now built at whatever length the
-// values demand.
+// The key used to be formatted into a fixed char[320] with
+// snprintf's return value ignored, so values long enough to push
+// later fields off the end merged configs that differ only in a
+// truncated field. The key is now built at whatever length the values
+// demand. Every double prints as %.17g, at most 24 characters, so it
+// takes all sixteen of them at full length to pass the old horizon.
 TEST(PeakPower, CacheKeyNeverTruncates)
 {
+    const double v = -1.2345678901234567e-300; // 24 characters
     SimConfig a = SimConfig::defaultConfig(4);
-    a.corePower.dynMax = 1e300; // ~305 characters as %.3f
+    for (double *field :
+         {&a.busBurstCycles, &a.corePower.dynMax,
+          &a.corePower.staticPower, &a.corePower.stallFactor,
+          &a.memPower.accessEnergy, &a.memPower.interfaceMax,
+          &a.memPower.mcMax, &a.memPower.staticPower,
+          &a.backgroundPower, &a.skewHotFraction, &a.rowHitRate,
+          &a.l2Time, &a.bankRowHitTime, &a.bankRowMissTime,
+          &a.thinkJitterSigma, &a.profileWindow})
+        *field = v;
     SimConfig b = a;
-    b.profileWindow = a.profileWindow * 2.0; // formatted after dynMax
+    b.profileWindow = std::nextafter(v, 0.0); // formatted last of all
 
     const std::string ka = peakPowerCacheKey(a);
     const std::string kb = peakPowerCacheKey(b);
@@ -118,6 +127,39 @@ TEST(PeakPower, CacheKeyNeverTruncates)
     // The full field list survives to the end of the key.
     EXPECT_NE(ka.find("dvfs="), std::string::npos);
     EXPECT_NE(kb.find("dvfs="), std::string::npos);
+}
+
+/**
+ * The key used to print most power and topology doubles with %.3f,
+ * %.4f or %.3g, so a config that differs from the default below that
+ * precision shared its cache entry and got its peak. Every double now
+ * round-trips, and a cache hit is the measurement it stands for.
+ */
+TEST(PeakPower, CacheKeyKeepsEveryDigit)
+{
+    const SimConfig base = SimConfig::defaultConfig(16);
+    SimConfig close = base;
+    close.corePower.dynMax += 0.0004;
+    close.memPower.accessEnergy *= 1.0004;
+    close.busBurstCycles += 4e-5;
+    EXPECT_NE(peakPowerCacheKey(close), peakPowerCacheKey(base));
+
+    // One field at a time, each below its old printed precision.
+    for (double SimConfig::*field :
+         {&SimConfig::busBurstCycles, &SimConfig::backgroundPower,
+          &SimConfig::skewHotFraction, &SimConfig::rowHitRate,
+          &SimConfig::profileWindow}) {
+        SimConfig cfg = base;
+        cfg.*field = std::nextafter(cfg.*field, 0.0);
+        EXPECT_NE(peakPowerCacheKey(cfg), peakPowerCacheKey(base));
+    }
+
+    clearPeakPowerCache();
+    measuredPeakPower(base);
+    const Watts cached = measuredPeakPower(close);
+    clearPeakPowerCache();
+    EXPECT_EQ(cached, measuredPeakPower(close))
+        << "a cache hit must equal a fresh measurement";
 }
 
 TEST(PeakPower, CacheKeyDistinguishesOrdinaryConfigs)

@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -374,7 +376,12 @@ TEST(EventQueue, AdvanceInlineOutsideRunUntilPanics)
 /**
  * Property-test driver: every scheduled event gets an id (its index
  * in `scheduled`, which is also its tag), and handlers randomly
- * schedule more events, at coarse timestamps so ties are common.
+ * schedule more events, on the heap and on the in-order stream. Most
+ * times sit on a coarse 1 ns grid, so ties are dense across the heap,
+ * its hole and the stream. The rest are the edge values of the
+ * queue's integer key: -0.0 and +0.0, subnormals, the smallest
+ * normal, 1e300, the largest double and +inf. Adding 1 ns to a huge
+ * time changes nothing, so ties are dense up there too.
  */
 struct RandomScheduler : EventHandler
 {
@@ -383,20 +390,52 @@ struct RandomScheduler : EventHandler
     {
     }
 
-    /** A timestamp at or after `from`, on a coarse 1 ns grid. */
+    /** A timestamp at or after `from`. */
     Seconds
     drawTime(Seconds from)
     {
-        const double steps = static_cast<double>(rng.below(6));
-        return from + steps * 1e-9;
+        const Seconds inf = std::numeric_limits<double>::infinity();
+        static const Seconds kEdges[] = {
+            -0.0,
+            0.0,
+            std::numeric_limits<double>::denorm_min(),
+            1e-310,
+            std::numeric_limits<double>::min(),
+            1e300,
+            std::numeric_limits<double>::max(),
+            inf,
+        };
+        if (rng.chance(0.9)) {
+            const double steps = static_cast<double>(rng.below(6));
+            return from + steps * 1e-9;
+        }
+        // An edge already passed becomes the next double after `from`.
+        const Seconds edge = kEdges[rng.below(std::size(kEdges))];
+        return edge >= from ? edge : std::nextafter(from, inf);
     }
 
     void
     add(Seconds when)
     {
+        queue.schedule(when, *this, nextId(when), when);
+    }
+
+    /** Append at or after the stream's last time. */
+    void
+    addStream()
+    {
+        streamLast = drawTime(std::max(queue.now(), streamLast));
+        queue.scheduleInOrder(streamLast, *this, nextId(streamLast),
+                              streamLast);
+        ++streamed;
+    }
+
+    std::uint32_t
+    nextId(Seconds when)
+    {
         const auto id = static_cast<std::uint32_t>(scheduled.size());
         scheduled.push_back(when);
-        queue.schedule(when, *this, id, when);
+        return id;
     }
 
     void
@@ -410,10 +449,14 @@ struct RandomScheduler : EventHandler
         for (std::uint64_t i = 0; i < children; ++i)
             if (scheduled.size() < 4000)
                 add(drawTime(queue.now()));
+        if (scheduled.size() < 4000 && rng.chance(0.3))
+            addStream();
     }
 
     EventQueue &queue;
     Rng rng;
+    Seconds streamLast = 0.0;
+    int streamed = 0;
     std::vector<Seconds> scheduled; //!< when, by id (= seq order)
     std::vector<std::uint32_t> popped;
 };
@@ -421,7 +464,7 @@ struct RandomScheduler : EventHandler
 /**
  * Ids 0..n-1 stably sorted by their `when`. Schedule order is seq
  * order, so this is the (when, seq) order every correct queue must
- * dispatch.
+ * dispatch. -0.0 and +0.0 compare equal, so they tie.
  */
 std::vector<std::uint32_t>
 stableOrder(const std::vector<Seconds> &when)
@@ -441,14 +484,24 @@ TEST(EventQueue, PopOrderMatchesStableSortOfSchedules)
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         EventQueue q;
         RandomScheduler s(q, seed);
-        for (int i = 0; i < 64; ++i)
+        for (int i = 0; i < 64; ++i) {
             s.add(s.drawTime(0.0));
-        // Several horizons, so some events wait across runUntil calls.
-        for (Seconds t = 2e-9; !q.empty(); t += 7e-9)
+            if (i % 4 == 0)
+                s.addStream();
+        }
+        // Several horizons, so some events wait across runUntil
+        // calls, then the huge ones; step() drains the +inf tail.
+        for (Seconds t = 2e-9; t < 200e-9; t += 7e-9)
             q.runUntil(t);
+        q.runUntil(1e300);
+        q.runUntil(std::numeric_limits<double>::max());
+        while (q.step()) {
+        }
 
         ASSERT_GT(s.scheduled.size(), 200u) << "seed " << seed;
+        EXPECT_GT(s.streamed, 20) << "seed " << seed;
         EXPECT_EQ(s.popped, stableOrder(s.scheduled)) << "seed " << seed;
+        EXPECT_EQ(q.processed(), s.scheduled.size());
     }
 }
 
@@ -684,6 +737,74 @@ TEST(EventQueue, DecreasingInOrderAppendPanics)
     q.scheduleInOrder(10e-9, r, 5);
     q.runUntil(20e-9);
     EXPECT_EQ(r.tags, (std::vector<int>{0, 1, 5}));
+}
+
+// The key compares the bits of `when`, and -0.0's bits order above
+// every positive time, so a -0.0 accepted at now() == 0 is stored as
+// +0.0: it ties with +0.0 and fires in scheduling order.
+TEST(EventQueue, NegativeZeroTiesWithZeroInSchedulingOrder)
+{
+    EventQueue q;
+    Recorder r;
+    q.schedule(1e-9, r, 0);
+    q.schedule(-0.0, r, 1);
+    q.scheduleInOrder(0.0, r, 2);
+    q.schedule(0.0, r, 3);
+    q.scheduleInOrder(-0.0, r, 4);
+    q.schedule(-0.0, r, 5);
+    // A negative bound admits nothing; -0.0 admits the zero times.
+    EXPECT_EQ(q.runUntil(-1e-9), 0u);
+    EXPECT_EQ(q.runUntil(-0.0), 5u);
+    EXPECT_EQ(r.tags, (std::vector<int>{1, 2, 3, 4, 5}));
+    EXPECT_EQ(q.now(), 0.0);
+    EXPECT_FALSE(std::signbit(q.now()));
+    q.runUntil(1e-6);
+    EXPECT_EQ(r.tags, (std::vector<int>{1, 2, 3, 4, 5, 0}));
+}
+
+TEST(EventQueue, InfinityFiresAfterEveryFiniteTime)
+{
+    const Seconds inf = std::numeric_limits<double>::infinity();
+    const Seconds max = std::numeric_limits<double>::max();
+    EventQueue q;
+    Recorder r;
+    q.schedule(inf, r, 0);
+    q.scheduleInOrder(max, r, 1);
+    q.schedule(max, r, 2);
+    q.scheduleInOrder(inf, r, 3);
+    q.schedule(1.0, r, 4);
+    q.schedule(inf, r, 5);
+    q.runUntil(max);
+    EXPECT_EQ(r.tags, (std::vector<int>{4, 1, 2}));
+    EXPECT_EQ(q.pending(), 3u);
+    q.runUntil(inf);
+    EXPECT_EQ(r.tags, (std::vector<int>{4, 1, 2, 0, 3, 5}));
+    EXPECT_EQ(q.now(), inf);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, SubnormalAndHugeTimesOrderByValue)
+{
+    const Seconds tiny = std::numeric_limits<double>::denorm_min();
+    const Seconds normal = std::numeric_limits<double>::min();
+    const std::vector<Seconds> when = {
+        1e300, normal, 1e-310, 0.0, 1.0, tiny, 2 * tiny,
+        std::nextafter(normal, 0.0), 1e300, std::nextafter(1e300, 2e300),
+        1e-310, tiny,
+    };
+    EventQueue q;
+    Recorder r;
+    for (std::size_t i = 0; i < when.size(); ++i)
+        q.schedule(when[i], r, static_cast<std::uint32_t>(i));
+    // A bound between two subnormals splits them exactly.
+    q.runUntil(2 * tiny);
+    EXPECT_EQ(r.tags, (std::vector<int>{3, 5, 11, 6}));
+    while (q.step()) {
+    }
+    std::vector<int> expected;
+    for (const std::uint32_t id : stableOrder(when))
+        expected.push_back(static_cast<int>(id));
+    EXPECT_EQ(r.tags, expected);
 }
 
 } // namespace
