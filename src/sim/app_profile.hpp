@@ -14,6 +14,7 @@
 #define FASTCAP_SIM_APP_PROFILE_HPP
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -66,13 +67,21 @@ class AppProfile
             fatal("AppProfile %s: needs at least one phase",
                   _name.c_str());
         for (const Phase &p : _phases) {
-            if (p.mpki <= 0.0 || p.cpiExec <= 0.0 ||
-                p.instructions <= 0.0) {
-                fatal("AppProfile %s: phase parameters must be "
-                      "positive", _name.c_str());
+            // Negated so NaN fails too. A think draws its writebacks
+            // one by one, so their count per miss is bounded.
+            if (!(std::isfinite(p.instructions) && std::isfinite(p.cpiExec) &&
+                  std::isfinite(p.mpki) && p.instructions > 0.0 &&
+                  p.cpiExec > 0.0 && p.mpki > 0.0 && p.wpki >= 0.0 &&
+                  p.wpki / p.mpki <= 1000.0 && p.activity > 0.0 &&
+                  p.activity <= 1.0)) {
+                fatal("AppProfile %s: phase parameters must be finite and "
+                      "positive, with at most 1000 writebacks per miss and "
+                      "activity at most 1", _name.c_str());
             }
             _cycleLength += p.instructions;
         }
+        if (!std::isfinite(_cycleLength))
+            fatal("AppProfile %s: cycle length overflows", _name.c_str());
     }
 
     /** Single-phase convenience constructor. */
@@ -89,15 +98,39 @@ class AppProfile
     const Phase &
     phaseAt(double instr_executed) const
     {
+        double until;
+        return phaseAt(instr_executed, until);
+    }
+
+    /**
+     * phaseAt(`x`), and in `until` a bound below which it stays that
+     * phase: phaseAt(y) is the same Phase for every y in [x, until).
+     * The bound is the phase's end less a margin of 256 ulps per phase
+     * of |x| + cycleLength(), far above the rounding of the position
+     * `x - L * floor(x / L)` and the sums below, so the span is empty
+     * only within that margin of a boundary.
+     */
+    const Phase &
+    phaseAt(double x, double &until) const
+    {
+        until = std::numeric_limits<double>::infinity();
         if (_phases.size() == 1)
             return _phases.front();
-        double pos = instr_executed -
-            _cycleLength * std::floor(instr_executed / _cycleLength);
+        const double base = _cycleLength * std::floor(x / _cycleLength);
+        const double margin = (std::fabs(x) + _cycleLength) *
+            static_cast<double>(_phases.size() + 1) * 0x1p-44;
+        double pos = x - base;
+        double end = base;
         for (const Phase &p : _phases) {
-            if (pos < p.instructions)
+            end += p.instructions;
+            if (pos < p.instructions) {
+                until = end - margin;
                 return p;
+            }
             pos -= p.instructions;
         }
+        // Rounding put `x` past the last phase's end: an empty span.
+        until = end - margin;
         return _phases.back();
     }
 

@@ -10,7 +10,6 @@
 #define FASTCAP_SIM_CORE_HPP
 
 #include <cstdint>
-#include <optional>
 
 #include "sim/app_profile.hpp"
 #include "sim/config.hpp"
@@ -74,13 +73,12 @@ class Core final : public EventHandler, public DeliverySink
      * only client it must be: the sharded engine's lanes. When the
      * controller is empty at think-done, the think's requests (its
      * demand read and at most one writeback) meet nothing but each
-     * other, so their whole paths are fixed:
-     * MemoryController::resolveThink() accounts them and the core
-     * draws its next think from the read's delivery time. The lane
-     * then has nothing in flight, so a next think ending within the
-     * queue's horizon() runs in the same call through
-     * EventQueue::advanceInline(): a resolved miss costs no heap
-     * traffic at all. A think that drew two or more writebacks, whose
+     * other, so their whole paths are fixed: onThinkDone() accounts
+     * them in the controller's counters and draws the next think from
+     * the read's delivery time. The lane then has nothing in flight,
+     * so a next think ending within the queue's horizon() runs in the
+     * same call through EventQueue::advanceInline(): a resolved miss
+     * costs no heap traffic at all. A think that drew two or more writebacks, whose
      * read would overtake its writeback, or whose delivery would fall
      * past the horizon takes the event path, and so does a next think
      * ending past the horizon. Counters and event counts are
@@ -135,22 +133,14 @@ class Core final : public EventHandler, public DeliverySink
 
     void onEvent(std::uint32_t tag, double arg) override;
     /** Draw the next think in `phase` (the one at the retired count)
-     *  and return its end, `from` + its duration; `from` is now()
-     *  except on the inline path. */
-    Seconds drawThink(Seconds from, const Phase &phase);
-    /** drawThink() and schedule the think's end. */
+     *  and schedule its end, `from` + its duration. */
     void scheduleThink(Seconds from, const Phase &phase);
+    /** Retire the pending think, then resolve its requests inline (see
+     *  inlineController()) or submit them; the lane's inline loop. */
     void onThinkDone();
     /** The event path of a think-done at `now`: submit its writebacks
      *  and read, then stall or think on. */
     void submitThink(Seconds now, const Phase &phase, int writebacks);
-    /** The inline path of onThinkDone(): the read's delivery time, or
-     *  nullopt to use events. */
-    std::optional<Seconds> resolveInline(Seconds now, int writebacks);
-    /** Draw this think's writebacks from the core RNG and count them;
-     *  the caller submits them unless it resolves the think inline.
-     *  @return how many were drawn. */
-    int drawWritebacks(const Phase &phase);
     int maxOutstanding(const Phase &phase) const;
 
     int _id = 0;

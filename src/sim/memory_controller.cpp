@@ -1,8 +1,5 @@
 #include "sim/memory_controller.hpp"
 
-#include <algorithm>
-#include <limits>
-
 #include "util/logging.hpp"
 
 namespace fastcap {
@@ -75,75 +72,6 @@ MemoryController::submit(Request req)
     ++_counters.qSamples;
 
     tryStartBank(bank_id);
-}
-
-std::optional<Seconds>
-MemoryController::resolveThink(Seconds t, bool writeback, Seconds arrive,
-                               Seconds horizon)
-{
-    if (_inFlight != 0)
-        return std::nullopt;
-    const Rng saved = _rng;
-    const auto banks = static_cast<std::uint64_t>(_banks.size());
-    // The writeback enters the empty controller at `t`, so its bank and
-    // service are drawn first; it leaves its bank at `ready1` and the
-    // bus at `done1`. Without one, both are -infinity.
-    int wb_bank = -1;
-    Seconds svc1 = 0.0;
-    Seconds ready1 = -std::numeric_limits<Seconds>::infinity();
-    Seconds done1 = ready1;
-    if (writeback) {
-        wb_bank = static_cast<int>(_rng.below(banks));
-        svc1 = drawServiceTime();
-        ready1 = t + svc1;
-        done1 = ready1 + transferTime();
-    }
-    const int bank_id = static_cast<int>(_rng.below(banks));
-    const Seconds svc = drawServiceTime();
-    // On the writeback's bank the read waits out its transfer blocking.
-    // The bus serves in bank-done order, the writeback first on a tie
-    // (its bank-done was scheduled first).
-    const bool same_bank = bank_id == wb_bank;
-    const Seconds start = same_bank ? std::max(arrive, done1) : arrive;
-    const Seconds ready = start + svc;
-    const Seconds xfer = std::max(ready, done1);
-    const Seconds done = xfer + transferTime();
-    // A read leaving its bank before the writeback would be delivered
-    // with the writeback still in flight: that takes events.
-    if (!(ready1 <= ready && done <= horizon)) {
-        _rng = saved;
-        return std::nullopt;
-    }
-
-    // Every writeback update precedes the read's on the same
-    // accumulator: submit() and tryStartBank() at `t`, bank-done at
-    // `ready1` with an empty bus queue, transfer-done at `done1`.
-    if (writeback) {
-        ++_counters.writebacks;
-        _counters.qSum += 1.0;
-        ++_counters.qSamples;
-        _counters.serviceSum += svc1;
-        ++_counters.serviceCount;
-        _banks[static_cast<std::size_t>(wb_bank)].addBusy(ready1 - t);
-        _counters.uSum += 1.0;
-        ++_counters.uSamples;
-        _bus.addBusy(done1 - ready1);
-    }
-    // submit() at `arrive`: the read queues behind a writeback still
-    // in service on its bank. Bank-done at `ready`: a writeback ahead
-    // is in transfer, not waiting, so U is 1. Transfer-done at `done`.
-    ++_counters.reads;
-    _counters.qSum += same_bank && arrive < ready1 ? 2.0 : 1.0;
-    ++_counters.qSamples;
-    _counters.serviceSum += svc;
-    ++_counters.serviceCount;
-    _banks[static_cast<std::size_t>(bank_id)].addBusy(ready - start);
-    _counters.uSum += 1.0;
-    ++_counters.uSamples;
-    _bus.addBusy(done - xfer);
-    _counters.responseSum += done - arrive;
-    ++_counters.responseCount;
-    return done;
 }
 
 void

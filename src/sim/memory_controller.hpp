@@ -9,7 +9,6 @@
 #define FASTCAP_SIM_MEMORY_CONTROLLER_HPP
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -111,39 +110,11 @@ class MemoryController final : public EventHandler, public RequestSink
     /** Transfer time of one cache line at the current frequency. */
     Seconds transferTime() const { return _busBurstCycles / _busFreq; }
 
-    /** Transfer time at an arbitrary frequency (for peak-power calc). */
-    Seconds
-    transferTimeAt(Hertz f) const
-    {
-        return _cfg.busBurstCycles / f;
-    }
-
     /**
      * Accept a request from a core. The bank is chosen by uniform
      * address interleaving across this controller's banks.
      */
     void submit(Request req) override;
-
-    /**
-     * Resolve one in-order think's requests without events: the
-     * writeback it issued at `t`, if `writeback`, and its demand read
-     * arriving at `arrive`. Only an empty controller (inFlight() == 0)
-     * does: both requests then meet queues holding nothing but each
-     * other, so their paths are fixed. Draws the banks and service
-     * times in submit() order (writeback bank, writeback service, read
-     * bank, read service) and applies the counter updates the
-     * bank-done and transfer-done events would, in their order and
-     * with their float expressions.
-     *
-     * @return the read's delivery time; or nothing if the controller
-     *         is not empty, the read would be delivered before the
-     *         writeback (it overtook it on the bus) or the delivery
-     *         would not be `<= horizon` (NaN included). Then the
-     *         controller is left untouched, its RNG restored, and the
-     *         requests must go through submit().
-     */
-    std::optional<Seconds> resolveThink(Seconds t, bool writeback,
-                                        Seconds arrive, Seconds horizon);
 
     /** Counters accumulated since the last resetCounters(). */
     const ControllerCounters &counters() const { return _counters; }
@@ -163,6 +134,10 @@ class MemoryController final : public EventHandler, public RequestSink
     std::uint64_t inFlight() const { return _inFlight; }
 
   private:
+    /** An in-order lane's core resolves its thinks against this state
+     *  in its own loop (Core::inlineController()). */
+    friend class Core;
+
     /** Event tag of transfer-done; bank-done events carry the bank
      *  id. */
     static constexpr std::uint32_t kTransferDone = 0xffffffffu;

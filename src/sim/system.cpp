@@ -190,11 +190,9 @@ ManyCoreSystem::nameplatePeakPower() const
 {
     double peak = _cfg.backgroundPower;
     peak += static_cast<double>(_cfg.numCores) * _corePower.peakPower();
-    for (std::size_t k = 0; k < _controllers.size(); ++k) {
-        const double rate =
-            1.0 / _controllers[k]->transferTimeAt(_cfg.memLadder.max());
-        peak += _memPower[k].peakPower(rate);
-    }
+    const Seconds transfer = _cfg.busBurstCycles / _cfg.memLadder.max();
+    for (const MemoryPowerModel &pm : _memPower)
+        peak += pm.peakPower(1.0 / transfer);
     return peak;
 }
 

@@ -6,10 +6,11 @@
  * must report bit-identical core and controller counters and retired
  * instructions after every window, and the two inline lanes the same
  * processed-event count, through windows that cut miss chains or end
- * exactly on a think, writeback-heavy phases, core DVFS, bus retuning
- * and application swaps between windows, and out-of-order cores; on
- * the one-bank lane every 1024-core machine has and on a four-bank
- * one, where a read can overtake its think's writeback on the bus.
+ * exactly on a think, writeback-heavy phases, core DVFS, bus retuning,
+ * application swaps and instruction credits between windows, and
+ * out-of-order cores; on the one-bank lane every 1024-core machine has
+ * and on a four-bank one, where a read can overtake its think's
+ * writeback on the bus.
  */
 
 #include <gtest/gtest.h>
@@ -101,9 +102,10 @@ struct Parked final : EventHandler
  *  ShardedSystem wires a lane, taking `path`. */
 struct HandLane
 {
-    HandLane(const SimConfig &cfg, AppProfile profile, Path path)
+    HandLane(const SimConfig &cfg, AppProfile profile, Path path,
+             Rng controller_rng = Rng(splitmix64(42, 1)))
         : app(std::move(profile)),
-          controller(0, cfg, queue, Rng(splitmix64(42, 1))),
+          controller(0, cfg, queue, controller_rng),
           core(0, cfg, queue, Rng(splitmix64(42, 0)))
     {
         core.runApp(&app);
@@ -267,6 +269,15 @@ runWindows(const SimConfig &cfg, LaneTrio &lanes, int windows,
         default:
             break;
         }
+        // Credit instructions as the epoch extrapolation does: jump the
+        // retired count into another phase of phasedApp(), now and then
+        // across three whole 140e3-instruction cycles too.
+        if (w % 7 == 6) {
+            const double credit =
+                25e3 * (1 + w % 4) + (w % 14 == 6 ? 3 * 140e3 : 0.0);
+            lanes.each(
+                [&](HandLane &l) { l.core.creditInstructions(credit); });
+        }
 
         // From shorter than one miss (~50 ns) to hundreds of misses.
         const double len = w % 3 == 0 ? 20e-9
@@ -410,41 +421,6 @@ TEST(LaneFastPath, LoopSpansKnobChangesBetweenWindows)
     EXPECT_LT(trio.loop.queue.processed(), 2 * tally.misses);
 }
 
-/** Records the delivery times of completed reads. */
-struct DeliveryLog final : DeliverySink
-{
-    void
-    onDataReturn(const Request &, Seconds now) override
-    {
-        times.push_back(now);
-    }
-
-    std::vector<Seconds> times;
-};
-
-/** A writeback at 0, then its read after the L2 hop, through events;
- *  runs until both are done and returns the read's delivery time. */
-Seconds
-submitThinkThroughEvents(MemoryController &ctrl, EventQueue &queue,
-                         const SimConfig &cfg)
-{
-    DeliveryLog log;
-    ctrl.deliverySink(&log);
-    Request wb;
-    wb.type = RequestType::Writeback;
-    ctrl.submit(wb);
-    queue.runUntil(cfg.l2Time);
-    ctrl.submit(Request{});
-    while (log.times.empty() && queue.step()) {
-    }
-    // The read is delivered while the writeback is still in flight.
-    EXPECT_EQ(ctrl.inFlight(), 1u);
-    queue.runUntil(1e-6);
-    EXPECT_EQ(ctrl.inFlight(), 0u);
-    ctrl.deliverySink(nullptr);
-    return log.times.at(0);
-}
-
 TEST(LaneFastPath, ReadOvertakingItsWritebackTakesEvents)
 {
     // Find a controller stream whose first think sends a row-miss
@@ -462,28 +438,32 @@ TEST(LaneFastPath, ReadOvertakingItsWritebackTakesEvents)
         if (wb_bank != read_bank && !wb_hit && read_hit)
             break;
     }
+    // One writeback per miss, certain, so the core RNG draws none.
+    const AppProfile app("wb", phase(1e9, 10.0, 10.0, 1.0));
 
-    EventQueue queue;
-    MemoryController ctrl(0, cfg, queue, Rng(seed));
-    const Seconds inf = std::numeric_limits<Seconds>::infinity();
-    EXPECT_FALSE(ctrl.resolveThink(0.0, true, cfg.l2Time, inf).has_value());
-    EXPECT_EQ(ctrl.counters().reads, 0u);
-    EXPECT_EQ(ctrl.counters().writebacks, 0u);
-    EXPECT_EQ(ctrl.counters().qSamples, 0u);
-    EXPECT_EQ(ctrl.counters().serviceCount, 0u);
-    EXPECT_EQ(ctrl.inFlight(), 0u);
+    // The first think ends at `think`, and its read is delivered at
+    // `delivered`, through events.
+    HandLane events(cfg, app, Path::Events, Rng(seed));
+    ASSERT_TRUE(events.queue.step());
+    const Seconds think = events.queue.now();
+    const Seconds delivered = think + cfg.l2Time + cfg.bankRowHitTime +
+        events.controller.transferTime();
 
-    // The fallback left the RNG as it found it: the same think through
-    // events matches a controller that never tried the inline path.
-    EventQueue fresh_queue;
-    MemoryController fresh(0, cfg, fresh_queue, Rng(seed));
-    const Seconds delivered = submitThinkThroughEvents(ctrl, queue, cfg);
-    EXPECT_EQ(doubleBits(delivered),
-              doubleBits(submitThinkThroughEvents(fresh, fresh_queue, cfg)));
-    EXPECT_EQ(doubleBits(delivered),
-              doubleBits(cfg.l2Time + cfg.bankRowHitTime +
-                         ctrl.transferTime()));
-    expectSameController(ctrl.finalizeWindow(), fresh.finalizeWindow());
+    // A window ending at that delivery would take it inline, but for
+    // the overtaking: the loop falls back to events and leaves the RNG
+    // as it found it, so both lanes match with the writeback still in
+    // flight.
+    HandLane events_ref(cfg, app, Path::Events, Rng(seed));
+    HandLane loop(cfg, app, Path::Loop, Rng(seed));
+    events_ref.runWindow(delivered);
+    loop.runWindow(delivered);
+    expectSameLane(loop, events_ref);
+    EXPECT_EQ(loop.core.counters().returns, 1u);
+    EXPECT_EQ(loop.controller.counters().writebacks, 1u);
+    EXPECT_EQ(loop.controller.inFlight(), 1u);
+    EXPECT_EQ(doubleBits(loop.core.counters().stallTime),
+              doubleBits(delivered - think));
+    EXPECT_EQ(loop.queue.processed(), events_ref.queue.processed());
 }
 
 TEST(LaneFastPath, OutOfOrderLaneKeepsEveryEvent)
