@@ -98,7 +98,8 @@ cappedEpochs(benchmark::State &state, const std::string &policy_name,
     ecfg.maxEpochs = 1 << 30;
     ecfg.shards = 0;       // auto: one shard per 64 cores
     ecfg.shardThreads = 1; // serial, host-portable
-    ecfg.measurePeak = false; // nameplate: keeps setup out of iters
+    // Nameplate: keeps the measurement out of setup.
+    ecfg.peakPowerOverride = nameplatePeakPower(cfg);
 
     auto policy = makePolicy(policy_name);
     ExperimentRunner runner(cfg, workloads::mix("MIX2", cores),

@@ -83,6 +83,20 @@ struct Cluster::Machine
     /** Replayer counters at the last collection (delta bookkeeping). */
     std::size_t lastCompleted = 0;
     std::size_t lastDropped = 0;
+
+    /** Start machine `index` on an empty queue and a fresh replayer
+     *  that publishes into `registry`. */
+    void
+    resetQueue(int index, int num_cores, telemetry::Registry *registry)
+    {
+        auto queue = std::make_unique<QueueTraceSource>(
+            "queue:m" + std::to_string(index));
+        feed = queue.get();
+        replayer = std::make_unique<TraceReplayer>(std::move(queue),
+                                                   num_cores, 0, registry);
+        lastCompleted = 0;
+        lastDropped = 0;
+    }
 };
 
 Cluster::Cluster(ClusterConfig cfg) : _cfg(std::move(cfg))
@@ -122,11 +136,7 @@ Cluster::Cluster(ClusterConfig cfg) : _cfg(std::move(cfg))
         mc->runner = std::make_unique<ExperimentRunner>(
             sc, workloads::mix(_cfg.workload, sc.numCores),
             *mc->policy, ecfg);
-        auto feed = std::make_unique<QueueTraceSource>(
-            "queue:m" + std::to_string(i));
-        mc->feed = feed.get();
-        mc->replayer = std::make_unique<TraceReplayer>(
-            std::move(feed), sc.numCores, 0, _cfg.registry);
+        mc->resetQueue(i, sc.numCores, _cfg.registry);
         mc->peak = _machinePeak;
         // Before the first epoch every machine claims its full peak:
         // no demand has been observed, and an even split is the only
@@ -172,13 +182,7 @@ Cluster::killMachine(Machine &mc, int index)
     // only matters once it is restored.
     for (int core = 0; core < _cfg.machine.numCores; ++core)
         mc.runner->swapApp(core, workloads::idleProfile());
-    auto feed = std::make_unique<QueueTraceSource>(
-        "queue:m" + std::to_string(index));
-    mc.feed = feed.get();
-    mc.replayer = std::make_unique<TraceReplayer>(
-        std::move(feed), _cfg.machine.numCores);
-    mc.lastCompleted = 0;
-    mc.lastDropped = 0;
+    mc.resetQueue(index, _cfg.machine.numCores, _cfg.registry);
     mc.alive = false;
     mc.demand = 0.0;
 }
@@ -427,25 +431,6 @@ ClusterResult::writeCsv(std::FILE *out) const
                  std::to_string(e.busyCores),
                  std::to_string(e.pendingJobs),
                  std::to_string(e.dropped), std::to_string(e.lost)});
-}
-
-std::string
-ClusterResult::csvString() const
-{
-    // std::tmpfile rather than open_memstream: POSIX-only, and this
-    // is library code (mirrors SweepResult::csvString).
-    std::FILE *tmp = std::tmpfile();
-    if (!tmp)
-        panic("ClusterResult::csvString: tmpfile failed");
-    writeCsv(tmp);
-    std::string out;
-    out.resize(static_cast<std::size_t>(std::ftell(tmp)));
-    std::rewind(tmp);
-    const std::size_t got = std::fread(&out[0], 1, out.size(), tmp);
-    std::fclose(tmp);
-    if (got != out.size())
-        panic("ClusterResult::csvString: short read");
-    return out;
 }
 
 } // namespace fastcap

@@ -141,8 +141,6 @@ struct ClusterResult
      * machineThreads — the CI cmp gate depends on it.
      */
     void writeCsv(std::FILE *out) const;
-    /** The CSV as a string (tests compare these byte-for-byte). */
-    std::string csvString() const;
 };
 
 /**
@@ -164,7 +162,6 @@ class Cluster
     /** Run cfg.maxEpochs epochs and collect the result. */
     ClusterResult run();
 
-    int machines() const { return _cfg.machines; }
     /** Summed per-machine measured peaks (the rack nameplate). */
     Watts installedPeak() const { return _installedPeak; }
     int epoch() const { return _epoch; }

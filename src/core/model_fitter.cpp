@@ -9,14 +9,11 @@
 namespace fastcap {
 
 PowerLawTracker::PowerLawTracker(double default_exponent,
-                                 std::size_t history,
                                  double min_exponent,
                                  double max_exponent)
-    : _defaultExponent(default_exponent), _historyLimit(history),
-      _minExponent(min_exponent), _maxExponent(max_exponent)
+    : _defaultExponent(default_exponent), _minExponent(min_exponent),
+      _maxExponent(max_exponent)
 {
-    if (history < 2 || history > 3)
-        fatal("PowerLawTracker: history must be 2 or 3");
     _model.exponent = default_exponent;
 }
 
@@ -61,12 +58,12 @@ PowerLawTracker::observe(double ratio, Watts dyn_power)
         // Push, then evict: the new sample's moments enter before the
         // oldest's leave, and the new sample takes the oldest's slot.
         accumulate(s, +1.0);
-        if (_count < _historyLimit) {
+        if (_count < kHistory) {
             at(_count++) = s;
         } else {
             accumulate(at(0), -1.0);
             at(0) = s;
-            _head = (_head + 1) % _historyLimit;
+            _head = (_head + 1) % kHistory;
         }
     }
     refit();
@@ -125,12 +122,11 @@ PowerLawTracker::refit()
 ModelFitter::ModelFitter(std::size_t num_cores, double core_exponent,
                          double mem_exponent, double min_exponent,
                          double max_exponent)
-    : _memory(mem_exponent, 3, min_exponent, max_exponent)
+    : _memory(mem_exponent, min_exponent, max_exponent)
 {
     _cores.reserve(num_cores);
     for (std::size_t i = 0; i < num_cores; ++i)
-        _cores.emplace_back(core_exponent, 3, min_exponent,
-                            max_exponent);
+        _cores.emplace_back(core_exponent, min_exponent, max_exponent);
 }
 
 void

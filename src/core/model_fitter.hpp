@@ -34,20 +34,21 @@ struct FittedModel
 
 /**
  * History-of-frequencies power-law fitter for one component (a core
- * or the memory subsystem).
+ * or the memory subsystem), over the last kHistory distinct
+ * frequencies.
  */
 class PowerLawTracker
 {
   public:
+    /** Distinct frequencies retained (paper: 3). */
+    static constexpr std::size_t kHistory = 3;
+
     /**
      * @param default_exponent bootstrap exponent before 2 samples
-     * @param history          distinct frequencies retained, 2 or 3
-     *                         (paper: 3)
      * @param min_exponent     clamp for fit robustness
      * @param max_exponent     clamp for fit robustness
      */
     explicit PowerLawTracker(double default_exponent = 2.5,
-                             std::size_t history = 3,
                              double min_exponent = 0.3,
                              double max_exponent = 4.0);
 
@@ -90,15 +91,14 @@ class PowerLawTracker
     /** The j-th oldest retained sample, j < _count. */
     Sample &at(std::size_t j)
     {
-        return _history[(_head + j) % _historyLimit];
+        return _history[(_head + j) % kHistory];
     }
 
     double _defaultExponent = 0.0;
-    std::size_t _historyLimit = 0;
     double _minExponent = 0.0;
     double _maxExponent = 0.0;
-    /** Oldest-first ring over slots [0, _historyLimit). */
-    std::array<Sample, 3> _history{};
+    /** Oldest-first ring. */
+    std::array<Sample, kHistory> _history{};
     std::size_t _head = 0;
     std::size_t _count = 0;
     FittedModel _model;
@@ -140,8 +140,6 @@ class ModelFitter
 
     FittedModel core(std::size_t core) const;
     FittedModel memory() const { return _memory.model(); }
-
-    std::size_t numCores() const { return _cores.size(); }
 
   private:
     std::vector<PowerLawTracker> _cores;

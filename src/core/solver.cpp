@@ -135,19 +135,6 @@ FastCapSolver::buildClasses()
     }
 }
 
-Watts
-FastCapSolver::power(const std::vector<double> &core_ratios,
-                     double x_b) const
-{
-    Watts p = _in.staticPower();
-    for (std::size_t i = 0; i < _in.cores.size(); ++i) {
-        const CoreModel &c = _in.cores[i];
-        p += c.pi * std::pow(core_ratios[i], c.alpha);
-    }
-    p += _in.memory.pm * std::pow(x_b, _in.memory.beta);
-    return p;
-}
-
 // --- Per-core reference implementation (pre-hot-path) --------------
 
 double

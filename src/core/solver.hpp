@@ -213,13 +213,6 @@ class FastCapSolver
      */
     InnerSolution solveAtMemRatio(double x_b);
 
-    /**
-     * Model power at an explicit operating point — Eq. 6's left-hand
-     * side. Used by baseline policies sharing the power model.
-     */
-    Watts power(const std::vector<double> &core_ratios,
-                double x_b) const;
-
     /** Inner-solve evaluations since construction. */
     int evaluations() const { return _evaluations; }
 

@@ -169,14 +169,12 @@ ExperimentRunner::ExperimentRunner(SimConfig sim_cfg,
 
     if (_cfg.peakPowerOverride > 0.0)
         _peakPower = _cfg.peakPowerOverride;
-    else if (_cfg.measurePeak)
+    else
         // Measure on the engine this run executes on: the budget
         // denominator must come from the same contention model as
         // the epoch powers it is compared against.
         _peakPower = measuredPeakPower(
             _simCfg, EngineConfig{_cfg.shards, _cfg.shardThreads});
-    else
-        _peakPower = _system->nameplatePeakPower();
 
     _policy.reset();
 

@@ -45,13 +45,11 @@ struct ExperimentConfig
     double targetInstructions = 100e6;
     /** Hard stop in epochs (guards runaway configurations). */
     int maxEpochs = 1000;
-    /** Explicit peak power P̄ (0 = determine automatically). */
-    Watts peakPowerOverride = 0.0;
     /**
-     * Determine P̄ by measurement (run the power-hungriest workloads
-     * at max frequency, as the paper does) rather than nameplate.
+     * Explicit peak power P̄. 0 = measure it, as the paper does: run
+     * the power-hungriest workloads at max frequency (peak_power.hpp).
      */
-    bool measurePeak = true;
+    Watts peakPowerOverride = 0.0;
     /**
      * Force a linear (exponent-1) online power model, reproducing
      * the Freq-Par-style modeling error inside FastCap. Used by the
@@ -254,12 +252,6 @@ class ExperimentRunner
 
     /** Inputs built from the most recent profiling window. */
     const PolicyInputs &lastInputs() const { return _inputs; }
-
-    /** The job-trace replayer, or nullptr for trace-less runs. */
-    const TraceReplayer *traceReplayer() const
-    {
-        return _traceReplayer.get();
-    }
 
   private:
     /**

@@ -131,12 +131,6 @@ peakPowerCacheKey(const SimConfig &cfg, const EngineConfig &engine,
     return key;
 }
 
-std::string
-peakPowerCacheKey(const SimConfig &cfg, int epochs)
-{
-    return peakPowerCacheKey(cfg, EngineConfig{}, epochs);
-}
-
 Watts
 measuredPeakPower(const SimConfig &cfg, const EngineConfig &engine,
                   int epochs)
@@ -188,12 +182,6 @@ measuredPeakPower(const SimConfig &cfg, const EngineConfig &engine,
            cfg.numCores, resolvedEngineName(cfg, engine), peak);
     c.entries.emplace(key, peak);
     return peak;
-}
-
-Watts
-measuredPeakPower(const SimConfig &cfg, int epochs)
-{
-    return measuredPeakPower(cfg, EngineConfig{}, epochs);
 }
 
 void

@@ -38,8 +38,6 @@ namespace fastcap {
 std::string peakPowerCacheKey(const SimConfig &cfg,
                               const EngineConfig &engine,
                               int epochs = 3);
-/** Auto-engine key (EngineConfig{}): monolithic <= 64 cores. */
-std::string peakPowerCacheKey(const SimConfig &cfg, int epochs = 3);
 
 /**
  * Observed peak full-system power for a configuration, measured on
@@ -53,8 +51,6 @@ std::string peakPowerCacheKey(const SimConfig &cfg, int epochs = 3);
  */
 Watts measuredPeakPower(const SimConfig &cfg,
                         const EngineConfig &engine, int epochs = 3);
-/** Auto-engine measurement (EngineConfig{}). */
-Watts measuredPeakPower(const SimConfig &cfg, int epochs = 3);
 
 /** Drop the memoization cache (tests only). */
 void clearPeakPowerCache();

@@ -293,21 +293,6 @@ SweepGrid::workloadIndex(const std::string &name) const
 }
 
 std::size_t
-SweepGrid::scenarioIndex(const std::string &name) const
-{
-    if (scenarios.empty()) {
-        if (name == "constant")
-            return 0;
-        fatal("SweepGrid: scenario '%s' not in grid (no scenario "
-              "axis)", name.c_str());
-    }
-    for (std::size_t i = 0; i < scenarios.size(); ++i)
-        if (scenarios[i].name == name)
-            return i;
-    fatal("SweepGrid: scenario '%s' not in grid", name.c_str());
-}
-
-std::size_t
 SweepGrid::policyIndex(const std::string &name) const
 {
     const auto it = std::find(policies.begin(), policies.end(), name);
@@ -441,25 +426,6 @@ SweepResult::writeJson(std::FILE *out) const
             i + 1 < runs.size() ? "," : "");
     }
     std::fprintf(out, "]\n");
-}
-
-std::string
-SweepResult::csvString() const
-{
-    // std::tmpfile rather than open_memstream: the latter is
-    // POSIX-only and this is library (not tool) code.
-    std::FILE *tmp = std::tmpfile();
-    if (!tmp)
-        panic("SweepResult::csvString: tmpfile failed");
-    writeCsv(tmp);
-    std::string out;
-    out.resize(static_cast<std::size_t>(std::ftell(tmp)));
-    std::rewind(tmp);
-    const std::size_t got = std::fread(&out[0], 1, out.size(), tmp);
-    std::fclose(tmp);
-    if (got != out.size())
-        panic("SweepResult::csvString: short read");
-    return out;
 }
 
 SweepRunner::SweepRunner(SweepGrid grid, int threads)

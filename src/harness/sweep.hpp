@@ -154,8 +154,6 @@ struct SweepGrid
 
     /** Index of a workload name; fatal() if absent. */
     std::size_t workloadIndex(const std::string &name) const;
-    /** Index of a scenario name; fatal() if absent. */
-    std::size_t scenarioIndex(const std::string &name) const;
     /** Index of a policy name; fatal() if absent. */
     std::size_t policyIndex(const std::string &name) const;
 };
@@ -200,9 +198,6 @@ struct SweepResult
     void writeCsv(std::FILE *out) const;
     /** Same rows as JSON (an array of run objects). */
     void writeJson(std::FILE *out) const;
-
-    /** The CSV as a string (tests compare these byte-for-byte). */
-    std::string csvString() const;
 };
 
 /**

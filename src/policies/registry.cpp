@@ -11,12 +11,6 @@
 namespace fastcap {
 
 std::unique_ptr<CappingPolicy>
-makePolicy(const std::string &name)
-{
-    return makePolicy(name, SolverOptions{});
-}
-
-std::unique_ptr<CappingPolicy>
 makePolicy(const std::string &name, const SolverOptions &opts,
            telemetry::Registry *registry)
 {
@@ -37,13 +31,6 @@ makePolicy(const std::string &name, const SolverOptions &opts,
     if (name == "Steepest-Drop")
         return std::make_unique<SteepestDropPolicy>();
     fatal("makePolicy: unknown policy '%s'", name.c_str());
-}
-
-std::vector<std::string>
-policyNames()
-{
-    return {"FastCap", "CPU-only", "Uncapped", "Freq-Par",
-            "Eql-Pwr", "Eql-Freq", "MaxBIPS", "Steepest-Drop"};
 }
 
 } // namespace fastcap

@@ -10,7 +10,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/policy.hpp"
 #include "core/solver.hpp"
@@ -21,22 +20,16 @@ namespace telemetry {
 class Registry;
 } // namespace telemetry
 
-/** Instantiate a policy by its report name; fatal() if unknown. */
-std::unique_ptr<CappingPolicy> makePolicy(const std::string &name);
-
 /**
- * As above, configuring the solver-backed policies ("FastCap",
- * "CPU-only") with explicit options — socket budgets, the reference
- * per-core implementation, warm-start behaviour. Policies that do not
- * run the FastCap solver ignore the options. FastCap publishes its
- * /solver metrics into `registry` when one is given.
+ * Instantiate a policy by its report name; fatal() if unknown. The
+ * solver-backed policies ("FastCap", "CPU-only") take `opts` — socket
+ * budgets, the reference per-core implementation, warm-start
+ * behaviour; the others ignore it. FastCap publishes its /solver
+ * metrics into `registry` when one is given.
  */
 std::unique_ptr<CappingPolicy>
-makePolicy(const std::string &name, const SolverOptions &opts,
+makePolicy(const std::string &name, const SolverOptions &opts = {},
            telemetry::Registry *registry = nullptr);
-
-/** All policy names known to the registry. */
-std::vector<std::string> policyNames();
 
 } // namespace fastcap
 

@@ -36,13 +36,6 @@ struct Scenario
      */
     std::string trace;
 
-    /** True when the scenario imposes nothing on a run. */
-    bool
-    isConstant() const
-    {
-        return budget.empty() && workload.empty() && trace.empty();
-    }
-
     /**
      * Parse an inline scenario spec: `|`-separated fields
      *

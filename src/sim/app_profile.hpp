@@ -134,45 +134,11 @@ class AppProfile
         return _phases.back();
     }
 
-    /** Instruction-weighted average MPKI over one cycle. */
-    double averageMpki() const;
-    /** Instruction-weighted average WPKI over one cycle. */
-    double averageWpki() const;
-    /** Instruction-weighted average compute CPI over one cycle. */
-    double averageCpiExec() const;
-
   private:
     std::string _name;
     std::vector<Phase> _phases;
     double _cycleLength = 0.0;
 };
-
-inline double
-AppProfile::averageMpki() const
-{
-    double acc = 0.0;
-    for (const Phase &p : _phases)
-        acc += p.mpki * p.instructions;
-    return acc / _cycleLength;
-}
-
-inline double
-AppProfile::averageWpki() const
-{
-    double acc = 0.0;
-    for (const Phase &p : _phases)
-        acc += p.wpki * p.instructions;
-    return acc / _cycleLength;
-}
-
-inline double
-AppProfile::averageCpiExec() const
-{
-    double acc = 0.0;
-    for (const Phase &p : _phases)
-        acc += p.cpiExec * p.instructions;
-    return acc / _cycleLength;
-}
 
 } // namespace fastcap
 

@@ -54,6 +54,54 @@ checkCredits(const SimConfig &cfg, const std::vector<double> &credit)
               credit.size(), cfg.numCores);
 }
 
+Watts
+nameplatePeakPower(const SimConfig &cfg)
+{
+    const CorePowerModel core(cfg.corePower, cfg.coreVoltage,
+                              cfg.coreLadder.max());
+    const MemoryPowerModel mem(
+        cfg.memPower, 1.0 / static_cast<double>(cfg.numControllers),
+        cfg.mcVoltage, cfg.memLadder.max());
+    double peak = cfg.backgroundPower;
+    peak += static_cast<double>(cfg.numCores) * core.peakPower();
+    const Seconds transfer = cfg.busBurstCycles / cfg.memLadder.max();
+    for (int k = 0; k < cfg.numControllers; ++k)
+        peak += mem.peakPower(1.0 / transfer);
+    return peak;
+}
+
+Joules
+fillCoreStats(const Core &core, const CorePowerModel &model,
+              Seconds window, CoreWindowStats &cs)
+{
+    cs.counters = core.counters();
+    cs.frequency = core.frequency();
+    cs.retired = core.instructionsRetired();
+    cs.activity = core.currentActivity();
+    const Joules e = model.windowEnergy(
+        cs.frequency, cs.activity, cs.counters.busyTime,
+        cs.counters.stallTime, window);
+    cs.totalPower = e / window;
+    cs.dynamicPower = cs.totalPower - model.staticPower();
+    return e;
+}
+
+Joules
+fillMemStats(const ControllerCounters &counters, Hertz bus_freq,
+             Seconds transfer, const MemoryPowerModel &model,
+             Seconds window, MemWindowStats &ms)
+{
+    ms.counters = counters;
+    ms.busFrequency = bus_freq;
+    ms.transferTime = transfer;
+    ms.busUtilisation = counters.busBusyTime / window;
+    const Joules e = model.windowEnergy(
+        bus_freq, counters.reads + counters.writebacks, window);
+    ms.totalPower = e / window;
+    ms.dynamicPower = ms.totalPower - model.staticPower();
+    return e;
+}
+
 std::unique_ptr<SimBackend>
 makeSimBackend(SimConfig cfg, std::vector<AppProfile> apps,
                const EngineConfig &engine)

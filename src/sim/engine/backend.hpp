@@ -33,6 +33,7 @@
 #include "sim/config.hpp"
 #include "sim/core.hpp"
 #include "sim/memory_controller.hpp"
+#include "sim/power.hpp"
 #include "util/units.hpp"
 
 namespace fastcap {
@@ -182,8 +183,7 @@ class SimBackend
      */
     virtual void creditInstructions(const std::vector<double> &credit) = 0;
 
-    // --- power / topology -------------------------------------------
-    virtual Watts nameplatePeakPower() const = 0;
+    // --- topology ---------------------------------------------------
     /** Access probabilities of core i over logical controllers. */
     virtual const std::vector<double> &
     accessProbabilities(int core) const = 0;
@@ -201,6 +201,27 @@ void checkLevels(const SimConfig &cfg, const std::vector<std::size_t> &core,
 /** creditInstructions()' length check: panic() unless `credit` holds
  *  one entry per core of `cfg`. */
 void checkCredits(const SimConfig &cfg, const std::vector<double> &credit);
+
+/**
+ * Nameplate peak power of the machine `cfg` models: every core busy
+ * at activity 1 and maximum frequency, every controller at the peak
+ * access rate its bus sustains at maximum frequency, plus background.
+ * A property of the machine, so one value for both engines.
+ */
+Watts nameplatePeakPower(const SimConfig &cfg);
+
+/**
+ * The window accounting both engines share: each fills one stats
+ * entry and returns the energy it priced; each engine sums those in
+ * its own order. fillCoreStats reads `core`'s counters, frequency,
+ * retired count and activity; fillMemStats prices one controller's
+ * (or one logical controller's merged) counters at `bus_freq`.
+ */
+Joules fillCoreStats(const Core &core, const CorePowerModel &model,
+                     Seconds window, CoreWindowStats &cs);
+Joules fillMemStats(const ControllerCounters &counters, Hertz bus_freq,
+                    Seconds transfer, const MemoryPowerModel &model,
+                    Seconds window, MemWindowStats &ms);
 
 /**
  * Build the engine EngineConfig selects for this system: a

@@ -211,17 +211,8 @@ ShardedSystem::runShardWindow(int s, Seconds t_end, WindowStats &stats)
         ln.controller.finalizeWindow();
         // The lane's own stats, while it is still hot in cache. Each
         // job writes only its own lanes' slots.
-        CoreWindowStats &cs = stats.cores[idx];
-        cs.counters = ln.core.counters();
-        cs.frequency = ln.core.frequency();
-        cs.retired = ln.core.instructionsRetired();
-        cs.activity = ln.core.currentActivity();
-        const Joules e = _corePower.windowEnergy(
-            cs.frequency, cs.activity, cs.counters.busyTime,
-            cs.counters.stallTime, duration);
-        cs.totalPower = e / duration;
-        cs.dynamicPower = cs.totalPower - _corePower.staticPower();
-        _coreEnergy[idx] = e;
+        _coreEnergy[idx] = fillCoreStats(ln.core, _corePower, duration,
+                                         stats.cores[idx]);
     }
 }
 
@@ -261,7 +252,7 @@ ShardedSystem::runWindow(Seconds duration)
         energy += e;
 
     const int k_ctrl = _cfg.numControllers;
-    stats.memory.reserve(static_cast<std::size_t>(k_ctrl));
+    stats.memory.resize(static_cast<std::size_t>(k_ctrl));
     for (int c = 0; c < k_ctrl; ++c) {
         ControllerCounters agg;
         for (int i = c; i < n; i += k_ctrl) {
@@ -286,21 +277,10 @@ ShardedSystem::runWindow(Seconds duration)
             agg.busBusyTime += lc.busBusyTime /
                 _laneScale[static_cast<std::size_t>(i)];
         }
-
-        MemWindowStats ms;
-        ms.counters = agg;
-        ms.busFrequency = _busFreq;
-        ms.transferTime = _cfg.busBurstCycles / _busFreq;
-        ms.busUtilisation = agg.busBusyTime / duration;
-        const std::uint64_t accesses = agg.reads + agg.writebacks;
-        const Joules e = _memPower[static_cast<std::size_t>(c)]
-                             .windowEnergy(_busFreq, accesses,
-                                           duration);
-        ms.totalPower = e / duration;
-        ms.dynamicPower = ms.totalPower -
-            _memPower[static_cast<std::size_t>(c)].staticPower();
-        energy += e;
-        stats.memory.push_back(ms);
+        energy += fillMemStats(
+            agg, _busFreq, _cfg.busBurstCycles / _busFreq,
+            _memPower[static_cast<std::size_t>(c)], duration,
+            stats.memory[static_cast<std::size_t>(c)]);
     }
 
     energy += _cfg.backgroundPower * duration;
@@ -379,21 +359,6 @@ ShardedSystem::creditInstructions(const std::vector<double> &credit)
     checkCredits(_cfg, credit);
     for (std::size_t i = 0; i < _lanes.size(); ++i)
         _lanes[i]->core.creditInstructions(credit[i]);
-}
-
-Watts
-ShardedSystem::nameplatePeakPower() const
-{
-    // Same arithmetic as the monolithic engine: the nameplate is a
-    // property of the modeled machine, not of the DES execution.
-    double peak = _cfg.backgroundPower;
-    peak += static_cast<double>(_cfg.numCores) *
-        _corePower.peakPower();
-    const Seconds transfer =
-        _cfg.busBurstCycles / _cfg.memLadder.max();
-    for (const MemoryPowerModel &pm : _memPower)
-        peak += pm.peakPower(1.0 / transfer);
-    return peak;
 }
 
 const std::vector<double> &

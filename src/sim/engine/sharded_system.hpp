@@ -101,7 +101,6 @@ class ShardedSystem : public SimBackend
     WindowStats runWindow(Seconds duration) override;
     void creditInstructions(const std::vector<double> &credit) override;
 
-    Watts nameplatePeakPower() const override;
     const std::vector<double> &
     accessProbabilities(int core) const override;
     std::uint64_t eventsProcessed() const override;

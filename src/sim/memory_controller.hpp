@@ -63,15 +63,6 @@ struct ControllerCounters
             ? serviceSum / static_cast<double>(serviceCount)
             : fallback;
     }
-
-    /** Mean measured response time of completed reads. */
-    Seconds
-    meanResponse() const
-    {
-        return responseCount
-            ? responseSum / static_cast<double>(responseCount)
-            : 0.0;
-    }
 };
 
 /**

@@ -1,6 +1,5 @@
 #include "sim/system.hpp"
 
-#include <numeric>
 #include <utility>
 
 #include "util/logging.hpp"
@@ -136,40 +135,18 @@ ManyCoreSystem::runWindow(Seconds duration)
     stats.backgroundPower = _cfg.backgroundPower;
 
     double energy = 0.0;
-    stats.cores.reserve(_cores.size());
-    for (auto &core : _cores) {
-        CoreWindowStats cs;
-        cs.counters = core->counters();
-        cs.frequency = core->frequency();
-        cs.retired = core->instructionsRetired();
-        cs.activity = core->currentActivity();
+    stats.cores.resize(_cores.size());
+    for (std::size_t i = 0; i < _cores.size(); ++i)
+        energy += fillCoreStats(*_cores[i], _corePower, duration,
+                                stats.cores[i]);
 
-        const Joules e = _corePower.windowEnergy(
-            cs.frequency, cs.activity, cs.counters.busyTime,
-            cs.counters.stallTime, duration);
-        cs.totalPower = e / duration;
-        cs.dynamicPower = cs.totalPower - _corePower.staticPower();
-        energy += e;
-        stats.cores.push_back(cs);
-    }
-
-    stats.memory.reserve(_controllers.size());
+    stats.memory.resize(_controllers.size());
     for (std::size_t k = 0; k < _controllers.size(); ++k) {
         MemoryController &ctrl = *_controllers[k];
-        MemWindowStats ms;
-        ms.counters = ctrl.finalizeWindow();
-        ms.busFrequency = ctrl.busFrequency();
-        ms.transferTime = ctrl.transferTime();
-        ms.busUtilisation = ms.counters.busBusyTime / duration;
-
-        const std::uint64_t accesses =
-            ms.counters.reads + ms.counters.writebacks;
-        const Joules e = _memPower[k].windowEnergy(
-            ms.busFrequency, accesses, duration);
-        ms.totalPower = e / duration;
-        ms.dynamicPower = ms.totalPower - _memPower[k].staticPower();
-        energy += e;
-        stats.memory.push_back(ms);
+        const ControllerCounters &counters = ctrl.finalizeWindow();
+        energy += fillMemStats(counters, ctrl.busFrequency(),
+                               ctrl.transferTime(), _memPower[k],
+                               duration, stats.memory[k]);
     }
 
     energy += _cfg.backgroundPower * duration;
@@ -183,26 +160,6 @@ ManyCoreSystem::creditInstructions(const std::vector<double> &credit)
     checkCredits(_cfg, credit);
     for (std::size_t i = 0; i < _cores.size(); ++i)
         _cores[i]->creditInstructions(credit[i]);
-}
-
-Watts
-ManyCoreSystem::nameplatePeakPower() const
-{
-    double peak = _cfg.backgroundPower;
-    peak += static_cast<double>(_cfg.numCores) * _corePower.peakPower();
-    const Seconds transfer = _cfg.busBurstCycles / _cfg.memLadder.max();
-    for (const MemoryPowerModel &pm : _memPower)
-        peak += pm.peakPower(1.0 / transfer);
-    return peak;
-}
-
-std::uint64_t
-ManyCoreSystem::memoryInFlight() const
-{
-    std::uint64_t n = 0;
-    for (const auto &ctrl : _controllers)
-        n += ctrl->inFlight();
-    return n;
 }
 
 } // namespace fastcap

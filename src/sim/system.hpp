@@ -78,14 +78,6 @@ class ManyCoreSystem final : public SimBackend,
     /** Extrapolation credit (see docs/DESIGN.md section 5). */
     void creditInstructions(const std::vector<double> &credit) override;
 
-    // --- power ---------------------------------------------------------
-    /**
-     * Nameplate peak power: all cores busy at activity 1 and max
-     * frequency, memory at its peak sustainable access rate. This is
-     * the P̄ the budget fraction B multiplies.
-     */
-    Watts nameplatePeakPower() const override;
-
     /** Access probabilities of core i over controllers. */
     const std::vector<double> &
     accessProbabilities(int core) const override;
@@ -95,9 +87,6 @@ class ManyCoreSystem final : public SimBackend,
     {
         return _queue.processed();
     }
-
-    /** Total requests currently inside the memory subsystem. */
-    std::uint64_t memoryInFlight() const;
 
   private:
     /** Route a core's request to a controller. */

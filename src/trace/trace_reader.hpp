@@ -73,9 +73,6 @@ class TraceReader : public TraceSource
     bool next(TraceEvent &ev) override;
     const std::string &name() const override { return _file.name(); }
 
-    /** Events successfully returned so far. */
-    std::size_t eventsRead() const { return _events; }
-
   private:
     TraceFile _file;
     std::vector<std::string> _cells;

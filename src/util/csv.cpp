@@ -50,7 +50,6 @@ void
 CsvWriter::row(const std::vector<std::string> &cells)
 {
     writeCells(cells);
-    ++_rows;
 }
 
 void

@@ -40,8 +40,6 @@ class CsvWriter
     void rowLabeled(const std::string &label,
                     const std::vector<double> &cells);
 
-    std::size_t rowsWritten() const { return _rows; }
-
     /** Escape a single cell per RFC 4180. */
     static std::string escape(const std::string &cell);
 
@@ -49,7 +47,6 @@ class CsvWriter
     void writeCells(const std::vector<std::string> &cells);
 
     std::FILE *_out;
-    std::size_t _rows = 0;
     bool _wroteHeader = false;
 };
 

@@ -62,8 +62,6 @@ class ThreadPool
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    std::size_t workerCount() const { return _workers.size(); }
-
     /** Enqueue a job. Jobs may themselves submit more jobs. */
     void submit(Job job);
 

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "csv_string.hpp"
 #include "harness/peak_power.hpp"
 #include "util/logging.hpp"
 #include "util/math.hpp"
@@ -219,9 +220,9 @@ TEST(Cluster, CsvIsDeterministicAcrossMachineThreads)
     clearPeakPowerCache();
     ClusterConfig cfg = smallRack();
     cfg.failures = {{3, 2, 6}};
-    const std::string serial = Cluster(cfg).run().csvString();
+    const std::string serial = csvString(Cluster(cfg).run());
     cfg.machineThreads = 8;
-    const std::string parallel = Cluster(cfg).run().csvString();
+    const std::string parallel = csvString(Cluster(cfg).run());
     EXPECT_EQ(serial, parallel);
     EXPECT_NE(serial.find("epoch,rack_budget_w"), std::string::npos);
 }

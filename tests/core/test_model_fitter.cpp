@@ -53,7 +53,7 @@ TEST(PowerLawTracker, TwoSamplesGiveExactFit)
 
 TEST(PowerLawTracker, HistoryKeepsLastThreeFrequencies)
 {
-    PowerLawTracker t(2.5, 3);
+    PowerLawTracker t(2.5);
     const double alpha = 3.0;
     // Observe at four distinct ratios; the first must be evicted.
     for (double x : {1.0, 0.9, 0.8, 0.7})
@@ -64,7 +64,7 @@ TEST(PowerLawTracker, HistoryKeepsLastThreeFrequencies)
 
 TEST(PowerLawTracker, RepeatRatioRefreshesInsteadOfEvicting)
 {
-    PowerLawTracker t(2.5, 3);
+    PowerLawTracker t(2.5);
     t.observe(1.0, 4.0);
     t.observe(0.8, 2.0);
     EXPECT_EQ(t.samples(), 2u);
@@ -91,7 +91,7 @@ TEST(PowerLawTracker, IgnoresOutOfRangeRatio)
 
 TEST(PowerLawTracker, ExponentClampedForRobustness)
 {
-    PowerLawTracker t(2.5, 3, 0.3, 4.0);
+    PowerLawTracker t(2.5, 0.3, 4.0);
     // Pathological samples implying alpha ~ 9.
     t.observe(1.0, 8.0);
     t.observe(0.5, 8.0 * std::pow(0.5, 9.0));
@@ -104,7 +104,7 @@ TEST(PowerLawTracker, ExponentClampedForRobustness)
 
 TEST(PowerLawTracker, NoisyFitTracksTruth)
 {
-    PowerLawTracker t(2.5, 3);
+    PowerLawTracker t(2.5);
     const double alpha = 2.9;
     const double scale = 4.1;
     double sign = 1.0;
@@ -115,16 +115,6 @@ TEST(PowerLawTracker, NoisyFitTracksTruth)
     const FittedModel m = t.model();
     EXPECT_NEAR(m.exponent, alpha, 0.35);
     EXPECT_NEAR(m.scale, scale, 0.4);
-}
-
-TEST(PowerLawTracker, HistoryBelowTwoIsFatal)
-{
-    EXPECT_THROW(PowerLawTracker(2.5, 1), FatalError);
-}
-
-TEST(PowerLawTracker, HistoryAboveCapacityIsFatal)
-{
-    EXPECT_THROW(PowerLawTracker(2.5, 4), FatalError);
 }
 
 /**
@@ -245,40 +235,39 @@ class DequeTracker
 TEST(PowerLawTracker, RingMatchesDequeReference)
 {
     Logger::global().level(LogLevel::Silent);
-    for (const std::size_t history : {std::size_t{2}, std::size_t{3}}) {
-        PowerLawTracker ring(2.5, history, 0.3, 4.0);
-        DequeTracker ref(2.5, history, 0.3, 4.0);
-        Rng rng(0x5eed0000ULL + history);
-        for (int step = 0; step < 12000; ++step) {
-            // A 5-level ladder, so repeats and evictions both happen
-            // often; now and then a non-positive power or a ratio
-            // outside (0, 1].
-            double ratio =
-                (2.0 + 0.5 * static_cast<double>(rng.below(5))) / 4.0;
-            double power = 3.0 * std::pow(ratio, 2.7) *
-                rng.uniform(0.5, 2.0);
-            if (step % 53 == 0)
-                power = -power;
-            else if (step % 61 == 0)
-                power = 0.0;
-            if (step % 67 == 0)
-                ratio = 1.5;
-            else if (step % 71 == 0)
-                ratio = 0.0;
-            ring.observe(ratio, power);
-            ref.observe(ratio, power);
+    const std::size_t history = PowerLawTracker::kHistory;
+    PowerLawTracker ring(2.5, 0.3, 4.0);
+    DequeTracker ref(2.5, history, 0.3, 4.0);
+    Rng rng(0x5eed0000ULL + history);
+    for (int step = 0; step < 12000; ++step) {
+        // A 5-level ladder, so repeats and evictions both happen
+        // often; now and then a non-positive power or a ratio
+        // outside (0, 1].
+        double ratio =
+            (2.0 + 0.5 * static_cast<double>(rng.below(5))) / 4.0;
+        double power = 3.0 * std::pow(ratio, 2.7) *
+            rng.uniform(0.5, 2.0);
+        if (step % 53 == 0)
+            power = -power;
+        else if (step % 61 == 0)
+            power = 0.0;
+        if (step % 67 == 0)
+            ratio = 1.5;
+        else if (step % 71 == 0)
+            ratio = 0.0;
+        ring.observe(ratio, power);
+        ref.observe(ratio, power);
 
-            const FittedModel a = ring.model();
-            const FittedModel b = ref.model();
-            ASSERT_EQ(doubleBits(a.scale), doubleBits(b.scale))
-                << "history " << history << " step " << step;
-            ASSERT_EQ(doubleBits(a.exponent), doubleBits(b.exponent))
-                << "history " << history << " step " << step;
-            ASSERT_EQ(a.fromFit, b.fromFit)
-                << "history " << history << " step " << step;
-            ASSERT_EQ(ring.samples(), ref.samples())
-                << "history " << history << " step " << step;
-        }
+        const FittedModel a = ring.model();
+        const FittedModel b = ref.model();
+        ASSERT_EQ(doubleBits(a.scale), doubleBits(b.scale))
+            << "step " << step;
+        ASSERT_EQ(doubleBits(a.exponent), doubleBits(b.exponent))
+            << "step " << step;
+        ASSERT_EQ(a.fromFit, b.fromFit)
+            << "step " << step;
+        ASSERT_EQ(ring.samples(), ref.samples())
+            << "step " << step;
     }
     Logger::global().level(LogLevel::Warn);
 }
@@ -321,7 +310,7 @@ TEST(PowerLawTracker, IncrementalFitTracksBatchFitWithinTolerance)
 {
     const double min_exp = 0.3;
     const double max_exp = 4.0;
-    PowerLawTracker t(2.5, 3, min_exp, max_exp);
+    PowerLawTracker t(2.5, min_exp, max_exp);
 
     // Shadow history replicating the tracker's rules: distinct-ratio
     // slots (refreshes smooth in place), capacity 3, FIFO eviction.

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "csv_string.hpp"
 #include "engine_test_util.hpp"
 #include "harness/experiment.hpp"
 #include "harness/sweep.hpp"
@@ -70,7 +71,7 @@ TEST(EngineDeterminism, SweepCsvAndJsonByteIdenticalAcrossMatrix)
         grid.shards = shards;
         grid.shardThreads = shard_threads;
         SweepRunner runner(grid, pool_threads);
-        return runner.run().csvString();
+        return csvString(runner.run());
     };
 
     const std::string reference = sweep(1, 1, 1);

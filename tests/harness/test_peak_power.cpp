@@ -19,13 +19,14 @@
 namespace fastcap {
 namespace {
 
+/** The auto engine rule: monolithic up to 64 cores. */
+const EngineConfig kAuto{};
+
 TEST(PeakPower, BelowNameplateAboveTypical)
 {
     const SimConfig cfg = SimConfig::defaultConfig(16);
-    const Watts measured = measuredPeakPower(cfg);
-
-    ManyCoreSystem sys(cfg, workloads::mix("ILP1", 16));
-    const Watts nameplate = sys.nameplatePeakPower();
+    const Watts measured = measuredPeakPower(cfg, kAuto);
+    const Watts nameplate = nameplatePeakPower(cfg);
     EXPECT_LT(measured, nameplate)
         << "real workloads never reach activity-1 nameplate";
     EXPECT_GT(measured, 0.7 * nameplate);
@@ -36,7 +37,7 @@ TEST(PeakPower, DominatesWorkloadDraws)
     // Every class's uncapped draw must be at or below the measured
     // peak (the ILP class defines it).
     const SimConfig cfg = SimConfig::defaultConfig(16);
-    const Watts peak = measuredPeakPower(cfg);
+    const Watts peak = measuredPeakPower(cfg, kAuto);
     for (const char *wl : {"ILP2", "MID1", "MEM1", "MIX2"}) {
         ManyCoreSystem sys(cfg, workloads::mix(wl, 16));
         sys.runWindow(fromUs(100)); // warm-up
@@ -47,9 +48,9 @@ TEST(PeakPower, DominatesWorkloadDraws)
 
 TEST(PeakPower, ScalesWithCoreCount)
 {
-    const Watts p4 = measuredPeakPower(SimConfig::defaultConfig(4));
-    const Watts p16 = measuredPeakPower(SimConfig::defaultConfig(16));
-    const Watts p32 = measuredPeakPower(SimConfig::defaultConfig(32));
+    const Watts p4 = measuredPeakPower(SimConfig::defaultConfig(4), kAuto);
+    const Watts p16 = measuredPeakPower(SimConfig::defaultConfig(16), kAuto);
+    const Watts p32 = measuredPeakPower(SimConfig::defaultConfig(32), kAuto);
     EXPECT_LT(p4, p16);
     EXPECT_LT(p16, p32);
     // Roughly linear in the core-dominated regime.
@@ -59,14 +60,14 @@ TEST(PeakPower, ScalesWithCoreCount)
 TEST(PeakPower, CacheInvalidation)
 {
     SimConfig cfg = SimConfig::defaultConfig(4);
-    const Watts a = measuredPeakPower(cfg);
+    const Watts a = measuredPeakPower(cfg, kAuto);
     clearPeakPowerCache();
-    const Watts b = measuredPeakPower(cfg);
+    const Watts b = measuredPeakPower(cfg, kAuto);
     EXPECT_DOUBLE_EQ(a, b) << "deterministic measurement";
 
     // A different power configuration must not hit the same entry.
     cfg.corePower.dynMax *= 2.0;
-    const Watts c = measuredPeakPower(cfg);
+    const Watts c = measuredPeakPower(cfg, kAuto);
     EXPECT_GT(c, b);
 }
 
@@ -77,10 +78,10 @@ TEST(PeakPower, SeedDoesNotInfluenceCachedValue)
     // first caller's seed would leak into every later lookup.
     SimConfig cfg = SimConfig::defaultConfig(4);
     cfg.seed = 0x1111111111111111ULL;
-    const Watts a = measuredPeakPower(cfg);
+    const Watts a = measuredPeakPower(cfg, kAuto);
     clearPeakPowerCache();
     cfg.seed = 0x2222222222222222ULL;
-    const Watts b = measuredPeakPower(cfg);
+    const Watts b = measuredPeakPower(cfg, kAuto);
     EXPECT_DOUBLE_EQ(a, b);
 }
 
@@ -89,9 +90,9 @@ TEST(PeakPower, SamplingWindowIsPartOfTheCacheKey)
     // The measurement runs cfg.profileWindow-long windows, so two
     // configs differing only there must not share a cache entry.
     SimConfig cfg = SimConfig::defaultConfig(4);
-    const Watts a = measuredPeakPower(cfg);
+    const Watts a = measuredPeakPower(cfg, kAuto);
     cfg.profileWindow = cfg.profileWindow * 4.0;
-    const Watts b = measuredPeakPower(cfg);
+    const Watts b = measuredPeakPower(cfg, kAuto);
     EXPECT_NE(a, b) << "longer windows observe different peaks";
 }
 
@@ -117,8 +118,8 @@ TEST(PeakPower, CacheKeyNeverTruncates)
     SimConfig b = a;
     b.profileWindow = std::nextafter(v, 0.0); // formatted last of all
 
-    const std::string ka = peakPowerCacheKey(a);
-    const std::string kb = peakPowerCacheKey(b);
+    const std::string ka = peakPowerCacheKey(a, kAuto);
+    const std::string kb = peakPowerCacheKey(b, kAuto);
     EXPECT_GT(ka.size(), 320u)
         << "the old fixed buffer would have cut this key short";
     EXPECT_NE(ka, kb)
@@ -142,7 +143,8 @@ TEST(PeakPower, CacheKeyKeepsEveryDigit)
     close.corePower.dynMax += 0.0004;
     close.memPower.accessEnergy *= 1.0004;
     close.busBurstCycles += 4e-5;
-    EXPECT_NE(peakPowerCacheKey(close), peakPowerCacheKey(base));
+    EXPECT_NE(peakPowerCacheKey(close, kAuto),
+              peakPowerCacheKey(base, kAuto));
 
     // One field at a time, each below its old printed precision.
     for (double SimConfig::*field :
@@ -151,14 +153,15 @@ TEST(PeakPower, CacheKeyKeepsEveryDigit)
           &SimConfig::profileWindow}) {
         SimConfig cfg = base;
         cfg.*field = std::nextafter(cfg.*field, 0.0);
-        EXPECT_NE(peakPowerCacheKey(cfg), peakPowerCacheKey(base));
+        EXPECT_NE(peakPowerCacheKey(cfg, kAuto),
+                  peakPowerCacheKey(base, kAuto));
     }
 
     clearPeakPowerCache();
-    measuredPeakPower(base);
-    const Watts cached = measuredPeakPower(close);
+    measuredPeakPower(base, kAuto);
+    const Watts cached = measuredPeakPower(close, kAuto);
     clearPeakPowerCache();
-    EXPECT_EQ(cached, measuredPeakPower(close))
+    EXPECT_EQ(cached, measuredPeakPower(close, kAuto))
         << "a cache hit must equal a fresh measurement";
 }
 
@@ -167,10 +170,13 @@ TEST(PeakPower, CacheKeyDistinguishesOrdinaryConfigs)
     const SimConfig base = SimConfig::defaultConfig(8);
     SimConfig other = base;
     other.rowHitRate = base.rowHitRate * 0.5;
-    EXPECT_NE(peakPowerCacheKey(base), peakPowerCacheKey(other));
-    EXPECT_NE(peakPowerCacheKey(base, 3), peakPowerCacheKey(base, 5))
+    EXPECT_NE(peakPowerCacheKey(base, kAuto),
+              peakPowerCacheKey(other, kAuto));
+    EXPECT_NE(peakPowerCacheKey(base, kAuto, 3),
+              peakPowerCacheKey(base, kAuto, 5))
         << "measurement epochs are part of the key";
-    EXPECT_EQ(peakPowerCacheKey(base), peakPowerCacheKey(base));
+    EXPECT_EQ(peakPowerCacheKey(base, kAuto),
+              peakPowerCacheKey(base, kAuto));
 }
 
 /** A named one-field change to a SimConfig. */
@@ -261,21 +267,21 @@ TEST(PeakPower, CacheKeyCoversEveryMeasuredField)
     };
 
     const SimConfig base = SimConfig::defaultConfig(4);
-    const std::string base_key = peakPowerCacheKey(base);
+    const std::string base_key = peakPowerCacheKey(base, kAuto);
     for (const auto &[field, perturb] : measured) {
         SimConfig cfg = base;
         perturb(cfg);
-        EXPECT_NE(peakPowerCacheKey(cfg), base_key) << field;
+        EXPECT_NE(peakPowerCacheKey(cfg, kAuto), base_key) << field;
     }
 
     clearPeakPowerCache();
-    const Watts base_peak = measuredPeakPower(base);
+    const Watts base_peak = measuredPeakPower(base, kAuto);
     for (const auto &[field, perturb] : unmeasured) {
         SimConfig cfg = base;
         perturb(cfg);
-        EXPECT_EQ(peakPowerCacheKey(cfg), base_key) << field;
+        EXPECT_EQ(peakPowerCacheKey(cfg, kAuto), base_key) << field;
         clearPeakPowerCache();
-        EXPECT_EQ(measuredPeakPower(cfg), base_peak) << field;
+        EXPECT_EQ(measuredPeakPower(cfg, kAuto), base_peak) << field;
     }
 }
 
@@ -289,7 +295,7 @@ TEST(PeakPower, CacheKeyCoversEveryMeasuredField)
 TEST(PeakPower, EngineIsPartOfTheCacheKey)
 {
     const SimConfig cfg = SimConfig::defaultConfig(16);
-    const std::string auto_key = peakPowerCacheKey(cfg);
+    const std::string auto_key = peakPowerCacheKey(cfg, kAuto);
     const std::string forced_key =
         peakPowerCacheKey(cfg, EngineConfig{4, 1});
     EXPECT_NE(auto_key.find("eng=monolithic"), std::string::npos);
@@ -309,15 +315,16 @@ TEST(PeakPower, LargeConfigsMeasureOnTheShardedEngine)
     // 4096 cores auto-selects the sharded engine: the measurement
     // must follow it there (and still produce a sane positive peak).
     const SimConfig cfg = SimConfig::defaultConfig(4096);
-    EXPECT_NE(peakPowerCacheKey(cfg).find("eng=sharded"),
+    EXPECT_NE(peakPowerCacheKey(cfg, kAuto).find("eng=sharded"),
               std::string::npos);
 
     const Watts sharded = measuredPeakPower(
-        SimConfig::defaultConfig(128), EngineConfig{});
+        SimConfig::defaultConfig(128), kAuto);
     EXPECT_GT(sharded, 0.0);
     // Engines agree on uncontended per-core power, so the sharded
     // 128-core peak sits near 8x the monolithic 16-core peak.
-    const Watts mono16 = measuredPeakPower(SimConfig::defaultConfig(16));
+    const Watts mono16 =
+        measuredPeakPower(SimConfig::defaultConfig(16), kAuto);
     EXPECT_NEAR(sharded / mono16, 8.0, 2.0);
 }
 
@@ -326,9 +333,9 @@ TEST(PeakPower, ForcedEngineMatchesAutoAboveTheLimit)
     // Above kAutoMonolithicLimit the auto rule resolves to sharded,
     // so an explicitly forced shard count must reuse the same entry.
     const SimConfig cfg = SimConfig::defaultConfig(96);
-    EXPECT_EQ(peakPowerCacheKey(cfg),
+    EXPECT_EQ(peakPowerCacheKey(cfg, kAuto),
               peakPowerCacheKey(cfg, EngineConfig{2, 2}));
-    EXPECT_DOUBLE_EQ(measuredPeakPower(cfg),
+    EXPECT_DOUBLE_EQ(measuredPeakPower(cfg, kAuto),
                      measuredPeakPower(cfg, EngineConfig{2, 2}));
 }
 
@@ -336,7 +343,7 @@ TEST(PeakPower, PaperBandAt16Cores)
 {
     // Paper: 120 W at 16 cores. Our calibration lands in the same
     // band (±25%), which EXPERIMENTS.md records.
-    const Watts p = measuredPeakPower(SimConfig::defaultConfig(16));
+    const Watts p = measuredPeakPower(SimConfig::defaultConfig(16), kAuto);
     EXPECT_GT(p, 90.0);
     EXPECT_LT(p, 150.0);
 }

@@ -12,6 +12,7 @@
 #include <set>
 #include <string>
 
+#include "csv_string.hpp"
 #include "harness/sweep.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -180,13 +181,6 @@ TEST(SweepGrid, ScenarioAxisEntersTheCrossProduct)
         grid.point(grid.runIndexOf(0, 0, 1, 0, 0, 0));
     EXPECT_EQ(q.scenario, "wave");
     EXPECT_EQ(q.workload, grid.point(0).workload);
-
-    EXPECT_EQ(grid.scenarioIndex("wave"), 1u);
-    EXPECT_THROW(grid.scenarioIndex("nope"), FatalError);
-    // Without an axis only "constant" resolves.
-    const SweepGrid plain = smallGrid();
-    EXPECT_EQ(plain.scenarioIndex("constant"), 0u);
-    EXPECT_THROW(plain.scenarioIndex("drop"), FatalError);
 }
 
 TEST(SweepGrid, WithoutScenarioAxisIndicesAndSeedsAreUnchanged)
@@ -244,8 +238,8 @@ TEST(SweepRunner, ScenarioGridsAreDeterministicAcrossWorkerCounts)
     grid.targetInstructions = 1e12; // horizon runs, never complete
     grid.maxEpochs = 6;
     grid.scenarios = twoScenarios();
-    const std::string csv1 = SweepRunner(grid, 1).run().csvString();
-    const std::string csv4 = SweepRunner(grid, 4).run().csvString();
+    const std::string csv1 = csvString(SweepRunner(grid, 1).run());
+    const std::string csv4 = csvString(SweepRunner(grid, 4).run());
     EXPECT_FALSE(csv1.empty());
     EXPECT_EQ(csv1, csv4);
     // Scenario labels reach the CSV.
@@ -258,7 +252,7 @@ TEST(SweepResult, ScenarioColumnAppearsOnlyWithTheAxis)
     SweepGrid grid = smallGrid();
     grid.workloads = {"ILP1"};
     grid.policies = {"FastCap"};
-    const std::string plain = SweepRunner(grid, 1).run().csvString();
+    const std::string plain = csvString(SweepRunner(grid, 1).run());
     EXPECT_EQ(plain.find("scenario"), std::string::npos)
         << "constant grids must keep the historical CSV header";
 
@@ -266,7 +260,7 @@ TEST(SweepResult, ScenarioColumnAppearsOnlyWithTheAxis)
     grid.targetInstructions = 1e12;
     grid.maxEpochs = 4;
     const SweepResult sw = SweepRunner(grid, 2).run();
-    const std::string csv = sw.csvString();
+    const std::string csv = csvString(sw);
     EXPECT_NE(csv.find("run,config,workload,scenario,policy"),
               std::string::npos);
     const std::string json = jsonString(sw);
@@ -351,9 +345,9 @@ TEST(SweepRunner, CsvIsByteIdenticalAcrossWorkerCounts)
     // The tentpole determinism contract: same grid, same base seed,
     // byte-identical CSV with 1, 4 and 8 workers.
     const SweepGrid grid = smallGrid();
-    const std::string csv1 = SweepRunner(grid, 1).run().csvString();
-    const std::string csv4 = SweepRunner(grid, 4).run().csvString();
-    const std::string csv8 = SweepRunner(grid, 8).run().csvString();
+    const std::string csv1 = csvString(SweepRunner(grid, 1).run());
+    const std::string csv4 = csvString(SweepRunner(grid, 4).run());
+    const std::string csv8 = csvString(SweepRunner(grid, 8).run());
     EXPECT_FALSE(csv1.empty());
     EXPECT_EQ(csv1, csv4);
     EXPECT_EQ(csv1, csv8);
@@ -361,8 +355,8 @@ TEST(SweepRunner, CsvIsByteIdenticalAcrossWorkerCounts)
     // Paired-seed mode upholds the same contract.
     SweepGrid paired = smallGrid();
     paired.pairSeedsAcrossPolicies = true;
-    EXPECT_EQ(SweepRunner(paired, 1).run().csvString(),
-              SweepRunner(paired, 8).run().csvString());
+    EXPECT_EQ(csvString(SweepRunner(paired, 1).run()),
+              csvString(SweepRunner(paired, 8).run()));
 }
 
 TEST(SweepRunner, ResultsKeepRunIndexOrderAndCoordinates)
@@ -411,10 +405,7 @@ jsonString(const SweepResult &sw)
     std::FILE *tmp = std::tmpfile();
     EXPECT_NE(tmp, nullptr);
     sw.writeJson(tmp);
-    std::string out;
-    out.resize(static_cast<std::size_t>(std::ftell(tmp)));
-    std::rewind(tmp);
-    EXPECT_EQ(std::fread(&out[0], 1, out.size(), tmp), out.size());
+    std::string out = fileContents(tmp);
     std::fclose(tmp);
     return out;
 }
@@ -457,9 +448,9 @@ TEST(SweepResult, WallSecondsNeverReachesSerializedOutput)
     const SweepResult first = SweepRunner(grid, 2).run();
     const SweepResult second = SweepRunner(grid, 2).run();
     EXPECT_GT(first.wallSeconds, 0.0);
-    EXPECT_EQ(first.csvString(), second.csvString());
+    EXPECT_EQ(csvString(first), csvString(second));
     EXPECT_EQ(jsonString(first), jsonString(second));
-    EXPECT_EQ(first.csvString().find("wallSeconds"),
+    EXPECT_EQ(csvString(first).find("wallSeconds"),
               std::string::npos);
     EXPECT_EQ(jsonString(first).find("wallSeconds"),
               std::string::npos);

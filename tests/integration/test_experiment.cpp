@@ -18,6 +18,9 @@
 namespace fastcap {
 namespace {
 
+/** The auto engine rule: monolithic up to 64 cores. */
+const EngineConfig kAuto{};
+
 ExperimentConfig
 quickConfig(double budget = 0.6, double instr = 10e6)
 {
@@ -121,20 +124,20 @@ TEST(Experiment, PeakPowerMatchesPaperScale)
 {
     // Paper: ~120 W at 16 cores, ~60 W at 4, ~210 at 32, ~375 at 64.
     // Our measured peaks must land in the same bands (within ~25%).
-    const Watts p16 = measuredPeakPower(SimConfig::defaultConfig(16));
+    const Watts p16 = measuredPeakPower(SimConfig::defaultConfig(16), kAuto);
     EXPECT_GT(p16, 85.0);
     EXPECT_LT(p16, 150.0);
 
-    const Watts p4 = measuredPeakPower(SimConfig::defaultConfig(4));
+    const Watts p4 = measuredPeakPower(SimConfig::defaultConfig(4), kAuto);
     EXPECT_GT(p4, 35.0);
     EXPECT_LT(p4, 80.0);
 
-    const Watts p64 = measuredPeakPower(SimConfig::defaultConfig(64));
+    const Watts p64 = measuredPeakPower(SimConfig::defaultConfig(64), kAuto);
     EXPECT_GT(p64, 280.0);
     EXPECT_LT(p64, 470.0);
 
     // Monotone in core count.
-    const Watts p32 = measuredPeakPower(SimConfig::defaultConfig(32));
+    const Watts p32 = measuredPeakPower(SimConfig::defaultConfig(32), kAuto);
     EXPECT_GT(p32, p16);
     EXPECT_GT(p64, p32);
 }
@@ -142,8 +145,8 @@ TEST(Experiment, PeakPowerMatchesPaperScale)
 TEST(Experiment, PeakPowerMemoized)
 {
     const SimConfig cfg = SimConfig::defaultConfig(16);
-    const Watts a = measuredPeakPower(cfg);
-    const Watts b = measuredPeakPower(cfg);
+    const Watts a = measuredPeakPower(cfg, kAuto);
+    const Watts b = measuredPeakPower(cfg, kAuto);
     EXPECT_DOUBLE_EQ(a, b);
 }
 

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <string>
 
+#include "profile_average.hpp"
 #include "scenario/scenario.hpp"
 #include "util/logging.hpp"
 #include "workload/spec_table.hpp"
@@ -46,7 +47,7 @@ TEST(WorkloadSchedule, ResolvesIdleAndTableApps)
     EXPECT_EQ(WorkloadSchedule::resolve("idle").name(), "idle");
     // Idle must barely touch memory or burn power.
     const AppProfile &idle = WorkloadSchedule::resolve("idle");
-    EXPECT_LT(idle.averageMpki(), 0.1);
+    EXPECT_LT(averageOf(idle, &Phase::mpki), 0.1);
     EXPECT_LT(idle.phases().front().activity, 0.2);
     EXPECT_EQ(WorkloadSchedule::resolve("milc").name(), "milc");
     EXPECT_THROW(WorkloadSchedule::resolve("notanapp"), FatalError);
@@ -86,7 +87,8 @@ TEST(WorkloadSchedule, RejectsBadEvents)
 TEST(Scenario, DefaultIsConstant)
 {
     const Scenario sc;
-    EXPECT_TRUE(sc.isConstant());
+    EXPECT_TRUE(sc.budget.empty() && sc.workload.empty() &&
+                sc.trace.empty());
     EXPECT_EQ(sc.name, "constant");
 }
 
@@ -96,7 +98,6 @@ TEST(Scenario, ParsesInlineSpecs)
         "name=drop|budget=step@0:0.9;step@0.05:0.5|"
         "workload=0.08:0:idle");
     EXPECT_EQ(sc.name, "drop");
-    EXPECT_FALSE(sc.isConstant());
     EXPECT_EQ(sc.budget.size(), 2u);
     ASSERT_EQ(sc.workload.size(), 1u);
     EXPECT_EQ(sc.workload.events()[0].app, "idle");

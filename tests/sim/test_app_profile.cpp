@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "profile_average.hpp"
 #include "sim/app_profile.hpp"
 #include "util/logging.hpp"
 #include "workload/spec_table.hpp"
@@ -66,9 +67,9 @@ TEST(AppProfile, WeightedAverages)
 {
     const AppProfile app("duo", std::vector<Phase>{
         makePhase(10e6, 1.0, 1.2), makePhase(10e6, 3.0, 0.8)});
-    EXPECT_DOUBLE_EQ(app.averageMpki(), 2.0);
-    EXPECT_DOUBLE_EQ(app.averageCpiExec(), 1.0);
-    EXPECT_NEAR(app.averageWpki(), 2.0 * 0.3, 1e-12);
+    EXPECT_DOUBLE_EQ(averageOf(app, &Phase::mpki), 2.0);
+    EXPECT_DOUBLE_EQ(averageOf(app, &Phase::cpiExec), 1.0);
+    EXPECT_NEAR(averageOf(app, &Phase::wpki), 2.0 * 0.3, 1e-12);
 }
 
 TEST(AppProfile, CycleLengthSumsPhases)

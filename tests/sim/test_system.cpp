@@ -300,17 +300,7 @@ TEST(System, NameplatePeakAboveObservedWindowPower)
     SimConfig cfg = smallConfig(16);
     ManyCoreSystem sys(cfg, workloads::mix("ILP1", 16));
     const WindowStats w = sys.runWindow(fromUs(200));
-    EXPECT_GT(sys.nameplatePeakPower(), w.totalPower());
-}
-
-TEST(System, InFlightRequestsSettleWhenDrained)
-{
-    SimConfig cfg = smallConfig(4);
-    ManyCoreSystem sys(cfg, workloads::mix("MEM1", 4));
-    sys.runWindow(fromUs(100));
-    // In-flight is bounded by outstanding core misses + writebacks in
-    // queues; never negative or runaway.
-    EXPECT_LT(sys.memoryInFlight(), 10000u);
+    EXPECT_GT(nameplatePeakPower(cfg), w.totalPower());
 }
 
 } // namespace

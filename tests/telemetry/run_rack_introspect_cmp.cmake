@@ -8,9 +8,13 @@
 #   CLUSTER  path to the fastcap_cluster executable
 #   OUTDIR   scratch directory
 
-# 128 cores per machine puts each machine on the sharded engine.
+# 128 cores per machine puts each machine on the sharded engine. A
+# shedding trace and a fail/restore of machine 3 put what the restored
+# machine places and sheds into /trace/*.
 set(rack_args
-  --machines 8 --cores 128 --budget 0.5 --max-epochs 6 --introspect /)
+  --machines 8 --cores 128 --budget 0.5 --max-epochs 6 --introspect /
+  --trace "gen:flash,rate=40000,horizon=0.05,max-cores=128,flash-start=0.005,flash-duration=0.03,flash-factor=8,seed=3"
+  --fail "3@2:4")
 
 set(reference "")
 foreach(threads 1 4)
@@ -33,6 +37,9 @@ foreach(threads 1 4)
       if(NOT dump MATCHES "\n/machine/7/engine/shard/1/events ")
         message(FATAL_ERROR
           "rack dump lacks per-machine engine gauges:\n${dump}")
+      endif()
+      if(NOT dump MATCHES "\n/trace/shed ")
+        message(FATAL_ERROR "rack dump lacks /trace/shed:\n${dump}")
       endif()
     elseif(NOT dump STREQUAL reference)
       message(FATAL_ERROR

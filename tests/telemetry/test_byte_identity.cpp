@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hpp"
+#include "csv_string.hpp"
 #include "harness/sweep.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/tracer.hpp"
@@ -40,9 +41,8 @@ onePointGrid(int shards, int shard_threads)
 std::string
 sweepCsv(int shards, int shard_threads)
 {
-    return SweepRunner(onePointGrid(shards, shard_threads), 2)
-        .run()
-        .csvString();
+    return csvString(
+        SweepRunner(onePointGrid(shards, shard_threads), 2).run());
 }
 
 /**
@@ -75,7 +75,7 @@ instrumentedSweepCsv(int shards, int shard_threads)
         runWorkload(run.point.workload, run.point.policy, ecfg, sim);
     EXPECT_FALSE(registry.snapshot().empty());
     res.runs.push_back(std::move(run));
-    return res.csvString();
+    return csvString(res);
 }
 
 std::string
@@ -96,7 +96,7 @@ clusterCsv(bool instrumented, int machine_threads)
     }
     Cluster cluster(cfg);
     const ClusterResult res = cluster.run();
-    return res.csvString();
+    return csvString(res);
 }
 
 } // namespace

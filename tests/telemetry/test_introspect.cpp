@@ -130,3 +130,27 @@ TEST(Introspect, ClusterArbiterPaths)
     EXPECT_FALSE(reg.query("/machine/0").empty());
     EXPECT_FALSE(reg.query("/machine/1").empty());
 }
+
+TEST(Introspect, TraceMetricsSurviveAFailAndRestore)
+{
+    // Machine 0 fails at epoch 2 and is restored at epoch 5; the
+    // trace keeps both machines shedding before and after. The
+    // registry must count what the restored machine sheds and places
+    // as it counted what the original did.
+    Registry reg;
+    ClusterConfig cfg;
+    cfg.machines = 2;
+    cfg.machine = SimConfig::defaultConfig(16);
+    cfg.trace = "gen:poisson,rate=3000,horizon=0.2,seed=3";
+    cfg.maxEpochs = 30;
+    cfg.failures = {{0, 2, 5}};
+    cfg.registry = &reg;
+    Cluster cluster(cfg);
+    const ClusterResult res = cluster.run();
+
+    ASSERT_GT(res.dropped, 0u);
+    ASSERT_GT(res.lost, 0u);
+    EXPECT_EQ(reg.counter("/trace/shed").value(), res.dropped);
+    // Every completed job was placed on a core first.
+    EXPECT_GE(reg.counter("/trace/placed").value(), res.completed);
+}

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "../engine/engine_test_util.hpp"
+#include "csv_string.hpp"
 #include "harness/experiment.hpp"
 #include "harness/sweep.hpp"
 #include "scenario/scenario.hpp"
@@ -107,7 +108,7 @@ TEST(TraceDeterminism, TraceDrivenSweepCsvByteIdenticalAcrossThreads)
         gen.trace = "gen:poisson,rate=200,horizon=0.05,seed=4";
         grid.scenarios = {sc, gen};
         SweepRunner runner(grid, pool_threads);
-        return runner.run().csvString();
+        return csvString(runner.run());
     };
 
     const std::string reference = sweep(1, 1, 1);

@@ -94,9 +94,28 @@ TEST(ThreadPool, JobsMaySubmitMoreJobs)
 
 TEST(ThreadPool, ZeroMeansHardwareConcurrency)
 {
+    // hardwareWorkers() jobs that each wait until all of them run at
+    // once finish in time only with at least that many workers.
+    const std::size_t n = ThreadPool::hardwareWorkers();
+    ASSERT_GE(n, 1u);
     ThreadPool pool(0);
-    EXPECT_GE(pool.workerCount(), 1u);
-    EXPECT_EQ(pool.workerCount(), ThreadPool::hardwareWorkers());
+    std::atomic<std::size_t> running{0};
+    std::atomic<bool> all_met{true};
+    for (std::size_t i = 0; i < n; ++i)
+        pool.submit([&running, &all_met, n] {
+            ++running;
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (running.load() < n) {
+                if (std::chrono::steady_clock::now() > deadline) {
+                    all_met = false;
+                    return;
+                }
+                std::this_thread::yield();
+            }
+        });
+    pool.wait();
+    EXPECT_TRUE(all_met.load());
 }
 
 TEST(ThreadPool, EmptyJobPanics)

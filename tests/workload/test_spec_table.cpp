@@ -8,6 +8,7 @@
 #include <set>
 #include <string>
 
+#include "profile_average.hpp"
 #include "util/logging.hpp"
 #include "workload/spec_table.hpp"
 
@@ -77,7 +78,7 @@ TEST(SpecTable, ClassMpkiOrderingMatchesPaper)
         int n = 0;
         for (const std::string &w : wl::workloadsOfClass(cls)) {
             for (const std::string &a : wl::mixApps(w)) {
-                acc += wl::spec(a).averageMpki();
+                acc += averageOf(wl::spec(a), &Phase::mpki);
                 ++n;
             }
         }
@@ -95,8 +96,9 @@ TEST(SpecTable, WpkiBelowMpki)
 {
     for (const std::string &name : mixedApps()) {
         const AppProfile &app = wl::spec(name);
-        EXPECT_LT(app.averageWpki(), app.averageMpki()) << name;
-        EXPECT_GT(app.averageWpki(), 0.0) << name;
+        const double wpki = averageOf(app, &Phase::wpki);
+        EXPECT_LT(wpki, averageOf(app, &Phase::mpki)) << name;
+        EXPECT_GT(wpki, 0.0) << name;
     }
 }
 
@@ -154,7 +156,7 @@ TEST(SpecTable, MemClassIsMemoryBoundInMixes)
     // (exact match is not required — see docs/DESIGN.md).
     double acc = 0.0;
     for (const std::string &a : wl::mixApps("MEM1"))
-        acc += wl::spec(a).averageMpki();
+        acc += averageOf(wl::spec(a), &Phase::mpki);
     const double mpki = acc / 4.0;
     EXPECT_GT(mpki, 9.0);
     EXPECT_LT(mpki, 25.0);
