@@ -262,9 +262,11 @@ Cluster::step()
         }
         if (f.restoreEpoch == _epoch && !mc.alive) {
             mc.alive = true;
-            // No observed demand yet: the floor carries it until its
-            // first post-restore epoch reports.
-            mc.demand = 0.0;
+            // No observed demand yet: claim the full peak, the prior a
+            // new machine starts from. A zero claim would leave it the
+            // arbiter's floor, below its own floor power, so the rack
+            // would overrun its budget in the restore epoch.
+            mc.demand = mc.peak;
             if (_cfg.registry != nullptr)
                 _cfg.registry->counter("/cluster/arbiter/restores")
                     .add();

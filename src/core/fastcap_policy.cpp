@@ -38,9 +38,17 @@ mapToLadders(const PolicyInputs &inputs, const InnerSolution &sol,
     dec.predictedPower = sol.predictedPower;
     dec.budgetSaturated = sol.saturatedLow || !sol.budgetFeasible;
     dec.coreFreqIdx.reserve(inputs.cores.size());
-    for (double x : sol.coreRatios)
-        dec.coreFreqIdx.push_back(
-            closestRatioIndex(inputs.coreRatios, x));
+    // Cores often share a ratio (every class at x = 1, say): a core
+    // with the previous core's exact ratio takes its level.
+    std::size_t level = 0;
+    std::uint64_t last = 0;
+    for (const double x : sol.coreRatios) {
+        if (dec.coreFreqIdx.empty() || doubleBits(x) != last) {
+            level = closestRatioIndex(inputs.coreRatios, x);
+            last = doubleBits(x);
+        }
+        dec.coreFreqIdx.push_back(level);
+    }
     return dec;
 }
 

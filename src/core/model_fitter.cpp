@@ -44,15 +44,29 @@ PowerLawTracker::observe(double ratio, Watts dyn_power)
         ++j;
     if (j < _count) {
         // Refresh: smooth toward the new measurement so stale samples
-        // at the same frequency do not fossilise. Rank-1 moment swap:
-        // the old log-power contributions leave, the smoothed ones
-        // enter; lx is unchanged.
+        // at the same frequency do not fossilise.
         Sample &same = at(j);
-        accumulate(same, -1.0);
         same.power = 0.5 * same.power + 0.5 * dyn_power;
-        same.ly = std::log(same.power);
-        accumulate(same, +1.0);
+        // Rank-1 moment swap: the old log-power contributions leave,
+        // the smoothed ones enter; lx is unchanged. A lone sample's
+        // moments are not read until a second sample arrives, which
+        // sets them from it first (below), so it skips the log.
+        if (_count > 1) {
+            accumulate(same, -1.0);
+            same.ly = std::log(same.power);
+            accumulate(same, +1.0);
+        }
     } else {
+        if (_count == 1) {
+            // The moments a lone sample's refreshes would have left:
+            // each swap subtracts a term from a sum holding exactly
+            // it, leaving +0, and adds the new one, so the sums are
+            // +0 plus the sample's current terms.
+            Sample &lone = at(0);
+            lone.ly = std::log(lone.power);
+            _sumLx = _sumLy = _sumLxx = _sumLxy = 0.0;
+            accumulate(lone, +1.0);
+        }
         const Sample s{ratio, dyn_power, std::log(ratio),
                        std::log(dyn_power)};
         // Push, then evict: the new sample's moments enter before the
@@ -70,6 +84,19 @@ PowerLawTracker::observe(double ratio, Watts dyn_power)
 }
 
 void
+PowerLawTracker::bootstrap(const Sample &s)
+{
+    // pow(1, y) is exactly 1 (C99 F.9.4.4), and so is s.power / 1:
+    // a sample at the top of the ladder skips the pow with the same
+    // bits.
+    _model.scale = s.ratio == 1.0
+        ? s.power
+        : s.power / std::pow(s.ratio, _defaultExponent);
+    _model.exponent = _defaultExponent;
+    _model.fromFit = false;
+}
+
+void
 PowerLawTracker::refit()
 {
     if (_count == 0)
@@ -78,10 +105,7 @@ PowerLawTracker::refit()
     if (_count == 1) {
         // Bootstrap: solve Eq. 2 for the scale with the default
         // exponent.
-        const Sample &s = at(0);
-        _model.scale = s.power / std::pow(s.ratio, _defaultExponent);
-        _model.exponent = _defaultExponent;
-        _model.fromFit = false;
+        bootstrap(at(0));
         return;
     }
 
@@ -98,10 +122,7 @@ PowerLawTracker::refit()
         // history invariant, but rounding is not a proof): fall back
         // to bootstrap on the freshest sample, as the batch fit does
         // for all-equal ratios.
-        const Sample &s = at(_count - 1);
-        _model.scale = s.power / std::pow(s.ratio, _defaultExponent);
-        _model.exponent = _defaultExponent;
-        _model.fromFit = false;
+        bootstrap(at(_count - 1));
         return;
     }
     const double slope = sxy / sxx;
@@ -129,10 +150,12 @@ ModelFitter::ModelFitter(std::size_t num_cores, double core_exponent,
         _cores.emplace_back(core_exponent, min_exponent, max_exponent);
 }
 
-void
+const FittedModel &
 ModelFitter::observeCore(std::size_t core, double ratio, Watts dyn_power)
 {
-    _cores.at(core).observe(ratio, dyn_power);
+    PowerLawTracker &tracker = _cores.at(core);
+    tracker.observe(ratio, dyn_power);
+    return tracker.model();
 }
 
 void

@@ -65,12 +65,15 @@ class PowerLawTracker
      * refit over the history. The recovered parameters agree with a
      * batch fitPowerLaw over the same history to rounding (enforced
      * by a tolerance test), not bit-exactly: the moment accumulation
-     * order differs from the batch two-pass formula.
+     * order differs from the batch two-pass formula. While the history
+     * holds one sample, a refresh takes no log at all: the bootstrap
+     * reads only the sample's power, and the moments are set from it
+     * to the same bits when a second sample arrives.
      */
     void observe(double ratio, Watts dyn_power);
 
     /** Current fitted (or bootstrapped) model. */
-    FittedModel model() const { return _model; }
+    const FittedModel &model() const { return _model; }
 
     std::size_t samples() const { return _count; }
 
@@ -84,6 +87,10 @@ class PowerLawTracker
         double lx = 0.0; //!< log(ratio), cached for the moment updates
         double ly = 0.0; //!< log(power), cached for the moment updates
     };
+
+    /** The bootstrap model: Eq. 2's scale from `s` at the default
+     *  exponent. */
+    void bootstrap(const Sample &s);
 
     /** Add (+1) or remove (-1) a sample's log-log moment terms. */
     void accumulate(const Sample &s, double sign);
@@ -106,6 +113,8 @@ class PowerLawTracker
     // sum lx^2, sum lx*ly. History ratios are pairwise distinct (a
     // repeat refreshes in place), so with >= 2 samples the centered
     // x-variance is bounded well away from the accumulated rounding.
+    // With one sample they (and its ly) go stale as it is refreshed
+    // until a second arrives; nothing reads them before that.
     double _sumLx = 0.0;
     double _sumLy = 0.0;
     double _sumLxx = 0.0;
@@ -132,8 +141,10 @@ class ModelFitter
                          double min_exponent = 0.3,
                          double max_exponent = 4.0);
 
-    /** Observe core i at ratio x with measured dynamic power. */
-    void observeCore(std::size_t core, double ratio, Watts dyn_power);
+    /** Observe core i at ratio x with measured dynamic power, and
+     *  return its model after the refit. */
+    const FittedModel &observeCore(std::size_t core, double ratio,
+                                   Watts dyn_power);
 
     /** Observe the memory subsystem. */
     void observeMemory(double ratio, Watts dyn_power);

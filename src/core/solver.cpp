@@ -119,9 +119,10 @@ FastCapSolver::buildClasses()
     const std::size_t k = _classRep.size();
     for (std::vector<double> *v :
          {&_classMinT, &_classCache, &_classZbar, &_classPi, &_classAlpha,
-          &_classPStatic, &_classFloorTerm, &_classR, &_classRatio,
-          &_classPowTerm})
+          &_classPStatic, &_classR, &_classRatio, &_classPowTerm})
         v->resize(k);
+    // Filled the first time a class lands on f_min (classTermAt()).
+    _classFloorTerm.assign(k, std::numeric_limits<double>::quiet_NaN());
     for (std::size_t c = 0; c < k; ++c) {
         const std::size_t i = _classRep[c];
         const CoreModel &m = _in.cores[i];
@@ -131,7 +132,6 @@ FastCapSolver::buildClasses()
         _classPi[c] = m.pi;
         _classAlpha[c] = m.alpha;
         _classPStatic[c] = m.pStatic;
-        _classFloorTerm[c] = m.pi * std::pow(_minCoreRatio, m.alpha);
     }
 }
 
@@ -238,13 +238,19 @@ FastCapSolver::classTermAt(double d, std::uint32_t c) const
     _classRatio[c] = x;
     // Saturated classes skip the pow with the same bits: pow(1, y) is
     // exactly 1 (C99 F.9.4.4), and the floor term is this expression
-    // evaluated once per class.
-    if (x == 1.0)
+    // evaluated once per class, the first time the class lands on
+    // f_min. Until then it is NaN; a NaN term is recomputed, to the
+    // same bits.
+    if (x == 1.0) {
         _classPowTerm[c] = _classPi[c];
-    else if (x == _minCoreRatio)
+    } else if (x == _minCoreRatio) {
+        if (std::isnan(_classFloorTerm[c]))
+            _classFloorTerm[c] =
+                _classPi[c] * std::pow(_minCoreRatio, _classAlpha[c]);
         _classPowTerm[c] = _classFloorTerm[c];
-    else
+    } else {
         _classPowTerm[c] = _classPi[c] * std::pow(x, _classAlpha[c]);
+    }
 }
 
 void

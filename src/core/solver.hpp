@@ -323,7 +323,8 @@ class FastCapSolver
     std::vector<double> _classPStatic;     //!< P_static per class
     std::vector<std::uint32_t> _classRow;  //!< class -> access-row id
     std::vector<std::size_t> _rowRep;      //!< representative core per row
-    std::vector<double> _classFloorTerm;   //!< P_i x_min^alpha per class
+    /** P_i x_min^alpha per class, NaN until first needed. */
+    mutable std::vector<double> _classFloorTerm;
     // Per-probe state, reused across solves (no allocation).
     std::vector<double> _rowR;             //!< R(x_b) per access row
     std::vector<double> _classR;           //!< R(x_b) per class

@@ -188,6 +188,16 @@ ExperimentRunner::ExperimentRunner(SimConfig sim_cfg,
 
     _retired.assign(static_cast<std::size_t>(n), 0.0);
     _credit.resize(static_cast<std::size_t>(n));
+    // A fresh engine runs at every maximum level.
+    _coreLevels.assign(static_cast<std::size_t>(n),
+                       _simCfg.coreLadder.maxIndex());
+    _memLevel = _simCfg.memLadder.maxIndex();
+
+    // The inputs no window changes, filled once (the access rows by
+    // the first buildInputs()).
+    _inputs.coreRatios = _simCfg.coreLadder.ratios();
+    _inputs.memRatios = _simCfg.memLadder.ratios();
+    _inputs.background = _simCfg.backgroundPower;
 
     // Fallback queuing inputs before the first window: think time of
     // the bound application at max frequency.
@@ -231,17 +241,21 @@ ExperimentRunner::done() const
 }
 
 void
-ExperimentRunner::buildInputs(const WindowStats &w, PolicyInputs &in)
+ExperimentRunner::buildInputs(const WindowStats &w)
 {
+    PolicyInputs &in = _inputs;
     const std::size_t n = w.cores.size();
     const double f_max = _simCfg.coreLadder.max();
-
-    in.coreRatios = _simCfg.coreLadder.ratios();
-    in.memRatios = _simCfg.memLadder.ratios();
-    in.background = _simCfg.backgroundPower;
     in.budget = budget();
-
     in.cores.resize(n);
+    if (in.accessProbs.size() != n) {
+        // The engine's rows never change: one copy per run.
+        in.accessProbs.resize(n);
+        for (std::size_t i = 0; i < n; ++i)
+            in.accessProbs[i] =
+                _system->accessProbabilities(static_cast<int>(i));
+    }
+
     for (std::size_t i = 0; i < n; ++i) {
         const CoreWindowStats &cs = w.cores[i];
         CoreModel &cm = in.cores[i];
@@ -270,8 +284,8 @@ ExperimentRunner::buildInputs(const WindowStats &w, PolicyInputs &in)
             static_cast<double>(cs.counters.instructions) / w.duration;
 
         // Online Eq. 2 fit from (frequency ratio, dynamic power).
-        _fitter.observeCore(i, cs.frequency / f_max, cs.dynamicPower);
-        const FittedModel fm = _fitter.core(i);
+        const FittedModel &fm =
+            _fitter.observeCore(i, cs.frequency / f_max, cs.dynamicPower);
         cm.pi = fm.scale;
         cm.alpha = fm.exponent;
     }
@@ -309,25 +323,13 @@ ExperimentRunner::buildInputs(const WindowStats &w, PolicyInputs &in)
         mem_dyn += ms.dynamicPower;
         mem_total += ms.totalPower;
     }
-    _fitter.observeMemory(_simCfg.memLadder.at(memLevel()) / mem_fmax,
+    _fitter.observeMemory(_simCfg.memLadder.at(_memLevel) / mem_fmax,
                           mem_dyn);
     const FittedModel mm = _fitter.memory();
     in.memory.pm = mm.scale;
     in.memory.beta = mm.exponent;
     in.memory.pStatic = _simCfg.memPower.staticPower;
     in.memory.measuredPower = mem_total;
-
-    in.accessProbs.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        in.accessProbs[i] =
-            _system->accessProbabilities(static_cast<int>(i));
-}
-
-std::size_t
-ExperimentRunner::memLevel() const
-{
-    return _epochLog.empty() ? _simCfg.memLadder.maxIndex()
-                             : _epochLog.back().memFreqIdx;
 }
 
 void
@@ -337,15 +339,10 @@ ExperimentRunner::applyDecision(const PolicyDecision &dec,
     // The engine checks the decision's shape before anything below
     // reads it.
     _system->applyLevels(dec.coreFreqIdx, dec.memFreqIdx);
-    if (_epochLog.empty()) {
-        const std::size_t max = _simCfg.coreLadder.maxIndex();
-        core_changed = std::any_of(
-            dec.coreFreqIdx.begin(), dec.coreFreqIdx.end(),
-            [max](std::size_t idx) { return idx != max; });
-    } else {
-        core_changed = dec.coreFreqIdx != _epochLog.back().coreFreqIdx;
-    }
-    mem_changed = dec.memFreqIdx != memLevel();
+    core_changed = dec.coreFreqIdx != _coreLevels;
+    mem_changed = dec.memFreqIdx != _memLevel;
+    _coreLevels = dec.coreFreqIdx;
+    _memLevel = dec.memFreqIdx;
 }
 
 void
@@ -411,7 +408,7 @@ ExperimentRunner::step()
     const WindowStats w1 = _system->runWindow(_simCfg.profileWindow);
 
     // 2-3. Inputs, decision, actuation.
-    buildInputs(w1, _inputs);
+    buildInputs(w1);
     PolicyDecision dec = _policy.decide(_inputs);
     bool core_changed = false;
     bool mem_changed = false;
@@ -486,7 +483,6 @@ ExperimentRunner::step()
     publishTelemetry(rec);
 
     ++_epoch;
-    _epochLog.push_back(rec);
     return rec;
 }
 
@@ -538,14 +534,14 @@ ExperimentRunner::publishTelemetry(const EpochRecord &rec)
 ExperimentResult
 ExperimentRunner::run()
 {
+    ExperimentResult res;
     while (!done() && _epoch < _cfg.maxEpochs)
-        step();
+        res.epochs.push_back(step());
 
     if (!done())
         warn("ExperimentRunner: maxEpochs (%d) reached before all "
              "applications completed", _cfg.maxEpochs);
 
-    ExperimentResult res;
     res.policy = _policy.name();
     res.peakPower = _peakPower;
     // Under a budget schedule, report the configured base fraction
@@ -556,7 +552,6 @@ ExperimentRunner::run()
                             : _baseBudgetFraction;
     res.budget = frac * _peakPower;
     res.budgetFraction = frac;
-    res.epochs = _epochLog;
     res.apps = _apps;
     if (_traceReplayer) {
         res.trace = _traceReplayer->stats();

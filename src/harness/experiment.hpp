@@ -225,10 +225,18 @@ class ExperimentRunner
     ExperimentRunner(SimConfig sim_cfg, std::vector<AppProfile> apps,
                      CappingPolicy &policy, ExperimentConfig cfg);
 
-    /** Run to completion and return the result. */
+    /**
+     * Run to completion and return the result. Its epochs are the
+     * records of the steps this call made: the runner keeps no record
+     * itself, so epochs an earlier step() call ran are not in it.
+     */
     ExperimentResult run();
 
-    /** Advance a single epoch (for interactive examples). */
+    /**
+     * Advance a single epoch and return its record. The runner keeps
+     * only the levels the record carries, so a long run's memory does
+     * not grow with its epochs.
+     */
     EpochRecord step();
 
     /** True once every application reached its target. */
@@ -255,19 +263,19 @@ class ExperimentRunner
 
   private:
     /**
-     * Fill `in` from a profiling window, overwriting every field, so
-     * a reused PolicyInputs keeps its vectors' capacity.
+     * Fill the fields of _inputs a profiling window measures, in one
+     * loop over the cores that also feeds the fitter (sized on the
+     * first call). The rest are filled once: the ladders and the
+     * background power at construction, the access rows on the first
+     * call.
      */
-    void buildInputs(const WindowStats &w, PolicyInputs &in);
+    void buildInputs(const WindowStats &w);
     /**
-     * Apply `dec` to the engine and report which levels it moved
-     * against the levels in effect: the last record's, or every
-     * maximum before the first epoch (a fresh engine's).
+     * Apply `dec` to the engine, report which levels it moved against
+     * the levels in effect, and make its levels the ones in effect.
      */
     void applyDecision(const PolicyDecision &dec, bool &core_changed,
                        bool &mem_changed);
-    /** The memory level in effect (see applyDecision). */
-    std::size_t memLevel() const;
     /** Mark `core`'s application complete if this epoch took its
      *  retired count from `before` to at least the target. */
     void recordCompletion(std::size_t core, Seconds epoch_start,
@@ -309,7 +317,10 @@ class ExperimentRunner
     telemetry::Counter *_epochsCounter = nullptr;
     int _epoch = 0;
     std::vector<AppResult> _apps;
-    std::vector<EpochRecord> _epochLog;
+    /** The levels in effect: the last decision's, or every maximum
+     *  before the first epoch (a fresh engine's). */
+    std::vector<std::size_t> _coreLevels;
+    std::size_t _memLevel = 0;
     /** Instructions each core has retired, credit included: the
      *  engine's count after the last epoch's credit. */
     std::vector<double> _retired;

@@ -52,6 +52,18 @@ checkCredits(const SimConfig &cfg, const std::vector<double> &credit)
     if (credit.size() != static_cast<std::size_t>(cfg.numCores))
         panic("creditInstructions: %zu credits for %d cores",
               credit.size(), cfg.numCores);
+    for (std::size_t i = 0; i < credit.size(); ++i)
+        if (!(credit[i] >= 0.0))
+            panic("creditInstructions: credit %g for core %zu is "
+                  "negative or NaN", credit[i], i);
+}
+
+MemoryPowerModel
+controllerPowerModel(const SimConfig &cfg)
+{
+    return MemoryPowerModel(
+        cfg.memPower, 1.0 / static_cast<double>(cfg.numControllers),
+        cfg.mcVoltage, cfg.memLadder.max());
 }
 
 Watts
@@ -59,9 +71,7 @@ nameplatePeakPower(const SimConfig &cfg)
 {
     const CorePowerModel core(cfg.corePower, cfg.coreVoltage,
                               cfg.coreLadder.max());
-    const MemoryPowerModel mem(
-        cfg.memPower, 1.0 / static_cast<double>(cfg.numControllers),
-        cfg.mcVoltage, cfg.memLadder.max());
+    const MemoryPowerModel mem = controllerPowerModel(cfg);
     double peak = cfg.backgroundPower;
     peak += static_cast<double>(cfg.numCores) * core.peakPower();
     const Seconds transfer = cfg.busBurstCycles / cfg.memLadder.max();

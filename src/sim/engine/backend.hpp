@@ -198,8 +198,8 @@ class SimBackend
 void checkLevels(const SimConfig &cfg, const std::vector<std::size_t> &core,
                  std::size_t mem);
 
-/** creditInstructions()' length check: panic() unless `credit` holds
- *  one entry per core of `cfg`. */
+/** creditInstructions()' checks: panic() unless `credit` holds one
+ *  entry per core of `cfg`, none negative or NaN. */
 void checkCredits(const SimConfig &cfg, const std::vector<double> &credit);
 
 /**
@@ -209,6 +209,13 @@ void checkCredits(const SimConfig &cfg, const std::vector<double> &credit);
  * A property of the machine, so one value for both engines.
  */
 Watts nameplatePeakPower(const SimConfig &cfg);
+
+/**
+ * The power model of each memory controller of the machine `cfg`
+ * models: a 1/numControllers share of the memory subsystem. Every
+ * controller is priced by the same model, so an engine keeps one.
+ */
+MemoryPowerModel controllerPowerModel(const SimConfig &cfg);
 
 /**
  * The window accounting both engines share: each fills one stats

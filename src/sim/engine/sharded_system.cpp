@@ -26,6 +26,21 @@ laneRng(std::uint64_t seed, int core, int stream)
     return Rng(splitmix64(seed, n));
 }
 
+/**
+ * Start fetching `obj` into the cache. On a rack, a machine's lane
+ * pass finds its lanes (~700 bytes each) evicted by the other
+ * machines' passes; asking for a lane two visits ahead hides some of
+ * that latency. It changes no result.
+ */
+template <class T>
+void
+prefetch(const T &obj)
+{
+    const auto *p = reinterpret_cast<const char *>(&obj);
+    for (std::size_t off = 0; off < sizeof(T); off += 64)
+        __builtin_prefetch(p + off);
+}
+
 } // namespace
 
 ShardedSystem::ShardedSystem(SimConfig cfg,
@@ -36,6 +51,7 @@ ShardedSystem::ShardedSystem(SimConfig cfg,
     : _cfg(std::move(cfg)),
       _corePower(_cfg.corePower, _cfg.coreVoltage,
                  _cfg.coreLadder.max()),
+      _memPower(controllerPowerModel(_cfg)),
       _busFreq(_cfg.memLadder.max()), _threads(threads)
 {
     _cfg.validate();
@@ -59,6 +75,7 @@ ShardedSystem::ShardedSystem(SimConfig cfg,
     // they model latency, not the bandwidth bottleneck).
     _laneCfgs.reserve(static_cast<std::size_t>(k_ctrl));
     _laneScale.resize(static_cast<std::size_t>(n));
+    _laneBurst.resize(static_cast<std::size_t>(n));
     for (int c = 0; c < k_ctrl; ++c) {
         // A controller can be lane-less when numControllers exceeds
         // numCores (it then just idles, as on the monolithic engine);
@@ -74,25 +91,26 @@ ShardedSystem::ShardedSystem(SimConfig cfg,
         // Every lane starts on the fair share of its controller's
         // bus; redivideBandwidth() retunes these scales at window
         // barriers.
-        for (int i = c; i < n; i += k_ctrl)
+        for (int i = c; i < n; i += k_ctrl) {
             _laneScale[static_cast<std::size_t>(i)] =
                 static_cast<double>(lanes);
+            _laneBurst[static_cast<std::size_t>(i)] =
+                _laneCfgs.back().busBurstCycles;
+        }
     }
     _coreEnergy.resize(static_cast<std::size_t>(n));
+    _laneDemand.resize(static_cast<std::size_t>(n));
+    _coreFreq.assign(static_cast<std::size_t>(n), _cfg.coreLadder.max());
 
     _numShards = std::clamp(shards, 1, n);
+    _shardEvents.resize(static_cast<std::size_t>(_numShards));
     _lanes = std::vector<std::optional<Lane>>(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i)
         _lanes[static_cast<std::size_t>(i)].emplace(
             i, _laneCfgs[static_cast<std::size_t>(i % k_ctrl)], _cfg.seed,
             std::move(apps[static_cast<std::size_t>(i)]));
 
-    // Logical-controller power models and access rows, mirroring the
-    // monolithic system's per-controller share split.
-    const double share = 1.0 / static_cast<double>(k_ctrl);
-    for (int c = 0; c < k_ctrl; ++c)
-        _memPower.emplace_back(_cfg.memPower, share, _cfg.mcVoltage,
-                               _cfg.memLadder.max());
+    // Access rows, one per logical controller.
     _accessRows.resize(static_cast<std::size_t>(k_ctrl));
     for (int c = 0; c < k_ctrl; ++c) {
         std::vector<double> &row = _accessRows[static_cast<std::size_t>(c)];
@@ -186,12 +204,11 @@ ShardedSystem::applyLevels(const std::vector<std::size_t> &core,
                            std::size_t mem)
 {
     checkLevels(_cfg, core, mem);
+    // Recorded here, applied by the next window's lane pass.
     _busFreq = _cfg.memLadder.at(mem);
-    for (std::size_t i = 0; i < _lanes.size(); ++i) {
-        Lane &ln = *_lanes[i];
-        ln.core.frequency(_cfg.coreLadder.at(core[i]));
-        ln.controller.busFrequency(_busFreq);
-    }
+    for (std::size_t i = 0; i < core.size(); ++i)
+        _coreFreq[i] = _cfg.coreLadder.at(core[i]);
+    _levelsPending = true;
 }
 
 void
@@ -199,21 +216,37 @@ ShardedSystem::runShardWindow(int s, Seconds t_end, WindowStats &stats)
 {
     const Seconds duration = stats.duration;
     const auto [first, count] = shardRange(s);
+    std::uint64_t events = 0;
     for (int i = first; i < first + count; ++i) {
         const auto idx = static_cast<std::size_t>(i);
         Lane &ln = *_lanes[idx];
+        if (i + 2 < first + count)
+            prefetch(_lanes[idx + 2]);
+        // What the calls between windows recorded reaches the lane.
+        if (_levelsPending) {
+            ln.core.frequency(_coreFreq[idx]);
+            ln.controller.busFrequency(_busFreq);
+        }
+        if (_creditPending)
+            ln.core.creditInstructions(_credit[idx]);
+        ln.controller.busBurstCycles(_laneBurst[idx]);
+
         ln.core.resetCounters();
         ln.controller.resetCounters();
-        ln.queue.runUntil(t_end);
+        ln.core.runUntil(t_end);
         ln.core.flushStall(t_end);
         // Fold bank/bus busy time into the counters while still
-        // inside the shard job; the merge only reads them.
-        ln.controller.finalizeWindow();
+        // inside the shard job; the merge only reads them. The
+        // re-division reads the lane's demand from a flat copy.
+        const ControllerCounters &lc = ln.controller.finalizeWindow();
+        _laneDemand[idx] = static_cast<double>(lc.reads + lc.writebacks);
+        events += ln.queue.processed();
         // The lane's own stats, while it is still hot in cache. Each
         // job writes only its own lanes' slots.
         _coreEnergy[idx] = fillCoreStats(ln.core, _corePower, duration,
                                          stats.cores[idx]);
     }
+    _shardEvents[static_cast<std::size_t>(s)] = events;
 }
 
 WindowStats
@@ -243,6 +276,8 @@ ShardedSystem::runWindow(Seconds duration)
             runShardWindow(s, t_end, stats);
     }
     _now = t_end;
+    _levelsPending = false;
+    _creditPending = false;
 
     // Deterministic merge, all on the calling thread: core energies
     // summed in core-index order, then logical-controller aggregation
@@ -279,7 +314,7 @@ ShardedSystem::runWindow(Seconds duration)
         }
         energy += fillMemStats(
             agg, _busFreq, _cfg.busBurstCycles / _busFreq,
-            _memPower[static_cast<std::size_t>(c)], duration,
+            _memPower, duration,
             stats.memory[static_cast<std::size_t>(c)]);
     }
 
@@ -287,19 +322,14 @@ ShardedSystem::runWindow(Seconds duration)
     stats.totalEnergy = energy;
 
     // Observe-only: window count plus per-shard cumulative event
-    // counts (summed over the shard's lanes), published on the merge
-    // thread after the barrier so each gauge has one writer per
-    // window.
+    // counts (summed over the shard's lanes by the lane pass),
+    // published on the merge thread after the barrier so each gauge
+    // has one writer per window.
     if (_windowsMetric != nullptr) {
         _windowsMetric->add();
-        for (int s = 0; s < _numShards; ++s) {
-            const auto [first, count] = shardRange(s);
-            std::uint64_t events = 0;
-            for (int i = first; i < first + count; ++i)
-                events += lane(i).queue.processed();
-            _shardEventsMetric[static_cast<std::size_t>(s)]->set(
-                static_cast<double>(events));
-        }
+        for (std::size_t s = 0; s < _shardEvents.size(); ++s)
+            _shardEventsMetric[s]->set(
+                static_cast<double>(_shardEvents[s]));
     }
 
     // Demand-driven bandwidth re-division at the barrier: the merged
@@ -316,8 +346,7 @@ ShardedSystem::redivideBandwidth()
     const int n = _cfg.numCores;
     const int k_ctrl = _cfg.numControllers;
     const auto demand = [this](int i) {
-        const ControllerCounters &lc = lane(i).controller.counters();
-        return static_cast<double>(lc.reads + lc.writebacks);
+        return _laneDemand[static_cast<std::size_t>(i)];
     };
     for (int c = 0; c < k_ctrl; ++c) {
         double total = 0.0;
@@ -346,8 +375,8 @@ ShardedSystem::redivideBandwidth()
         for (std::size_t j = 0; j < count; ++j) {
             const int i = c + static_cast<int>(j) * k_ctrl;
             const double share = _laneWeight[j] / wsum;
-            lane(i).controller.busBurstCycles(
-                _cfg.busBurstCycles / share);
+            _laneBurst[static_cast<std::size_t>(i)] =
+                _cfg.busBurstCycles / share;
             _laneScale[static_cast<std::size_t>(i)] = 1.0 / share;
         }
     }
@@ -357,8 +386,14 @@ void
 ShardedSystem::creditInstructions(const std::vector<double> &credit)
 {
     checkCredits(_cfg, credit);
-    for (std::size_t i = 0; i < _lanes.size(); ++i)
-        _lanes[i]->core.creditInstructions(credit[i]);
+    // Recorded here, applied by the next window's lane pass. A second
+    // credit before that window sends the first to the cores now, so
+    // each core still adds them one at a time.
+    if (_creditPending)
+        for (std::size_t i = 0; i < _lanes.size(); ++i)
+            _lanes[i]->core.creditInstructions(_credit[i]);
+    _credit = credit;
+    _creditPending = true;
 }
 
 const std::vector<double> &
@@ -373,9 +408,11 @@ ShardedSystem::accessProbabilities(int core) const
 std::uint64_t
 ShardedSystem::eventsProcessed() const
 {
+    // Lanes process events only inside windows, so the lane pass's
+    // per-shard sums are the whole count.
     std::uint64_t processed = 0;
-    for (const std::optional<Lane> &ln : _lanes)
-        processed += ln->queue.processed();
+    for (const std::uint64_t events : _shardEvents)
+        processed += events;
     return processed;
 }
 

@@ -134,16 +134,21 @@ class ShardedSystem : public SimBackend
 
     Lane &lane(int core);
     const Lane &lane(int core) const;
-    /** Advance shard s's lanes, one by one, to t_end, finalize
-     *  their window counters and fill their slots of stats.cores and
-     *  _coreEnergy. */
+    /**
+     * Shard s's lane pass: apply the levels, credits and bus share
+     * recorded since the last window, advance each lane to t_end,
+     * finalize its window counters, record its demand in _laneDemand,
+     * fill its slots of stats.cores and _coreEnergy, and sum the
+     * shard's events into _shardEvents. Only the merge visits the
+     * lanes again in a window, to read their controller counters.
+     */
     void runShardWindow(int s, Seconds t_end, WindowStats &stats);
     /**
      * Re-divide every logical bus across its lanes from the demand
-     * (reads + writebacks) the merged window measured. Runs on the
-     * calling thread at the window barrier; inputs are per-lane
-     * counters only, so the new weights are identical for every
-     * shard layout and thread count.
+     * (reads + writebacks) the merged window measured, into
+     * _laneScale and _laneBurst. Runs on the calling thread at the
+     * window barrier; inputs are per-lane counters only, so the new
+     * weights are identical for every shard layout and thread count.
      */
     void redivideBandwidth();
 
@@ -167,9 +172,26 @@ class ShardedSystem : public SimBackend
      * scale that was in effect during the window.
      */
     std::vector<double> _laneScale;
+    /** Bus burst cycles of each lane's controller in the next window:
+     *  its logical controller's scaled by 1 / the lane's share. */
+    std::vector<double> _laneBurst;
     /** Per-core energy of the last window, written by the lane pass
      *  and summed in core order by the merge. */
     std::vector<double> _coreEnergy;
+    /** Each lane's demand (reads + writebacks) in the last window,
+     *  recorded by the lane pass for redivideBandwidth(). */
+    std::vector<double> _laneDemand;
+    /** Each shard's lanes' events processed, summed by the lane pass. */
+    std::vector<std::uint64_t> _shardEvents;
+    /**
+     * The operating point and credit recorded by applyLevels() and
+     * creditInstructions(): the next lane pass applies them to the
+     * lanes when the flags are set, then clears them.
+     */
+    std::vector<Hertz> _coreFreq;
+    std::vector<double> _credit;
+    bool _levelsPending = false;
+    bool _creditPending = false;
     /** redivideBandwidth()'s per-controller weight scratch. */
     std::vector<double> _laneWeight;
 
@@ -181,7 +203,7 @@ class ShardedSystem : public SimBackend
     std::vector<std::optional<Lane>> _lanes;
     int _numShards = 1;
     CorePowerModel _corePower;
-    std::vector<MemoryPowerModel> _memPower; //!< per logical controller
+    MemoryPowerModel _memPower; //!< every logical controller's
     /** One-hot access row of each logical controller; core i reads
      *  row i % numControllers. */
     std::vector<std::vector<double>> _accessRows;

@@ -8,17 +8,15 @@ namespace fastcap {
 
 ManyCoreSystem::ManyCoreSystem(SimConfig cfg, std::vector<AppProfile> apps)
     : _cfg(std::move(cfg)), _apps(std::move(apps)), _rng(_cfg.seed),
-      _corePower(_cfg.corePower, _cfg.coreVoltage, _cfg.coreLadder.max())
+      _corePower(_cfg.corePower, _cfg.coreVoltage, _cfg.coreLadder.max()),
+      _memPower(controllerPowerModel(_cfg))
 {
     _cfg.validate();
     if (static_cast<int>(_apps.size()) != _cfg.numCores)
         fatal("ManyCoreSystem: %zu applications for %d cores",
               _apps.size(), _cfg.numCores);
 
-    const double share = 1.0 / static_cast<double>(_cfg.numControllers);
     for (int k = 0; k < _cfg.numControllers; ++k) {
-        _memPower.emplace_back(_cfg.memPower, share, _cfg.mcVoltage,
-                               _cfg.memLadder.max());
         _controllers.push_back(std::make_unique<MemoryController>(
             k, _cfg, _queue, _rng.split(1000 + k)));
         _controllers.back()->deliverySink(this);
@@ -145,7 +143,7 @@ ManyCoreSystem::runWindow(Seconds duration)
         MemoryController &ctrl = *_controllers[k];
         const ControllerCounters &counters = ctrl.finalizeWindow();
         energy += fillMemStats(counters, ctrl.busFrequency(),
-                               ctrl.transferTime(), _memPower[k],
+                               ctrl.transferTime(), _memPower,
                                duration, stats.memory[k]);
     }
 

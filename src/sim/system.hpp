@@ -102,7 +102,7 @@ class ManyCoreSystem final : public SimBackend,
     std::vector<std::unique_ptr<Core>> _cores;
     std::vector<std::unique_ptr<MemoryController>> _controllers;
     CorePowerModel _corePower;
-    std::vector<MemoryPowerModel> _memPower;
+    MemoryPowerModel _memPower; //!< every controller's (one share)
     std::vector<std::vector<double>> _accessProbs;
     bool _running = false;
 };

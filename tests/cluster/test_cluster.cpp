@@ -166,6 +166,31 @@ TEST(Cluster, FailureKillsAndRestoreReconverges)
     EXPECT_GT(res.epochs.back().machinePower[1], 0.0);
 }
 
+TEST(Cluster, RestoreEpochStaysWithinUsableBudget)
+{
+    // A flash crowd on 8 x 128 cores, machine 3 down over epochs 2-3:
+    // the restored machine claims its full peak in epoch 4, like a new
+    // one, so its grant covers its floor power and the rack stays
+    // within what it may use.
+    clearPeakPowerCache();
+    ClusterConfig cfg;
+    cfg.machines = 8;
+    cfg.machine = SimConfig::defaultConfig(128);
+    cfg.rackBudgetFraction = 0.5;
+    cfg.maxEpochs = 6;
+    cfg.trace = "gen:flash,rate=40000,horizon=0.05,max-cores=128,"
+                "flash-start=0.005,flash-duration=0.03,flash-factor=8,"
+                "seed=3";
+    cfg.failures = {{3, 2, 4}};
+    Logger::global().level(LogLevel::Silent);
+    const ClusterResult res = Cluster(cfg).run();
+    Logger::global().level(LogLevel::Warn);
+    ASSERT_EQ(res.epochs.size(), 6u);
+    const ClusterEpochRecord &restored = res.epochs[4];
+    EXPECT_EQ(restored.aliveMachines, 8);
+    EXPECT_LE(restored.totalPower, 1.005 * restored.usableBudget);
+}
+
 TEST(Cluster, FailureLossAccountingIsConsistent)
 {
     clearPeakPowerCache();

@@ -272,6 +272,38 @@ TEST(PowerLawTracker, RingMatchesDequeReference)
     Logger::global().level(LogLevel::Warn);
 }
 
+TEST(PowerLawTracker, RingMatchesDequeReferenceThroughLongRepeats)
+{
+    // Long runs at one ratio, the top of the ladder among them: a lone
+    // sample is refreshed many times before a second arrives, with
+    // powers on both sides of 1 W (log-power of either sign, and 0 at
+    // ratio 1), and later runs refresh a full history.
+    PowerLawTracker ring(2.5, 0.3, 4.0);
+    DequeTracker ref(2.5, PowerLawTracker::kHistory, 0.3, 4.0);
+    Rng rng(0x5eed1234ULL);
+    const double ladder[] = {1.0, 0.75, 1.0, 0.5, 0.625, 0.75, 1.0};
+    int step = 0;
+    for (const double ratio : ladder) {
+        const int run = 40 + static_cast<int>(rng.below(200));
+        for (int k = 0; k < run; ++k, ++step) {
+            const double power = k % 17 == 3
+                ? 1.0
+                : std::pow(ratio, 2.7) * rng.uniform(0.3, 3.0);
+            ring.observe(ratio, power);
+            ref.observe(ratio, power);
+            const FittedModel a = ring.model();
+            const FittedModel b = ref.model();
+            ASSERT_EQ(doubleBits(a.scale), doubleBits(b.scale))
+                << "step " << step;
+            ASSERT_EQ(doubleBits(a.exponent), doubleBits(b.exponent))
+                << "step " << step;
+            ASSERT_EQ(a.fromFit, b.fromFit) << "step " << step;
+            ASSERT_EQ(ring.samples(), ref.samples()) << "step " << step;
+        }
+    }
+    EXPECT_EQ(ring.samples(), PowerLawTracker::kHistory);
+}
+
 TEST(ModelFitter, TracksAllCoresIndependently)
 {
     ModelFitter f(3);

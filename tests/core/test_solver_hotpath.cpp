@@ -434,6 +434,55 @@ TEST(SolverHotPath, SaturatedTermsBitIdenticalToReference)
     Logger::global().level(LogLevel::Warn);
 }
 
+TEST(SolverHotPath, LazyFloorTermsBitIdenticalToReference)
+{
+    // A class's floor term is computed the first time it lands on
+    // f_min and kept. One solver walks the memory levels top down and
+    // back up: the first solves pin no class at the floor, later ones
+    // pin some of them, at different levels different ones, and the
+    // way back up reuses terms computed on the way down. Every inner
+    // solve must match a reference solver bit for bit.
+    Logger::global().level(LogLevel::Silent);
+    PolicyInputs in = classedInputs(48, 12, 3);
+    in.memory.controllers[0].sm = 2e-9;
+    in.memory.controllers[0].sbBar = 20e-9;
+    in.coreRatios = {0.6, 0.7, 0.8, 0.9, 1.0};
+    double max_power = in.staticPower() + in.memory.pm;
+    for (const CoreModel &c : in.cores)
+        max_power += c.pi;
+    in.budget = 0.8 * max_power;
+
+    SolverOptions ref_opts;
+    ref_opts.referenceImpl = true;
+    FastCapSolver fast(in);
+    FastCapSolver ref(in, ref_opts);
+    const std::size_t m = in.memRatios.size();
+    std::vector<std::size_t> order;
+    for (std::size_t i = m; i-- > 0;)
+        order.push_back(i);
+    for (std::size_t i = 0; i < m; ++i)
+        order.push_back(i);
+    std::vector<RatioMix> mixes;
+    for (const std::size_t level : order) {
+        const InnerSolution a = fast.solveAtMemIndex(level);
+        expectSameBits(a, ref.solveAtMemIndex(level),
+                       "level " + std::to_string(level));
+        mixes.push_back(ratioMix(a, in.minCoreRatio()));
+    }
+    // Down the levels: no floor, then some classes on it, then more
+    // (whose terms are computed only then); each level below the top
+    // has classes off the floor too.
+    std::size_t first_floor = 0;
+    while (first_floor < m && mixes[first_floor].floor == 0)
+        ++first_floor;
+    ASSERT_GT(first_floor, 0u);
+    ASSERT_LT(first_floor + 1, m);
+    EXPECT_LT(mixes[first_floor].floor, in.cores.size());
+    EXPECT_GT(mixes[first_floor + 1].floor, mixes[first_floor].floor);
+    EXPECT_LT(mixes[m - 1].floor, in.cores.size());
+    Logger::global().level(LogLevel::Warn);
+}
+
 TEST(SolverHotPath, WarmStartPicksTheColdLevel)
 {
     // Any hint — right, wrong, or out of range — must leave the

@@ -10,7 +10,9 @@
  * application swaps and instruction credits between windows, and
  * out-of-order cores; on the one-bank lane every 1024-core machine has
  * and on a four-bank one, where a read can overtake its think's
- * writeback on the bus.
+ * writeback on the bus. The inline lane holds a think that ends past
+ * the window with nothing else pending (Core::runUntil()); that think
+ * is bit-identical to the heap lane's across window boundaries too.
  */
 
 #include <gtest/gtest.h>
@@ -124,7 +126,7 @@ struct HandLane
     {
         core.resetCounters();
         controller.resetCounters();
-        queue.runUntil(t_end);
+        core.runUntil(t_end);
         core.flushStall(t_end);
         controller.finalizeWindow();
     }
@@ -200,15 +202,19 @@ struct LaneTrio
 
     /** Run one window on all three and compare them bit for bit: the
      *  loop counts each inline think-done as the heap dispatched it,
-     *  and leaves the same events pending, bar the parked one. */
+     *  and leaves the same events pending, bar the parked one, with a
+     *  think its core holds counted as pending. */
     void
     runWindow(Seconds t_end)
     {
         each([&](HandLane &l) { l.runWindow(t_end); });
         expectSameLane(heap, events);
         expectSameLane(loop, events);
+        EXPECT_FALSE(heap.core.thinkHeld());
+        EXPECT_FALSE(events.core.thinkHeld());
         EXPECT_EQ(loop.queue.processed(), heap.queue.processed());
-        EXPECT_EQ(loop.queue.pending() + 1, heap.queue.pending());
+        EXPECT_EQ(loop.queue.pending() + (loop.core.thinkHeld() ? 1 : 0) + 1,
+                  heap.queue.pending());
         EXPECT_EQ(doubleBits(loop.queue.now()),
                   doubleBits(events.queue.now()));
     }
@@ -382,6 +388,61 @@ TEST(LaneFastPath, ThinkEndingExactlyAtTheWindowEndRunsInIt)
     }
 }
 
+/** Records its lane's miss count when it fires. */
+struct MissProbe final : EventHandler
+{
+    explicit MissProbe(const Core &c) : core(c) {}
+
+    void
+    onEvent(std::uint32_t, double) override
+    {
+        seen.push_back(core.counters().misses);
+    }
+
+    const Core &core;
+    std::vector<std::uint64_t> seen;
+};
+
+TEST(LaneFastPath, HeldThinkEndingExactlyAtTheWindowEndRunsInIt)
+{
+    // A window ending 1 ns before a think's done leaves that think
+    // held; the next window ends exactly at its done, and the held
+    // think runs in it, as the heap dispatches an event at t_end. A
+    // probe scheduled at that same time after the hold fires after
+    // the think on every lane: the held think kept its place.
+    const SimConfig cfg = laneConfig(ExecMode::InOrder, 1);
+    const AppProfile app = lightApp();
+    std::vector<Seconds> think_done;
+    {
+        HandLane probe(cfg, app, Path::Events);
+        while (think_done.size() < 40) {
+            const std::uint64_t before = probe.core.counters().misses;
+            ASSERT_TRUE(probe.queue.step());
+            if (probe.core.counters().misses != before)
+                think_done.push_back(probe.queue.now());
+        }
+    }
+    for (const std::size_t k : {3u, 11u, 39u}) {
+        SCOPED_TRACE("think " + std::to_string(k));
+        LaneTrio trio(cfg, app);
+        trio.runWindow(think_done[k] - 1e-9);
+        ASSERT_TRUE(trio.loop.core.thinkHeld());
+        MissProbe events_probe(trio.events.core);
+        MissProbe heap_probe(trio.heap.core);
+        MissProbe loop_probe(trio.loop.core);
+        trio.events.queue.schedule(think_done[k], events_probe);
+        trio.heap.queue.schedule(think_done[k], heap_probe);
+        trio.loop.queue.schedule(think_done[k], loop_probe);
+        trio.runWindow(think_done[k]);
+        EXPECT_EQ(trio.loop.core.counters().misses, 1u);
+        EXPECT_EQ(doubleBits(trio.loop.queue.now()),
+                  doubleBits(think_done[k]));
+        EXPECT_EQ(heap_probe.seen, (std::vector<std::uint64_t>{1}));
+        EXPECT_EQ(events_probe.seen, heap_probe.seen);
+        EXPECT_EQ(loop_probe.seen, heap_probe.seen);
+    }
+}
+
 TEST(LaneFastPath, TwoWritebackThinkMidChainFallsBackToEvents)
 {
     // 1.3 writebacks per miss: every think writes back one line, and
@@ -493,6 +554,136 @@ TEST(LaneFastPath, StepOutsideRunUntilNeverResolvesInline)
     }
     EXPECT_GT(fast.core.counters().misses, 50u);
     expectSameLane(fast, slow);
+}
+
+/** The knob a held-think run changes between windows. */
+enum class Knob { None, Swap, Dvfs, Credit };
+
+TEST(LaneFastPath, HeldThinkMatchesHeapPathAcrossWindowBoundaries)
+{
+    // Windows a few rare-miss thinks long mostly end inside a think
+    // whose miss resolved inline, so the loop lane holds that think
+    // into the next window. Between windows each knob changes what
+    // the held think's run or the think after it sees; all three
+    // lanes must stay bit-identical, counts and pending included.
+    const SimConfig cfg = laneConfig(ExecMode::InOrder, 1);
+    for (const Knob knob : {Knob::None, Knob::Swap, Knob::Dvfs,
+                            Knob::Credit}) {
+        SCOPED_TRACE("knob " + std::to_string(static_cast<int>(knob)));
+        LaneTrio trio(cfg, lightApp());
+        Rng pick(7);
+        int held = 0;
+        int held_changed = 0;
+        Seconds t = 0.0;
+        for (int w = 0; w < 200; ++w) {
+            const bool was_held = trio.loop.core.thinkHeld();
+            held += was_held ? 1 : 0;
+            if (w % 2 == 1) {
+                held_changed += was_held ? 1 : 0;
+                switch (knob) {
+                case Knob::Swap:
+                    trio.each([&](HandLane &l) {
+                        l.app = w % 4 == 1 ? phasedApp() : lightApp();
+                    });
+                    break;
+                case Knob::Dvfs: {
+                    const Hertz f = cfg.coreLadder.at(
+                        pick.below(cfg.coreLadder.size()));
+                    trio.each([&](HandLane &l) { l.core.frequency(f); });
+                    break;
+                }
+                case Knob::Credit:
+                    trio.each([&](HandLane &l) {
+                        l.core.creditInstructions(1e3 * (1 + w % 5));
+                    });
+                    break;
+                case Knob::None:
+                    break;
+                }
+            }
+            t += 2e-6 * (0.2 + pick.uniform());
+            SCOPED_TRACE("window " + std::to_string(w));
+            trio.runWindow(t);
+        }
+        // Most windows began with a held think, about half of those
+        // after a knob change.
+        EXPECT_GT(held, 80);
+        if (knob != Knob::None) {
+            EXPECT_GT(held_changed, 40);
+        }
+    }
+}
+
+TEST(LaneFastPath, HeldThinkFallingBackToEventsMatchesHeapPath)
+{
+    // A think held under a writeback-free application runs under one
+    // that writes back two lines per miss: its think-done draws two
+    // writebacks, which cannot resolve inline, so the lane falls back
+    // to events right after the held think. Then back again.
+    const SimConfig cfg = laneConfig(ExecMode::InOrder, 1);
+    const AppProfile writer("writer2", phase(1e9, 10.0, 20.0, 1.0));
+    LaneTrio trio(cfg, lightApp());
+    Rng pick(11);
+    int fallbacks = 0;
+    Seconds t = 0.0;
+    for (int w = 0; w < 120; ++w) {
+        const bool swap_to_writer = trio.loop.core.thinkHeld() && w % 2;
+        if (swap_to_writer)
+            trio.each([&](HandLane &l) { l.app = writer; });
+        const std::uint64_t before = trio.loop.queue.processed();
+        // Long enough after a swap for the held think to end in it.
+        t += (swap_to_writer ? 5e-6 : 2e-6) * (0.2 + pick.uniform());
+        SCOPED_TRACE("window " + std::to_string(w));
+        trio.runWindow(t);
+        if (swap_to_writer) {
+            // More events than misses: the held think's requests, at
+            // least, took the event path.
+            EXPECT_GT(trio.loop.queue.processed() - before,
+                      trio.loop.core.counters().misses);
+            ++fallbacks;
+            trio.each([&](HandLane &l) { l.app = lightApp(); });
+        }
+    }
+    EXPECT_GT(fallbacks, 20);
+}
+
+TEST(LaneFastPath, HeldThinkJoinsTheHeapOnceSomethingElseIsScheduled)
+{
+    // An event scheduled on the lane while its core holds a think
+    // sends the think into the heap in the place it held: the lane
+    // dispatches both in the heap lane's order, and each probe sees
+    // the same miss count on both lanes.
+    const SimConfig cfg = laneConfig(ExecMode::InOrder, 1);
+    HandLane heap(cfg, lightApp(), Path::Heap);
+    HandLane loop(cfg, lightApp(), Path::Loop);
+    MissProbe heap_probe(heap.core);
+    MissProbe loop_probe(loop.core);
+    Rng pick(5);
+    int joined = 0;
+    Seconds t = 0.0;
+    for (int w = 0; w < 100; ++w) {
+        const Seconds len = 2e-6 * (0.2 + pick.uniform());
+        if (loop.core.thinkHeld()) {
+            // A probe inside the next window, and one at its end.
+            for (const Seconds at : {t + 0.5 * len, t + len}) {
+                heap.queue.schedule(at, heap_probe);
+                loop.queue.schedule(at, loop_probe);
+            }
+            ++joined;
+        }
+        t += len;
+        SCOPED_TRACE("window " + std::to_string(w));
+        heap.runWindow(t);
+        loop.runWindow(t);
+        expectSameLane(loop, heap);
+        EXPECT_EQ(loop.queue.processed(), heap.queue.processed());
+        EXPECT_EQ(loop.queue.pending() + (loop.core.thinkHeld() ? 1 : 0) +
+                      1,
+                  heap.queue.pending());
+    }
+    EXPECT_GT(joined, 30);
+    EXPECT_EQ(loop_probe.seen, heap_probe.seen);
+    EXPECT_EQ(loop_probe.seen.size(), static_cast<std::size_t>(2 * joined));
 }
 
 } // namespace

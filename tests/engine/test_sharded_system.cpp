@@ -19,6 +19,7 @@
 #include "sim/system.hpp"
 #include "telemetry/registry.hpp"
 #include "util/logging.hpp"
+#include "util/math.hpp"
 #include "workload/spec_table.hpp"
 
 namespace fastcap {
@@ -196,6 +197,51 @@ TEST(ShardedSystem, ActuationPanicsOnMalformedInputs)
     EXPECT_THROW(sys.applyLevels(std::vector<std::size_t>(7, 0), 0),
                  PanicError);
     EXPECT_THROW(sys.creditInstructions(std::vector<double>(9, 0.0)),
+                 PanicError);
+}
+
+/**
+ * applyLevels() and creditInstructions() only record; the next lane
+ * pass applies them. A 1 ns window, in which no think ends, shows
+ * exactly what reached each core: its frequency, and a retired count
+ * that added each credit once, in the order the calls came.
+ */
+TEST(ShardedSystem, RecordedLevelsAndCreditsReachTheNextWindow)
+{
+    const SimConfig cfg = config(8);
+    ShardedSystem sys(cfg, workloads::mix("MIX1", 8), 3, 1);
+    const WindowStats w1 = sys.runWindow(cfg.profileWindow);
+
+    std::vector<std::size_t> levels(8);
+    std::vector<double> first(8);
+    std::vector<double> second(8);
+    for (std::size_t i = 0; i < 8; ++i) {
+        levels[i] = i % cfg.coreLadder.size();
+        first[i] = 1000.5 * static_cast<double>(i + 1);
+        second[i] = 0.1 * static_cast<double>(i);
+    }
+    sys.applyLevels(levels, 2);
+    sys.creditInstructions(first);
+    sys.creditInstructions(second);
+    const WindowStats w2 = sys.runWindow(1e-9);
+    for (std::size_t i = 0; i < 8; ++i) {
+        EXPECT_EQ(w2.cores[i].frequency, cfg.coreLadder.at(levels[i]))
+            << "core " << i;
+        EXPECT_EQ(w2.cores[i].counters.misses, 0u) << "core " << i;
+        EXPECT_EQ(doubleBits(w2.cores[i].retired),
+                  doubleBits(w1.cores[i].retired + first[i] + second[i]))
+            << "core " << i;
+    }
+    for (const MemWindowStats &m : w2.memory)
+        EXPECT_EQ(m.busFrequency, cfg.memLadder.at(2));
+
+    // Nothing is pending after that window: the next one adds nothing.
+    const WindowStats w3 = sys.runWindow(1e-9);
+    for (std::size_t i = 0; i < 8; ++i)
+        EXPECT_EQ(doubleBits(w3.cores[i].retired),
+                  doubleBits(w2.cores[i].retired))
+            << "core " << i;
+    EXPECT_THROW(sys.creditInstructions(std::vector<double>(8, -1.0)),
                  PanicError);
 }
 
