@@ -149,7 +149,9 @@ Cluster::Cluster(ClusterConfig cfg) : _cfg(std::move(cfg))
         _trace = makeTraceSource(_cfg.trace);
 
     _pool = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(_cfg.machineThreads), _cfg.registry);
+        ThreadPool::workersFor(_cfg.machineThreads,
+                               static_cast<std::size_t>(_cfg.machines)),
+        _cfg.registry);
 
     inform("Cluster: %d machines of %d cores, installed peak %.6g W",
            _cfg.machines, _cfg.machine.numCores, _installedPeak);
@@ -333,33 +335,32 @@ Cluster::step()
     dispatch(epoch_start, rec);
 
     // 5. Machine epochs, fanned out; each job touches only its own
-    // machine and result slot, so the fan-out is embarrassingly
-    // parallel and the merge below runs in fixed index order.
-    std::vector<EpochRecord> recs(m);
-    for (std::size_t i = 0; i < m; ++i) {
-        Machine &mc = *_machines[i];
-        if (!mc.alive)
-            continue;
-        _pool->submit([&mc, &recs, i, epoch_start] {
-            mc.replayer->advanceTo(
-                epoch_start,
-                [&mc](int core, const AppProfile &app) {
-                    mc.runner->swapApp(core, app);
-                });
-            recs[i] = mc.runner->step();
-        });
-    }
-    _pool->wait();
-
-    // 6. Collect aggregates and next-epoch demands, in index order.
+    // machine and power slot, so the fan-out is embarrassingly
+    // parallel and the merge below runs in fixed index order. Of a
+    // machine's epoch record the rack reads only its power.
     rec.machinePower.assign(m, 0.0);
     for (std::size_t i = 0; i < m; ++i) {
         Machine &mc = *_machines[i];
         if (!mc.alive)
             continue;
+        _pool->submit([&mc, &power = rec.machinePower[i], epoch_start] {
+            mc.replayer->advanceTo(
+                epoch_start,
+                [&mc](int core, const AppProfile &app) {
+                    mc.runner->swapApp(core, app);
+                });
+            power = mc.runner->step().totalPower;
+        });
+    }
+    _pool->wait();
+
+    // 6. Collect aggregates and next-epoch demands, in index order.
+    for (std::size_t i = 0; i < m; ++i) {
+        Machine &mc = *_machines[i];
+        if (!mc.alive)
+            continue;
         ++rec.aliveMachines;
-        rec.totalPower += recs[i].totalPower;
-        rec.machinePower[i] = recs[i].totalPower;
+        rec.totalPower += rec.machinePower[i];
 
         const TraceReplayStats &st = mc.replayer->stats();
         _completed += st.completed - mc.lastCompleted;
@@ -383,7 +384,7 @@ Cluster::step()
                 static_cast<double>(_cfg.machine.numCores));
         mc.demand = std::min(
             mc.peak,
-            std::max(recs[i].totalPower, mc.peak * occupancy));
+            std::max(rec.machinePower[i], mc.peak * occupancy));
     }
 
     if (_cfg.registry != nullptr) {

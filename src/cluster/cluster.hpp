@@ -73,8 +73,8 @@ struct ClusterConfig
     std::string trace;
     int maxEpochs = 100;
     /**
-     * Threads machine epochs fan out over (0 = hardware). Output is
-     * byte-identical for every value.
+     * Threads machine epochs fan out over, at most one per machine
+     * (0 = hardware). Output is byte-identical for every value.
      */
     int machineThreads = 1;
     /** Per-machine engine shards (ExperimentConfig::shards). */
@@ -169,7 +169,6 @@ class Cluster
   private:
     struct Machine;
 
-    void applyFailures();
     void killMachine(Machine &mc, int index);
     void dispatch(Seconds epoch_start, ClusterEpochRecord &rec);
     /** Dispatcher load metric: busy + backlogged + queued cores. */

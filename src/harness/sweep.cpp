@@ -429,11 +429,10 @@ SweepResult::writeJson(std::FILE *out) const
 }
 
 SweepRunner::SweepRunner(SweepGrid grid, int threads)
-    : _grid(std::move(grid)),
-      _threads(threads > 0
-                   ? threads
-                   : static_cast<int>(ThreadPool::hardwareWorkers()))
+    : _grid(std::move(grid)), _threads(threads)
 {
+    if (threads < 0)
+        fatal("SweepRunner: threads must be >= 0 (got %d)", threads);
 }
 
 SweepRun
@@ -480,11 +479,11 @@ SweepRunner::run()
 
     SweepResult result;
     result.grid = _grid;
-    result.threads = _threads;
+    result.threads = static_cast<int>(ThreadPool::workersFor(_threads, n));
     result.runs.resize(n);
 
     {
-        ThreadPool pool(static_cast<std::size_t>(_threads));
+        ThreadPool pool(static_cast<std::size_t>(result.threads));
         for (std::size_t i = 0; i < n; ++i)
             pool.submit([this, i, &result] {
                 result.runs[i] = runOne(_grid, i);

@@ -210,7 +210,10 @@ struct SweepResult
 class SweepRunner
 {
   public:
-    /** @param threads worker count; 0 = hardware concurrency. */
+    /**
+     * @param threads worker count, at most one per run; 0 = hardware
+     *        concurrency. A negative count is fatal.
+     */
     explicit SweepRunner(SweepGrid grid, int threads = 0);
 
     /** Execute every grid point and collect the ordered results. */
@@ -219,8 +222,6 @@ class SweepRunner
     /** Execute a single grid point (used by workers and tests). */
     static SweepRun runOne(const SweepGrid &grid,
                            std::size_t run_index);
-
-    int threads() const { return _threads; }
 
   private:
     SweepGrid _grid;

@@ -259,14 +259,7 @@ Core::onThinkDone()
             _thinkInstr = think_instr;
             _thinkTime = think_time;
             _thinkPending = true;
-            if (_queue.empty()) {
-                // Nothing else pending: hold the think (runUntil()).
-                _thinkSeq = _queue.hold(end);
-                _thinkEnd = end;
-                _thinkHeld = true;
-            } else {
-                _queue.schedule(end, *this, kThinkDone);
-            }
+            _queue.schedule(end, *this, kThinkDone);
             return;
         }
         _queue.advanceInline(end);
@@ -274,23 +267,6 @@ Core::onThinkDone()
     }
     write_back();
     submitThink(now, *phase, writebacks);
-}
-
-void
-Core::runUntil(Seconds t_end)
-{
-    if (_thinkHeld) {
-        if (!_queue.empty()) {
-            // Something else was scheduled since the hold.
-            _thinkHeld = false;
-            _queue.scheduleHeld(_thinkEnd, _thinkSeq, *this, kThinkDone);
-        } else if (_thinkEnd <= t_end) {
-            _thinkHeld = false;
-            _queue.runHeld(_thinkEnd, *this, kThinkDone, t_end);
-            return;
-        }
-    }
-    _queue.runUntil(t_end);
 }
 
 void

@@ -78,33 +78,14 @@ class Core final : public EventHandler, public DeliverySink
      * the read's delivery time. The lane then has nothing in flight,
      * so a next think ending within the queue's horizon() runs in the
      * same call through EventQueue::advanceInline(): a resolved miss
-     * costs no heap traffic at all. A think that drew two or more writebacks, whose
-     * read would overtake its writeback, or whose delivery would fall
-     * past the horizon takes the event path, and so does a next think
-     * ending past the horizon. Counters and event counts are
-     * bit-identical either way.
-     *
-     * A next think ending past the horizon with nothing else pending
-     * is not scheduled either: the core holds it (EventQueue::hold())
-     * and runUntil() runs it in a later window. So the queue of a
-     * core with an inline controller must be run through runUntil(),
-     * never through the queue's own runUntil() or step().
+     * costs no heap traffic at all. A next think ending past the
+     * horizon is scheduled, to run in a later window. A think that
+     * drew two or more writebacks, whose read would overtake its
+     * writeback, or whose delivery would fall past the horizon takes
+     * the event path. Counters and event counts are bit-identical
+     * either way.
      */
     void inlineController(MemoryController *ctrl) { _inline = ctrl; }
-
-    /**
-     * Run the queue to t_end (EventQueue::runUntil()), the think this
-     * core holds, if any, first. While nothing else is pending, a
-     * held think ending by t_end is dispatched directly
-     * (EventQueue::runHeld()); once something else is, it goes into
-     * the heap in the place it held (EventQueue::scheduleHeld()). The
-     * queue dispatches the same events in the same order, and counts
-     * them the same, as if the think had been scheduled.
-     */
-    void runUntil(Seconds t_end);
-
-    /** True while the core holds its next think outside the queue. */
-    bool thinkHeld() const { return _thinkHeld; }
 
     /** Begin execution at the current simulated time. */
     void start();
@@ -177,20 +158,14 @@ class Core final : public EventHandler, public DeliverySink
     double _instrRetired = 0.0;
     CoreCounters _counters;
 
-    // The flags side by side, beside _stallStart: every window reads
-    // _stalled and _thinkHeld.
     bool _started = false;
     bool _stalled = false;
     bool _thinkPending = false;
-    bool _thinkHeld = false; //!< the pending think is held (runUntil())
     Seconds _stallStart = 0.0;
 
-    /** The pending think event's payload; a held one's end time and
-     *  sequence number too. */
+    /** The pending think event's payload. */
     Seconds _thinkTime = 0.0;
     double _thinkInstr = 0.0;
-    Seconds _thinkEnd = 0.0;
-    std::uint64_t _thinkSeq = 0;
 };
 
 } // namespace fastcap

@@ -154,10 +154,8 @@ ShardedSystem::Lane::Lane(int core_id, const SimConfig &lane_cfg,
 int
 ShardedSystem::shardWorkers() const
 {
-    const int want = _threads == 0
-        ? static_cast<int>(ThreadPool::hardwareWorkers())
-        : _threads;
-    return std::clamp(want, 1, numShards());
+    return static_cast<int>(ThreadPool::workersFor(
+        _threads, static_cast<std::size_t>(numShards())));
 }
 
 std::pair<int, int>
@@ -233,7 +231,7 @@ ShardedSystem::runShardWindow(int s, Seconds t_end, WindowStats &stats)
 
         ln.core.resetCounters();
         ln.controller.resetCounters();
-        ln.core.runUntil(t_end);
+        ln.queue.runUntil(t_end);
         ln.core.flushStall(t_end);
         // Fold bank/bus busy time into the counters while still
         // inside the shard job; the merge only reads them. The

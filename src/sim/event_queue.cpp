@@ -76,30 +76,6 @@ EventQueue::schedule(Seconds when, EventHandler &target,
     _heap[i] = e;
 }
 
-std::uint64_t
-EventQueue::hold(Seconds when)
-{
-    checkNotPast("hold", when, _now);
-    return _seq++;
-}
-
-void
-EventQueue::scheduleHeld(Seconds when, std::uint64_t seq,
-                         EventHandler &target, std::uint32_t tag,
-                         double arg)
-{
-    checkNotPast("scheduleHeld", when, _now);
-    if (seq >= _seq)
-        panic("EventQueue::scheduleHeld: sequence number %llu was "
-              "never held", static_cast<unsigned long long>(seq));
-    // schedule() with the held number in place of the next one; the
-    // checks above leave it nothing to throw.
-    const std::uint64_t next = _seq;
-    _seq = seq;
-    schedule(when, target, tag, arg);
-    _seq = next;
-}
-
 void
 EventQueue::scheduleInOrder(Seconds when, EventHandler &target,
                             std::uint32_t tag, double arg)
@@ -165,22 +141,6 @@ EventQueue::dispatchNext(std::uint64_t bound)
     e.target->onEvent(e.tag, e.arg);
     ++_processed;
     return true;
-}
-
-std::uint64_t
-EventQueue::runHeld(Seconds when, EventHandler &target, std::uint32_t tag,
-                    Seconds t_end)
-{
-    // Negated so a NaN time panics.
-    if (!empty() || !(when >= _now) || !(when <= t_end))
-        panic("EventQueue::runHeld: event time %g with %zu events "
-              "pending (now %g, window end %g)",
-              when, pending(), _now, t_end);
-    _horizon = t_end;
-    _now = when;
-    target.onEvent(tag, 0.0);
-    ++_processed;
-    return runUntil(t_end) + 1;
 }
 
 void

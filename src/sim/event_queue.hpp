@@ -143,37 +143,6 @@ class EventQueue
         ++_processed;
     }
 
-    /**
-     * Hold an event at `when` outside the queue instead of scheduling
-     * it, and return the sequence number schedule() would have given
-     * it, from the same counter. A held event keeps its place in the
-     * (when, seq) order: its holder later either runs it with
-     * runHeld() or puts it in the heap with scheduleHeld(). A past or
-     * NaN `when` panics, as in schedule(). A lane core holds its next
-     * think this way (Core::runUntil()).
-     */
-    std::uint64_t hold(Seconds when);
-
-    /** Put an event held at `when` with sequence number `seq` (from
-     *  hold()) in the heap, in the place schedule() would have. */
-    void scheduleHeld(Seconds when, std::uint64_t seq, EventHandler &target,
-                      std::uint32_t tag = 0, double arg = 0.0);
-
-    /**
-     * runUntil(t_end), but first dispatch a held event,
-     * `target.onEvent(tag, 0)` at `when`, directly, as runUntil()
-     * would dispatch it from the heap: now() at `when`, horizon() at
-     * t_end, one event processed. Only when that event is certain to
-     * be the queue's next one: nothing is pending and `when` is at or
-     * before t_end. Anything else is a library bug and panics, as does
-     * a NaN or past `when`.
-     *
-     * @return number of events processed by this call, the held one
-     *         included.
-     */
-    std::uint64_t runHeld(Seconds when, EventHandler &target,
-                          std::uint32_t tag, Seconds t_end);
-
     /** Schedule at now() + delay. */
     void
     scheduleAfter(Seconds delay, EventHandler &target,

@@ -28,6 +28,18 @@ ThreadPool::hardwareWorkers()
     return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
+std::size_t
+ThreadPool::workersFor(int requested, std::size_t jobs)
+{
+    if (requested < 0)
+        panic("ThreadPool::workersFor: negative worker count %d",
+              requested);
+    const std::size_t want = requested > 0
+        ? static_cast<std::size_t>(requested)
+        : hardwareWorkers();
+    return std::max<std::size_t>(1, std::min(want, jobs));
+}
+
 ThreadPool::ThreadPool(std::size_t workers,
                        telemetry::Registry *registry)
 {

@@ -75,6 +75,15 @@ class ThreadPool
     /** std::thread::hardware_concurrency with a floor of 1. */
     static std::size_t hardwareWorkers();
 
+    /**
+     * Workers for `jobs` jobs whose results do not depend on the
+     * worker count, when `requested` were asked for (0 =
+     * hardwareWorkers()): at most one per job, at least one. A
+     * negative request is a library bug (callers reject it) and
+     * panics.
+     */
+    static std::size_t workersFor(int requested, std::size_t jobs);
+
   private:
     /**
      * Queue entry. `enqueued_s` is a wall-clock stamp taken only when

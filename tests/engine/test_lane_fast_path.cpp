@@ -10,9 +10,10 @@
  * application swaps and instruction credits between windows, and
  * out-of-order cores; on the one-bank lane every 1024-core machine has
  * and on a four-bank one, where a read can overtake its think's
- * writeback on the bus. The inline lane holds a think that ends past
- * the window with nothing else pending (Core::runUntil()); that think
- * is bit-identical to the heap lane's across window boundaries too.
+ * writeback on the bus. A next think that the loop draws past the
+ * window end waits in the lane's heap, alone, into the next window;
+ * knob changes and same-time events around it keep it bit-identical
+ * to the heap lane's too.
  */
 
 #include <gtest/gtest.h>
@@ -126,7 +127,7 @@ struct HandLane
     {
         core.resetCounters();
         controller.resetCounters();
-        core.runUntil(t_end);
+        queue.runUntil(t_end);
         core.flushStall(t_end);
         controller.finalizeWindow();
     }
@@ -202,19 +203,15 @@ struct LaneTrio
 
     /** Run one window on all three and compare them bit for bit: the
      *  loop counts each inline think-done as the heap dispatched it,
-     *  and leaves the same events pending, bar the parked one, with a
-     *  think its core holds counted as pending. */
+     *  and leaves the same events pending, bar the parked one. */
     void
     runWindow(Seconds t_end)
     {
         each([&](HandLane &l) { l.runWindow(t_end); });
         expectSameLane(heap, events);
         expectSameLane(loop, events);
-        EXPECT_FALSE(heap.core.thinkHeld());
-        EXPECT_FALSE(events.core.thinkHeld());
         EXPECT_EQ(loop.queue.processed(), heap.queue.processed());
-        EXPECT_EQ(loop.queue.pending() + (loop.core.thinkHeld() ? 1 : 0) + 1,
-                  heap.queue.pending());
+        EXPECT_EQ(loop.queue.pending() + 1, heap.queue.pending());
         EXPECT_EQ(doubleBits(loop.queue.now()),
                   doubleBits(events.queue.now()));
     }
@@ -388,6 +385,14 @@ TEST(LaneFastPath, ThinkEndingExactlyAtTheWindowEndRunsInIt)
     }
 }
 
+/** True when all a lane has pending is its core's next think: it
+ *  waits out the window end alone in the heap. */
+bool
+thinkWaitsAlone(const HandLane &lane)
+{
+    return lane.core.outstanding() == 0 && lane.queue.pending() == 1;
+}
+
 /** Records its lane's miss count when it fires. */
 struct MissProbe final : EventHandler
 {
@@ -403,13 +408,13 @@ struct MissProbe final : EventHandler
     std::vector<std::uint64_t> seen;
 };
 
-TEST(LaneFastPath, HeldThinkEndingExactlyAtTheWindowEndRunsInIt)
+TEST(LaneFastPath, CarriedThinkEndingExactlyAtTheWindowEndRunsInIt)
 {
-    // A window ending 1 ns before a think's done leaves that think
-    // held; the next window ends exactly at its done, and the held
-    // think runs in it, as the heap dispatches an event at t_end. A
-    // probe scheduled at that same time after the hold fires after
-    // the think on every lane: the held think kept its place.
+    // A window ending 1 ns before a think's done carries that think
+    // over in the heap; the next window ends exactly at its done, and
+    // the think runs in it, as the heap dispatches an event at t_end.
+    // A probe scheduled at that same time after the think fires after
+    // it on every lane: the think keeps its place in the tie.
     const SimConfig cfg = laneConfig(ExecMode::InOrder, 1);
     const AppProfile app = lightApp();
     std::vector<Seconds> think_done;
@@ -426,7 +431,7 @@ TEST(LaneFastPath, HeldThinkEndingExactlyAtTheWindowEndRunsInIt)
         SCOPED_TRACE("think " + std::to_string(k));
         LaneTrio trio(cfg, app);
         trio.runWindow(think_done[k] - 1e-9);
-        ASSERT_TRUE(trio.loop.core.thinkHeld());
+        ASSERT_TRUE(thinkWaitsAlone(trio.loop));
         MissProbe events_probe(trio.events.core);
         MissProbe heap_probe(trio.heap.core);
         MissProbe loop_probe(trio.loop.core);
@@ -556,30 +561,31 @@ TEST(LaneFastPath, StepOutsideRunUntilNeverResolvesInline)
     expectSameLane(fast, slow);
 }
 
-/** The knob a held-think run changes between windows. */
+/** The knob a carried-think run changes between windows. */
 enum class Knob { None, Swap, Dvfs, Credit };
 
-TEST(LaneFastPath, HeldThinkMatchesHeapPathAcrossWindowBoundaries)
+TEST(LaneFastPath, CarriedThinkMatchesHeapPathAcrossWindowBoundaries)
 {
     // Windows a few rare-miss thinks long mostly end inside a think
-    // whose miss resolved inline, so the loop lane holds that think
-    // into the next window. Between windows each knob changes what
-    // the held think's run or the think after it sees; all three
-    // lanes must stay bit-identical, counts and pending included.
+    // whose miss resolved inline, so the loop lane carries that think
+    // into the next window in its heap. Between windows each knob
+    // changes what that think's run or the think after it sees; all
+    // three lanes must stay bit-identical, counts and pending
+    // included.
     const SimConfig cfg = laneConfig(ExecMode::InOrder, 1);
     for (const Knob knob : {Knob::None, Knob::Swap, Knob::Dvfs,
                             Knob::Credit}) {
         SCOPED_TRACE("knob " + std::to_string(static_cast<int>(knob)));
         LaneTrio trio(cfg, lightApp());
         Rng pick(7);
-        int held = 0;
-        int held_changed = 0;
+        int carried = 0;
+        int carried_changed = 0;
         Seconds t = 0.0;
         for (int w = 0; w < 200; ++w) {
-            const bool was_held = trio.loop.core.thinkHeld();
-            held += was_held ? 1 : 0;
+            const bool alone = thinkWaitsAlone(trio.loop);
+            carried += alone ? 1 : 0;
             if (w % 2 == 1) {
-                held_changed += was_held ? 1 : 0;
+                carried_changed += alone ? 1 : 0;
                 switch (knob) {
                 case Knob::Swap:
                     trio.each([&](HandLane &l) {
@@ -605,21 +611,22 @@ TEST(LaneFastPath, HeldThinkMatchesHeapPathAcrossWindowBoundaries)
             SCOPED_TRACE("window " + std::to_string(w));
             trio.runWindow(t);
         }
-        // Most windows began with a held think, about half of those
-        // after a knob change.
-        EXPECT_GT(held, 80);
+        // Most windows began with a carried think, about half of
+        // those after a knob change.
+        EXPECT_GT(carried, 80);
         if (knob != Knob::None) {
-            EXPECT_GT(held_changed, 40);
+            EXPECT_GT(carried_changed, 40);
         }
     }
 }
 
-TEST(LaneFastPath, HeldThinkFallingBackToEventsMatchesHeapPath)
+TEST(LaneFastPath, CarriedThinkFallingBackToEventsMatchesHeapPath)
 {
-    // A think held under a writeback-free application runs under one
-    // that writes back two lines per miss: its think-done draws two
-    // writebacks, which cannot resolve inline, so the lane falls back
-    // to events right after the held think. Then back again.
+    // A think carried over under a writeback-free application runs
+    // under one that writes back two lines per miss: its think-done
+    // draws two writebacks, which cannot resolve inline, so the lane
+    // falls back to events right after the carried think, at the
+    // start of the window. Then back again.
     const SimConfig cfg = laneConfig(ExecMode::InOrder, 1);
     const AppProfile writer("writer2", phase(1e9, 10.0, 20.0, 1.0));
     LaneTrio trio(cfg, lightApp());
@@ -627,17 +634,17 @@ TEST(LaneFastPath, HeldThinkFallingBackToEventsMatchesHeapPath)
     int fallbacks = 0;
     Seconds t = 0.0;
     for (int w = 0; w < 120; ++w) {
-        const bool swap_to_writer = trio.loop.core.thinkHeld() && w % 2;
+        const bool swap_to_writer = thinkWaitsAlone(trio.loop) && w % 2;
         if (swap_to_writer)
             trio.each([&](HandLane &l) { l.app = writer; });
         const std::uint64_t before = trio.loop.queue.processed();
-        // Long enough after a swap for the held think to end in it.
+        // Long enough after a swap for the carried think to end in it.
         t += (swap_to_writer ? 5e-6 : 2e-6) * (0.2 + pick.uniform());
         SCOPED_TRACE("window " + std::to_string(w));
         trio.runWindow(t);
         if (swap_to_writer) {
-            // More events than misses: the held think's requests, at
-            // least, took the event path.
+            // More events than misses: the carried think's requests,
+            // at least, took the event path.
             EXPECT_GT(trio.loop.queue.processed() - before,
                       trio.loop.core.counters().misses);
             ++fallbacks;
@@ -645,45 +652,6 @@ TEST(LaneFastPath, HeldThinkFallingBackToEventsMatchesHeapPath)
         }
     }
     EXPECT_GT(fallbacks, 20);
-}
-
-TEST(LaneFastPath, HeldThinkJoinsTheHeapOnceSomethingElseIsScheduled)
-{
-    // An event scheduled on the lane while its core holds a think
-    // sends the think into the heap in the place it held: the lane
-    // dispatches both in the heap lane's order, and each probe sees
-    // the same miss count on both lanes.
-    const SimConfig cfg = laneConfig(ExecMode::InOrder, 1);
-    HandLane heap(cfg, lightApp(), Path::Heap);
-    HandLane loop(cfg, lightApp(), Path::Loop);
-    MissProbe heap_probe(heap.core);
-    MissProbe loop_probe(loop.core);
-    Rng pick(5);
-    int joined = 0;
-    Seconds t = 0.0;
-    for (int w = 0; w < 100; ++w) {
-        const Seconds len = 2e-6 * (0.2 + pick.uniform());
-        if (loop.core.thinkHeld()) {
-            // A probe inside the next window, and one at its end.
-            for (const Seconds at : {t + 0.5 * len, t + len}) {
-                heap.queue.schedule(at, heap_probe);
-                loop.queue.schedule(at, loop_probe);
-            }
-            ++joined;
-        }
-        t += len;
-        SCOPED_TRACE("window " + std::to_string(w));
-        heap.runWindow(t);
-        loop.runWindow(t);
-        expectSameLane(loop, heap);
-        EXPECT_EQ(loop.queue.processed(), heap.queue.processed());
-        EXPECT_EQ(loop.queue.pending() + (loop.core.thinkHeld() ? 1 : 0) +
-                      1,
-                  heap.queue.pending());
-    }
-    EXPECT_GT(joined, 30);
-    EXPECT_EQ(loop_probe.seen, heap_probe.seen);
-    EXPECT_EQ(loop_probe.seen.size(), static_cast<std::size_t>(2 * joined));
 }
 
 } // namespace

@@ -399,6 +399,19 @@ TEST(SweepRunner, MatchesSerialSingleRuns)
     }
 }
 
+TEST(SweepRunner, WorkersAreBoundedByRunsAndNeverNegative)
+{
+    // Results do not depend on the worker count, so a 2-run grid asked
+    // for 8 workers runs on 2. A negative count is an error, not the
+    // hardware default.
+    SweepGrid grid = smallGrid();
+    grid.workloads = {"ILP1"};
+    ASSERT_EQ(grid.runCount(), 2u);
+    EXPECT_EQ(SweepRunner(grid, 8).run().threads, 2);
+    EXPECT_EQ(SweepRunner(grid, 1).run().threads, 1);
+    EXPECT_THROW(SweepRunner(grid, -1), FatalError);
+}
+
 std::string
 jsonString(const SweepResult &sw)
 {

@@ -807,100 +807,5 @@ TEST(EventQueue, SubnormalAndHugeTimesOrderByValue)
     EXPECT_EQ(r.tags, expected);
 }
 
-/** Records (tag, now, horizon) of every event it receives. */
-struct Witness : EventHandler
-{
-    explicit Witness(EventQueue &q) : queue(q) {}
-
-    void
-    onEvent(std::uint32_t tag, double) override
-    {
-        tags.push_back(static_cast<int>(tag));
-        times.push_back(queue.now());
-        horizons.push_back(queue.horizon());
-    }
-
-    EventQueue &queue;
-    std::vector<int> tags;
-    std::vector<Seconds> times;
-    std::vector<Seconds> horizons;
-};
-
-TEST(EventQueue, RunHeldDispatchesAsTheHeapWould)
-{
-    // One queue schedules the event, the other holds it: both see the
-    // same now(), horizon() and processed() in and after the window.
-    EventQueue heap_q;
-    EventQueue held_q;
-    Witness heap_w(heap_q);
-    Witness held_w(held_q);
-    heap_q.schedule(30e-9, heap_w, 7);
-    const std::uint64_t seq = held_q.hold(30e-9);
-    EXPECT_TRUE(held_q.empty());
-
-    EXPECT_EQ(heap_q.runUntil(100e-9), 1u);
-    EXPECT_EQ(held_q.runHeld(30e-9, held_w, 7, 100e-9), 1u);
-    EXPECT_EQ(held_w.tags, heap_w.tags);
-    EXPECT_EQ(held_w.times, heap_w.times);
-    EXPECT_EQ(held_w.horizons, heap_w.horizons);
-    EXPECT_EQ(held_w.horizons, (std::vector<Seconds>{100e-9}));
-    EXPECT_EQ(held_q.processed(), heap_q.processed());
-    EXPECT_EQ(held_q.now(), heap_q.now());
-    EXPECT_EQ(held_q.horizon(), -std::numeric_limits<Seconds>::infinity());
-    // The held event took the next sequence number, so the ones
-    // after it match too.
-    EXPECT_EQ(seq, 0u);
-    EXPECT_EQ(held_q.hold(200e-9), 1u);
-}
-
-TEST(EventQueue, RunHeldRunsWhatItsHandlerSchedules)
-{
-    // The held event's handler schedules a chain; runHeld() runs it to
-    // the window end like runUntil() and counts every event.
-    EventQueue q;
-    Chain chain(q, 10e-9, 5);
-    q.hold(5e-9);
-    EXPECT_EQ(q.runHeld(5e-9, chain, 0, 32e-9), 3u);
-    EXPECT_EQ(chain.count, 3);
-    EXPECT_EQ(q.now(), 32e-9);
-    EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueue, ScheduleHeldKeepsTheHeldPlaceAtATie)
-{
-    // A held event put in the heap after later schedules still fires
-    // first at an equal time: it keeps the sequence number it held.
-    EventQueue q;
-    Recorder r;
-    const std::uint64_t seq = q.hold(10e-9);
-    q.schedule(10e-9, r, 2);
-    q.scheduleInOrder(10e-9, r, 3);
-    q.schedule(5e-9, r, 1);
-    q.scheduleHeld(10e-9, seq, r, 9);
-    q.runUntil(1e-6);
-    EXPECT_EQ(r.tags, (std::vector<int>{1, 9, 2, 3}));
-}
-
-TEST(EventQueue, HeldEventsBreakingTheirContractPanic)
-{
-    EventQueue q;
-    Recorder r;
-    q.schedule(10e-9, r, 1);
-    q.runUntil(20e-9);
-    EXPECT_THROW(q.hold(5e-9), PanicError);
-    EXPECT_THROW(q.hold(std::nan("")), PanicError);
-    const std::uint64_t seq = q.hold(30e-9);
-    // Never held, in the past, NaN.
-    EXPECT_THROW(q.scheduleHeld(30e-9, seq + 1, r, 2), PanicError);
-    EXPECT_THROW(q.scheduleHeld(5e-9, seq, r, 2), PanicError);
-    // Past the window end, in the past, NaN, or with events pending.
-    EXPECT_THROW(q.runHeld(30e-9, r, 2, 25e-9), PanicError);
-    EXPECT_THROW(q.runHeld(15e-9, r, 2, 40e-9), PanicError);
-    EXPECT_THROW(q.runHeld(std::nan(""), r, 2, 40e-9), PanicError);
-    q.schedule(35e-9, r, 3);
-    EXPECT_THROW(q.runHeld(30e-9, r, 2, 40e-9), PanicError);
-    EXPECT_EQ(r.tags, (std::vector<int>{1}));
-}
-
 } // namespace
 } // namespace fastcap

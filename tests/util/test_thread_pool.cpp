@@ -118,6 +118,18 @@ TEST(ThreadPool, ZeroMeansHardwareConcurrency)
     EXPECT_TRUE(all_met.load());
 }
 
+TEST(ThreadPool, WorkersForIsAtMostOnePerJobAndAtLeastOne)
+{
+    // Only counts: no pool is built.
+    EXPECT_EQ(ThreadPool::workersFor(8, 2), 2u);
+    EXPECT_EQ(ThreadPool::workersFor(3, 100), 3u);
+    EXPECT_EQ(ThreadPool::workersFor(0, 100000),
+              ThreadPool::hardwareWorkers());
+    EXPECT_EQ(ThreadPool::workersFor(0, 1), 1u);
+    EXPECT_EQ(ThreadPool::workersFor(4, 0), 1u);
+    EXPECT_THROW(ThreadPool::workersFor(-1, 4), PanicError);
+}
+
 TEST(ThreadPool, EmptyJobPanics)
 {
     ThreadPool pool(1);

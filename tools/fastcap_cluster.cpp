@@ -84,8 +84,9 @@ main(int argc, char **argv)
                    "gen:KIND,key=value,...");
     args.addInt("max-epochs", 20, "rack epochs to simulate");
     args.addInt("machine-threads", 1,
-                "threads machine epochs fan out over (0 = hardware); "
-                "output is byte-identical for every value");
+                "threads machine epochs fan out over, at most one per "
+                "machine (0 = hardware); output is byte-identical for "
+                "every value");
     args.addInt("shards", 0,
                 "per-machine engine shards (0 = auto)");
     args.addInt("shard-threads", 1,

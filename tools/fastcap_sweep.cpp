@@ -158,7 +158,8 @@ main(int argc, char **argv)
     args.addString("shard-threads", "1",
                    "sharded-engine workers per run (0 = hardware; "
                    "default 1 to avoid nesting inside --threads)");
-    args.addInt("threads", 0, "worker threads (0 = hardware)");
+    args.addInt("threads", 0,
+                "worker threads, at most one per run (0 = hardware)");
     args.addString("csv", "", "write run CSV to this file "
                               "(default: stdout)");
     args.addString("json", "", "also write run JSON to this file");
